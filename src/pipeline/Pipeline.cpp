@@ -302,18 +302,29 @@ void runReassociationPhase(Function &F, FunctionAnalysisManager &AM,
 /// a fixpoint (bounded by expression-tree depth). Counters accumulate
 /// across rounds (pre.universe is a per-round sum; see observability doc).
 /// Each round is one gated pass application, so bisection can land between
-/// rounds.
+/// rounds. Publishes pre.rounds and pre.round_cap_hit (the round cap, not
+/// convergence, ended the loop).
 void runPREToFixpoint(Function &F, FunctionAnalysisManager &AM,
                       const PipelineOptions &Opts, PassContext &Ctx,
                       PassGate &Gate) {
+  constexpr unsigned RoundCap = 16;
   PREPass P(Opts.Strategy, Opts.Solver);
-  for (unsigned Round = 0; Round < 16; ++Round) {
-    if (!Gate.admit("pre"))
-      break;
+  unsigned Rounds = 0;
+  bool Converged = false;
+  while (Rounds < RoundCap && Gate.admit("pre")) {
+    ++Rounds;
     P.run(F, AM, Ctx);
     verifyStage(F, Opts, SSAMode::NoSSA, "PRE");
-    if (P.lastStats().Inserted == 0 && P.lastStats().Deleted == 0)
+    if (P.lastStats().Inserted == 0 && P.lastStats().Deleted == 0) {
+      Converged = true;
       break;
+    }
+  }
+  if (StatsRegistry *R = Ctx.stats()) {
+    if (Rounds)
+      R->counter("pre", "rounds") += Rounds;
+    if (Rounds == RoundCap && !Converged)
+      R->counter("pre", "round_cap_hit") += 1;
   }
 }
 

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
+#include <utility>
 #include <map>
 #include <set>
 #include <vector>
@@ -26,16 +27,24 @@ struct ExprInfo {
   Instruction Proto; ///< a representative definition (all are identical)
 };
 
-/// Dinic max-flow over a small per-expression network (Speculative
-/// strategy). Arcs are stored paired so Arcs[I ^ 1] is the reverse arc;
-/// capacities are profiled execution counts, far below the Unbounded
-/// sentinel, so sums never overflow.
+/// Dinic max-flow over one expression's network (Speculative strategy).
+/// Arcs are stored paired so Arcs[I ^ 1] is the reverse arc; capacities
+/// are profiled execution counts, far below the Unbounded sentinel, so
+/// sums never overflow. One instance serves every expression of a run:
+/// reset() starts a new network in the storage of the previous one.
 class MaxFlow {
 public:
   static constexpr uint64_t Unbounded = uint64_t(1) << 62;
 
-  explicit MaxFlow(unsigned NumNodes)
-      : Head(NumNodes, -1), Level(NumNodes), It(NumNodes) {}
+  void reset(unsigned NumNodes) {
+    Arcs.clear();
+    Head.assign(NumNodes, -1);
+    Level.resize(NumNodes);
+    It.resize(NumNodes);
+  }
+
+  /// Arcs added since the last reset (reverse arcs not counted).
+  unsigned numArcs() const { return unsigned(Arcs.size() / 2); }
 
   void addArc(unsigned From, unsigned To, uint64_t Cap) {
     unsigned Id = unsigned(Arcs.size());
@@ -55,23 +64,21 @@ public:
     return Flow;
   }
 
-  /// After solve(): the source side of the minimum cut (residual
-  /// reachability from \p S). An original arc (u,v) is in the cut iff
-  /// u is on the source side and v is not.
-  std::vector<char> sourceSide(unsigned S) const {
-    std::vector<char> Reach(Head.size(), 0);
-    std::vector<unsigned> Work{S};
+  /// After solve(): fills \p Reach with the source side of the minimum cut
+  /// (residual reachability from \p S). An original arc (u,v) is in the
+  /// cut iff u is on the source side and v is not. Every maximum flow
+  /// leaves the same residual reachability, so the side does not depend on
+  /// the order the arcs were added in.
+  void sourceSide(unsigned S, std::vector<char> &Reach) {
+    Reach.assign(Head.size(), 0);
+    Queue.assign(1, S);
     Reach[S] = 1;
-    while (!Work.empty()) {
-      unsigned U = Work.back();
-      Work.pop_back();
-      for (int A = Head[U]; A != -1; A = Arcs[A].Next)
+    for (size_t Q = 0; Q < Queue.size(); ++Q)
+      for (int A = Head[Queue[Q]]; A != -1; A = Arcs[A].Next)
         if (Arcs[A].Cap > 0 && !Reach[Arcs[A].To]) {
           Reach[Arcs[A].To] = 1;
-          Work.push_back(Arcs[A].To);
+          Queue.push_back(Arcs[A].To);
         }
-    }
-    return Reach;
   }
 
 private:
@@ -83,15 +90,14 @@ private:
 
   bool bfs(unsigned S, unsigned T) {
     std::fill(Level.begin(), Level.end(), -1);
-    std::deque<unsigned> Q{S};
+    Queue.assign(1, S);
     Level[S] = 0;
-    while (!Q.empty()) {
-      unsigned U = Q.front();
-      Q.pop_front();
+    for (size_t Q = 0; Q < Queue.size(); ++Q) {
+      unsigned U = Queue[Q];
       for (int A = Head[U]; A != -1; A = Arcs[A].Next)
         if (Arcs[A].Cap > 0 && Level[Arcs[A].To] < 0) {
           Level[Arcs[A].To] = Level[U] + 1;
-          Q.push_back(Arcs[A].To);
+          Queue.push_back(Arcs[A].To);
         }
     }
     return Level[T] >= 0;
@@ -117,6 +123,40 @@ private:
   std::vector<int> Head;
   std::vector<int> Level;
   std::vector<int> It;
+  std::vector<unsigned> Queue; ///< BFS queue, reused across calls
+};
+
+/// Per-expression lists in one flat array: the items of expression E are
+/// Items[Start[E]] .. Items[Start[E + 1] - 1].
+struct ExprLists {
+  std::vector<unsigned> Start, Items;
+
+  struct Range {
+    const unsigned *B, *E;
+    const unsigned *begin() const { return B; }
+    const unsigned *end() const { return E; }
+  };
+
+  /// Lists, for every expression, the items of the rows whose bit vector
+  /// has its bit set, in row order. A row is (item, bits).
+  void build(unsigned NumExprs,
+             const std::vector<std::pair<unsigned, const BitVector *>> &Rows) {
+    Start.assign(NumExprs + 1, 0);
+    for (const auto &[Item, Bits] : Rows)
+      for (int E = Bits->findFirst(); E != -1; E = Bits->findNext(unsigned(E)))
+        ++Start[E + 1];
+    for (unsigned E = 0; E < NumExprs; ++E)
+      Start[E + 1] += Start[E];
+    Items.resize(Start[NumExprs]);
+    std::vector<unsigned> Fill(Start.begin(), Start.end() - 1);
+    for (const auto &[Item, Bits] : Rows)
+      for (int E = Bits->findFirst(); E != -1; E = Bits->findNext(unsigned(E)))
+        Items[Fill[E]++] = Item;
+  }
+
+  Range of(unsigned E) const {
+    return {Items.data() + Start[E], Items.data() + Start[E + 1]};
+  }
 };
 
 /// Only expressions that cannot trap may be computed on a path where the
@@ -629,94 +669,42 @@ private:
   /// arcs cost what keeping the original computation executes. The cut is
   /// adopted only when strictly cheaper than LCM's weighted cost, so
   /// missing profiles, cold expressions, and ties all keep the safe LCM
-  /// placement.
+  /// placement — except a tie with the code as it stands, which leaves the
+  /// expression where it is.
   void placeSpeculative() {
     placeLazyCodeMotion();
     const ProfileInfo &PI = AM.profileInfo();
     if (!PI.attached())
       return;
 
-    unsigned NB = F.numBlocks();
-    unsigned NE = numExprs();
-    // Node numbering: every block is split so availability can terminate
-    // inside it. S feeds every source of unavailability (function entry,
-    // exits of blocks that kill without recomputing); T collects the
-    // upward-exposed occurrences.
-    const unsigned S = 0, T = 1;
-    auto InNode = [](BlockId B) { return 2 + 2 * B; };
-    auto OutNode = [](BlockId B) { return 3 + 2 * B; };
+    indexSpeculation();
     BlockId Entry = G.rpo().front();
-
-    for (unsigned E = 0; E < NE; ++E) {
-      if (!speculationSafe(Universe[E].Proto))
+    for (unsigned E = 0; E < numExprs(); ++E) {
+      uint64_t OccWeight, LCMCost;
+      if (!speculationCandidate(E, PI, OccWeight, LCMCost))
         continue;
+      uint64_t CutCost = solveRegionCut(E, PI);
 
-      // Weighted cost of the upward-exposed occurrences: the most any
-      // placement could have to pay, and the speculation budget. A cold
-      // expression (no matched counts) stays on the LCM placement.
-      uint64_t OccWeight = 0;
-      for (BlockId B : G.rpo())
-        if (ANTLOC[B].test(E))
-          OccWeight += PI.blockWeight(B);
-      if (OccWeight == 0)
+      // Cutting every occurrence arc is a cut, so CutCost <= OccWeight. On
+      // a tie no placement beats the code as it stands: leave it alone
+      // rather than adopt an equal-cost rewrite (inserting on an occurrence
+      // block's single in-edge and deleting the occurrence), which the
+      // next round would find and adopt again, forever.
+      if (CutCost == OccWeight) {
+        clearPlacement(E);
         continue;
-
-      // Unknown edges (label drift: the CFG changed after the profile was
-      // collected) count as free here and unbounded in the network below.
-      // Both choices bias the same way — toward keeping the LCM placement
-      // in regions the profile cannot price.
-      uint64_t LCMCost = 0;
-      for (unsigned EI = 0; EI < Edges.size(); ++EI)
-        if (Edges[EI].Insert.test(E) &&
-            (Edges[EI].From == InvalidBlock ||
-             PI.edgeKnown(Edges[EI].From, Edges[EI].To)))
-          LCMCost += insertEdgeCost(PI, EI);
-      for (BlockId B : G.rpo())
-        if (ANTLOC[B].test(E) && !DELETE[B].test(E))
-          LCMCost += PI.blockWeight(B);
-      if (LCMCost == 0)
-        continue; // already free on this profile; nothing to gain
-
-      MaxFlow Net(2 + 2 * NB);
-      Net.addArc(S, InNode(Entry), PI.blockKnown(Entry) ? PI.entryWeight()
-                                                        : MaxFlow::Unbounded);
-      for (BlockId B : G.rpo()) {
-        if (ANTLOC[B].test(E))
-          Net.addArc(InNode(B), T, PI.blockWeight(B));
-        if (COMP[B].test(E)) {
-          // Computed clean at exit: unavailability ends here, no out arc.
-        } else if (TRANSP[B].test(E)) {
-          Net.addArc(InNode(B), OutNode(B), MaxFlow::Unbounded);
-        } else {
-          Net.addArc(S, OutNode(B), MaxFlow::Unbounded);
-        }
       }
-      for (unsigned EI = 1; EI < Edges.size(); ++EI)
-        Net.addArc(OutNode(Edges[EI].From), InNode(Edges[EI].To),
-                   PI.edgeKnown(Edges[EI].From, Edges[EI].To)
-                       ? insertEdgeCost(PI, EI)
-                       : MaxFlow::Unbounded);
-
-      uint64_t CutCost = Net.solve(S, T);
       if (CutCost >= LCMCost)
         continue; // speculation does not pay on this profile; keep LCM
 
       // Adopt the cut: insertions are the saturated source-to-sink-side
       // arcs; an occurrence is deleted exactly when the cut separates it
       // from every remaining source of unavailability.
-      std::vector<char> Reach = Net.sourceSide(S);
-      for (Edge &Ed : Edges)
-        Ed.Insert.reset(E);
-      for (BlockId B : G.rpo())
-        DELETE[B].reset(E);
-      if (!Reach[InNode(Entry)])
-        Edges[0].Insert.set(E);
-      for (unsigned EI = 1; EI < Edges.size(); ++EI)
-        if (Reach[OutNode(Edges[EI].From)] && !Reach[InNode(Edges[EI].To)])
-          Edges[EI].Insert.set(E);
-      for (BlockId B : G.rpo())
-        if (ANTLOC[B].test(E) && !Reach[InNode(B)])
-          DELETE[B].set(E);
+      clearPlacement(E);
+      for (unsigned EI : CutInserts)
+        Edges[EI].Insert.set(E);
+      for (BlockId B : CutDeletes)
+        DELETE[B].set(E);
       ++Stats.Speculated;
       if (Ctx && Ctx->remarksEnabled())
         Ctx->remark(RemarkKind::Insert, F, F.block(Entry)->label(),
@@ -726,6 +714,213 @@ private:
                               Universe[E].Name, (unsigned long long)LCMCost,
                               (unsigned long long)CutCost));
     }
+  }
+
+  /// Per-run indexes for placeSpeculative: each expression's occurrences
+  /// and LCM insertion edges as lists, so no per-expression step scans the
+  /// whole function, plus each block's out-edges and the region scratch.
+  void indexSpeculation() {
+    unsigned NB = F.numBlocks();
+    std::vector<std::pair<unsigned, const BitVector *>> Rows;
+    for (BlockId B : G.rpo())
+      Rows.push_back({B, &ANTLOC[B]});
+    Occurrences.build(numExprs(), Rows);
+    Rows.clear();
+    for (unsigned EI = 0; EI < Edges.size(); ++EI)
+      Rows.push_back({EI, &Edges[EI].Insert});
+    LCMInserts.build(numExprs(), Rows);
+
+    // collectEdges lists each block's out-edges consecutively.
+    OutEdges.assign(NB, {0, 0});
+    for (unsigned EI = 1; EI < Edges.size(); ++EI) {
+      auto &R = OutEdges[Edges[EI].From];
+      if (R.first == R.second)
+        R.first = EI;
+      R.second = EI + 1;
+    }
+    Mark.assign(NB, 0);
+    InNode.assign(NB, 0);
+    OutNode.assign(NB, 0);
+    Touched.clear();
+  }
+
+  /// Weighs expression \p E for the min cut. False when it must keep its
+  /// LCM placement untouched: it may trap, it is cold, or LCM already costs
+  /// nothing on this profile.
+  bool speculationCandidate(unsigned E, const ProfileInfo &PI,
+                            uint64_t &OccWeight, uint64_t &LCMCost) const {
+    if (!speculationSafe(Universe[E].Proto))
+      return false;
+    // Weighted cost of the upward-exposed occurrences: the most any
+    // placement could have to pay, and the speculation budget. A cold
+    // expression (no matched counts) stays on the LCM placement.
+    OccWeight = 0;
+    for (BlockId B : Occurrences.of(E))
+      OccWeight += PI.blockWeight(B);
+    if (OccWeight == 0)
+      return false;
+
+    // Unknown edges (label drift: the CFG changed after the profile was
+    // collected) count as free here and unbounded in the network. Both
+    // choices bias the same way — toward keeping the LCM placement in
+    // regions the profile cannot price.
+    LCMCost = 0;
+    for (unsigned EI : LCMInserts.of(E))
+      if (Edges[EI].From == InvalidBlock ||
+          PI.edgeKnown(Edges[EI].From, Edges[EI].To))
+        LCMCost += insertEdgeCost(PI, EI);
+    for (BlockId B : Occurrences.of(E))
+      if (!DELETE[B].test(E))
+        LCMCost += PI.blockWeight(B);
+    return LCMCost != 0; // already free on this profile; nothing to gain
+  }
+
+  /// Drops \p E's LCM insertions and deletions (every LCM insertion edge
+  /// and deletion block is on the expression's lists).
+  void clearPlacement(unsigned E) {
+    for (unsigned EI : LCMInserts.of(E))
+      Edges[EI].Insert.reset(E);
+    for (BlockId B : Occurrences.of(E))
+      DELETE[B].reset(E);
+  }
+
+  // Region marks: a split-block node leads to an occurrence (reaches T)
+  // and/or is fed by a source of unavailability (reached from S).
+  enum : uint8_t { InToOcc = 1, OutToOcc = 2, InFromSrc = 4, OutFromSrc = 8 };
+
+  bool inRegion(BlockId B) const {
+    return (Mark[B] & (InToOcc | InFromSrc)) == (InToOcc | InFromSrc);
+  }
+  bool outInRegion(BlockId B) const {
+    return (Mark[B] & (OutToOcc | OutFromSrc)) == (OutToOcc | OutFromSrc);
+  }
+
+  /// Marks expression \p E's region: the split-block nodes on some path
+  /// from a source of unavailability to an upward-exposed occurrence. No
+  /// other node can carry flow, so a network over the region has the same
+  /// min cut as one over the whole function. One backward walk from the
+  /// occurrences through blocks that neither compute nor kill E finds the
+  /// nodes leading to an occurrence; one forward walk from the sources,
+  /// staying on those nodes, keeps the ones the sources reach.
+  void buildRegion(unsigned E) {
+    for (BlockId B : Touched)
+      Mark[B] = 0;
+    Touched.clear();
+    auto mark = [&](BlockId B, uint8_t Bit) {
+      if (Mark[B] & Bit)
+        return false;
+      if (!Mark[B])
+        Touched.push_back(B);
+      Mark[B] |= Bit;
+      return true;
+    };
+    // Unavailability flows through a block that neither kills nor
+    // computes E, and restarts at the exit of one that kills without
+    // recomputing.
+    auto passes = [&](BlockId B) {
+      return TRANSP[B].test(E) && !COMP[B].test(E);
+    };
+    auto sources = [&](BlockId B) {
+      return !TRANSP[B].test(E) && !COMP[B].test(E);
+    };
+
+    Work.clear();
+    for (BlockId B : Occurrences.of(E))
+      if (mark(B, InToOcc))
+        Work.push_back(B);
+    while (!Work.empty()) {
+      BlockId V = Work.back();
+      Work.pop_back();
+      for (BlockId U : G.preds(V))
+        if (mark(U, OutToOcc) && passes(U) && mark(U, InToOcc))
+          Work.push_back(U);
+    }
+
+    // Forward work items are node keys: 2B for in(B), 2B + 1 for out(B).
+    BlockId Entry = G.rpo().front();
+    if ((Mark[Entry] & InToOcc) && mark(Entry, InFromSrc))
+      Work.push_back(2 * Entry);
+    for (BlockId B : Touched)
+      if ((Mark[B] & OutToOcc) && sources(B) && mark(B, OutFromSrc))
+        Work.push_back(2 * B + 1);
+    while (!Work.empty()) {
+      unsigned K = Work.back();
+      Work.pop_back();
+      BlockId B = K / 2;
+      if (K % 2 == 0) {
+        if (passes(B) && (Mark[B] & OutToOcc) && mark(B, OutFromSrc))
+          Work.push_back(K + 1);
+        continue;
+      }
+      for (BlockId V : G.succs(B))
+        if ((Mark[V] & InToOcc) && mark(V, InFromSrc))
+          Work.push_back(2 * V);
+    }
+  }
+
+  /// Solves expression \p E's min cut over its region and reads the
+  /// placement back into CutInserts (edge indices) and CutDeletes
+  /// (occurrence blocks); returns the cut's weighted cost.
+  ///
+  /// Every block is split so availability can terminate inside it. S
+  /// feeds every source of unavailability (function entry, exits of
+  /// blocks that kill without recomputing); T collects the upward-exposed
+  /// occurrences.
+  uint64_t solveRegionCut(unsigned E, const ProfileInfo &PI) {
+    buildRegion(E);
+    const unsigned S = 0, T = 1;
+    unsigned Nodes = 2;
+    for (BlockId B : Touched) {
+      if (inRegion(B))
+        InNode[B] = Nodes++;
+      if (outInRegion(B))
+        OutNode[B] = Nodes++;
+    }
+
+    BlockId Entry = G.rpo().front();
+    Net.reset(Nodes);
+    if (inRegion(Entry))
+      Net.addArc(S, InNode[Entry], PI.blockKnown(Entry) ? PI.entryWeight()
+                                                        : MaxFlow::Unbounded);
+    for (BlockId B : Touched) {
+      if (inRegion(B) && ANTLOC[B].test(E))
+        Net.addArc(InNode[B], T, PI.blockWeight(B));
+      if (!outInRegion(B))
+        continue;
+      if (TRANSP[B].test(E)) {
+        // The sources reach out(B) only through in(B): B passes E.
+        assert(inRegion(B) && !COMP[B].test(E));
+        Net.addArc(InNode[B], OutNode[B], MaxFlow::Unbounded);
+      } else {
+        Net.addArc(S, OutNode[B], MaxFlow::Unbounded);
+      }
+      for (unsigned EI = OutEdges[B].first; EI < OutEdges[B].second; ++EI) {
+        BlockId V = Edges[EI].To;
+        if (inRegion(V))
+          Net.addArc(OutNode[B], InNode[V],
+                     PI.edgeKnown(B, V) ? insertEdgeCost(PI, EI)
+                                        : MaxFlow::Unbounded);
+      }
+    }
+    Stats.SpecNetworkArcs += Net.numArcs();
+
+    uint64_t CutCost = Net.solve(S, T);
+    Net.sourceSide(S, Reach);
+    CutInserts.clear();
+    CutDeletes.clear();
+    if (inRegion(Entry) && !Reach[InNode[Entry]])
+      CutInserts.push_back(0);
+    for (BlockId B : Touched)
+      if (outInRegion(B) && Reach[OutNode[B]])
+        for (unsigned EI = OutEdges[B].first; EI < OutEdges[B].second; ++EI)
+          if (inRegion(Edges[EI].To) && !Reach[InNode[Edges[EI].To]])
+            CutInserts.push_back(EI);
+    // An occurrence outside the region is reached by no source: it is
+    // fully available and goes, as under LCM.
+    for (BlockId B : Occurrences.of(E))
+      if (!inRegion(B) || !Reach[InNode[B]])
+        CutDeletes.push_back(B);
+    return CutCost;
   }
 
   // --- Rewrite --------------------------------------------------------------
@@ -904,6 +1099,20 @@ private:
   std::vector<BitVector> BlockInsert;
   std::vector<Edge> Edges;
   std::vector<std::vector<unsigned>> InEdges;
+
+  // Speculative strategy only (indexSpeculation, solveRegionCut).
+  ExprLists Occurrences; ///< per expression: its ANTLOC blocks, in RPO
+  ExprLists LCMInserts;  ///< per expression: the edges LCM inserts it on
+  /// Per block: its out-edges, Edges[first] .. Edges[second - 1].
+  std::vector<std::pair<unsigned, unsigned>> OutEdges;
+  std::vector<uint8_t> Mark;             ///< per block: region marks
+  std::vector<unsigned> InNode, OutNode; ///< per block: network node ids
+  std::vector<BlockId> Touched;          ///< blocks with a nonzero Mark
+  std::vector<unsigned> Work;
+  MaxFlow Net;
+  std::vector<char> Reach;
+  std::vector<unsigned> CutInserts;
+  std::vector<BlockId> CutDeletes;
 };
 
 } // namespace
@@ -920,6 +1129,7 @@ PreservedAnalyses epre::PREPass::run(Function &F, FunctionAnalysisManager &AM,
   Ctx.addStat("deleted", Last.Deleted);
   Ctx.addStat("edges_split", Last.EdgesSplit);
   Ctx.addStat("speculated", Last.Speculated);
+  Ctx.addStat("spec_network_arcs", Last.SpecNetworkArcs);
   Ctx.addStat("avail_iterations", Last.AvailSolve.Iterations);
   Ctx.addStat("ant_iterations", Last.AntSolve.Iterations);
   if (!Last.Inserted && !Last.Deleted)

@@ -62,6 +62,9 @@ struct PREStats {
   /// Expressions whose min-cut placement beat LCM's weighted cost and was
   /// adopted (Speculative strategy only).
   unsigned Speculated = 0;
+  /// Arcs built across the per-expression min-cut networks (Speculative
+  /// strategy only): the deterministic measure of the placement's work.
+  uint64_t SpecNetworkArcs = 0;
   DataflowStats AvailSolve;    ///< cost of the availability solve
   DataflowStats AntSolve;      ///< cost of the anticipability solve
 };
@@ -72,8 +75,8 @@ struct PREStats {
 /// split a critical edge.
 ///
 /// Counters: pre.universe, pre.dropped_unsafe, pre.inserted, pre.deleted,
-/// pre.edges_split, pre.speculated, pre.avail_iterations,
-/// pre.ant_iterations.
+/// pre.edges_split, pre.speculated, pre.spec_network_arcs,
+/// pre.avail_iterations, pre.ant_iterations.
 /// Remarks: Insert per placed computation, Delete per removed one.
 class PREPass {
 public:

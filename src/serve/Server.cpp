@@ -158,8 +158,12 @@ void ServeDaemon::flushStats() {
 
 void ServeDaemon::requestStop() {
   Stopping.store(true, std::memory_order_release);
-  if (ListenFd >= 0)
-    ::shutdown(ListenFd, SHUT_RDWR);
+  // Under ListenMu, so closeListen cannot close the descriptor (and an
+  // unrelated open() reuse its number) between the load and the shutdown.
+  std::lock_guard<std::mutex> Lock(ListenMu);
+  int Fd = ListenFd.load(std::memory_order_acquire);
+  if (Fd >= 0)
+    ::shutdown(Fd, SHUT_RDWR);
 }
 
 void ServeDaemon::serveConnection(int Fd, uint32_t ConnId) {
@@ -186,8 +190,8 @@ void ServeDaemon::serveConnection(int Fd, uint32_t ConnId) {
 }
 
 void ServeDaemon::closeListen() {
-  if (ListenFd >= 0) {
-    ::close(ListenFd);
-    ListenFd = -1;
-  }
+  std::lock_guard<std::mutex> Lock(ListenMu);
+  int Fd = ListenFd.exchange(-1, std::memory_order_acq_rel);
+  if (Fd >= 0)
+    ::close(Fd);
 }

@@ -32,6 +32,7 @@
 
 #include "serve/Service.h"
 
+#include <atomic>
 #include <condition_variable>
 #include <mutex>
 #include <string>
@@ -77,7 +78,7 @@ public:
   /// safe; this method itself is not).
   void requestStop();
 
-  int listenFd() const { return ListenFd; }
+  int listenFd() const { return ListenFd.load(std::memory_order_acquire); }
   CompileService &service() { return Svc; }
 
 private:
@@ -96,7 +97,10 @@ private:
 
   ServerConfig Cfg;
   CompileService Svc;
-  int ListenFd = -1;
+  /// Atomic so listenFd() (signal handlers) and accept() read it without a
+  /// lock; ListenMu orders requestStop's shutdown against closeListen.
+  std::atomic<int> ListenFd{-1};
+  std::mutex ListenMu;
   std::atomic<bool> Stopping{false};
   std::mutex ConnMu;
   std::vector<int> LiveConns;          ///< fds of in-flight connections

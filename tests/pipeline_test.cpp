@@ -8,6 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "frontend/Lower.h"
+#include "instrument/Profile.h"
 #include "interp/Interpreter.h"
 #include "ir/IRPrinter.h"
 #include "pipeline/Pipeline.h"
@@ -168,6 +169,59 @@ TEST(Pipeline, StatsArePopulated) {
   EXPECT_GT(S.gvnClasses(), 0u);
   EXPECT_GT(S.preUniverse(), 0u);
   EXPECT_GT(S.preDeleted(), 0u);
+}
+
+/// A loop chain shaped like the benchmark's big functions: every loop has
+/// array addressing, invariant subexpressions shared with its neighbours
+/// and a guarded store whose value needs an invariant product only the
+/// guarded path computes.
+std::string loopChain(unsigned Loops) {
+  std::string S = "function chain(a, b, n, m)\n  real w(64), v(64)\n  s = 0.0\n";
+  for (unsigned L = 0; L < Loops; ++L) {
+    std::string I = "i" + std::to_string(L);
+    std::string C = std::to_string(1 + 3 * L);
+    S += "  do " + I + " = 1, n\n";
+    S += "    w(" + I + ") = (a + b) * " + I + " + a * " + C + ".25\n";
+    S += "    t = w(" + I + ") * (a + b + " + C + ".5)\n";
+    S += "    s = s + t\n";
+    S += "    if (" + I + " .gt. m) then\n";
+    S += "      v(" + I + ") = t - a * " + C + ".75\n";
+    S += "    end if\n  end do\n";
+  }
+  return S + "  return s + v(n)\nend\n";
+}
+
+/// Compiles loopChain(Loops) at the distribution level with speculative
+/// PRE, trained on a profile of the unoptimized run.
+PipelineStats compileChainSpeculative(unsigned Loops) {
+  LowerResult LR = compileMiniFortran(loopChain(Loops), NamingMode::Naive);
+  EXPECT_TRUE(LR.ok()) << LR.Error;
+  if (!LR.ok())
+    return PipelineStats();
+  Function &F = *LR.M->find("chain");
+  MemoryImage Mem(LR.Routines[0].LocalMemBytes);
+  ProfileCollector PC;
+  interpret(F,
+            {RtValue::ofF(1.5), RtValue::ofF(2.25), RtValue::ofI(24),
+             RtValue::ofI(16)},
+            Mem, ExecLimits(), &PC);
+  ProfileDoc Doc;
+  Doc.Profiles.push_back(PC.finalize(F));
+  PipelineOptions PO;
+  PO.Level = OptLevel::Distribution;
+  PO.Naming = InputNaming::Naive;
+  PO.Strategy = PREStrategy::Speculative;
+  PO.ProfileIn = &Doc;
+  return optimizeFunction(F, PO);
+}
+
+TEST(Pipeline, SpeculativeFixpointConvergesBeforeTheRoundCap) {
+  for (unsigned Loops : {16u, 64u}) {
+    PipelineStats S = compileChainSpeculative(Loops);
+    EXPECT_GT(S.get("pre", "speculated"), 0u) << Loops << " loops";
+    EXPECT_GT(S.get("pre", "rounds"), 0u) << Loops << " loops";
+    EXPECT_EQ(S.get("pre", "round_cap_hit"), 0u) << Loops << " loops";
+  }
 }
 
 TEST(Pipeline, InvertedComparisonNormalized) {

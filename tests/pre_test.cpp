@@ -523,4 +523,50 @@ TEST(PRE, SpeculativeNeverMovesTrappingOps) {
   ASSERT_TRUE(R.ok()) << R.TrapReason << "\n" << printFunction(F);
 }
 
+/// The guarded-arm diamond: ^g has ^e as its single predecessor, and the
+/// join edge ^e -> ^j is critical. ^e kills x + y, ^g and ^j recompute it,
+/// and the guarded arm is the colder one. LCM would insert on the critical
+/// edge, which costs more than the code as it stands; the min cut only ties
+/// it, by inserting on ^e -> ^g and deleting ^g's occurrence. Adopting that
+/// tie rewrites identical code, so every rerun would find it again and the
+/// PRE fixpoint would never converge.
+TEST(PRE, SpeculativeRerunOnItsOwnOutputIsIdempotent) {
+  auto M = parse(R"(
+func @f(%p:i64, %x:i64, %y:i64) -> i64 {
+^e:
+  %one:i64 = loadi 1
+  %x:i64 = add %x, %one
+  cbr %p, ^g, ^j
+^g:
+  %t:i64 = add %x, %y
+  br ^j
+^j:
+  %t:i64 = add %x, %y
+  ret %t
+}
+)");
+  Function &F = *M->Functions[0];
+  FunctionProfile FP;
+  FP.Function = "f";
+  auto Add = [&](const char *L, uint64_t C,
+                 std::vector<BlockProfile::Edge> Edges = {}) {
+    BlockProfile B;
+    B.Label = L;
+    B.Count = C;
+    B.Edges = std::move(Edges);
+    FP.Blocks.push_back(std::move(B));
+  };
+  Add("e", 100, {{"g", 10}, {"j", 90}});
+  Add("g", 10, {{"j", 10}});
+  Add("j", 100);
+
+  runWithProfile(F, PREStrategy::Speculative, FP);
+  EXPECT_TRUE(verifyFunction(F, SSAMode::NoSSA).empty()) << printFunction(F);
+  PREStats S = runWithProfile(F, PREStrategy::Speculative, FP);
+  EXPECT_EQ(S.Inserted, 0u) << printFunction(F);
+  EXPECT_EQ(S.Deleted, 0u) << printFunction(F);
+  EXPECT_EQ(S.Speculated, 0u) << printFunction(F);
+  EXPECT_EQ(countOp(F, Opcode::Add), 3u) << printFunction(F);
+}
+
 } // namespace

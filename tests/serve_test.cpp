@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <set>
@@ -789,6 +790,43 @@ TEST(Daemon, RequestStopFromAnotherThreadIsClean) {
   D.requestStop();
   Server.join();
   EXPECT_TRUE(RunOk);
+}
+
+/// requestStop races run()'s own close of the listen socket: a stop that
+/// arrives while the daemon closes must neither touch the closed descriptor
+/// nor shut down whatever reuses its number. Stop live daemons from another
+/// thread over and over, while a fresh socket pair takes the freed number.
+TEST(Daemon, RepeatedStopsRaceTheListenSocketClose) {
+  std::string Path =
+      "/tmp/epre_serve_restop_" + std::to_string(::getpid()) + ".sock";
+  for (unsigned Round = 0; Round < 100; ++Round) {
+    ServerConfig SC;
+    SC.SocketPath = Path;
+    ServeDaemon D(SC);
+    std::string Err;
+    ASSERT_TRUE(D.start(&Err)) << Err;
+    bool RunOk = false;
+    std::atomic<bool> Done{false};
+    std::thread Server([&] { RunOk = D.run(); });
+    std::thread Stopper([&] {
+      while (!Done.load())
+        D.requestStop();
+    });
+    Server.join();
+    int Pair[2] = {-1, -1};
+    bool PairOk = ::socketpair(AF_UNIX, SOCK_STREAM, 0, Pair) == 0;
+    for (int I = 0; I < 100; ++I)
+      std::this_thread::yield();
+    Done = true;
+    Stopper.join();
+    EXPECT_TRUE(RunOk) << "round " << Round;
+    ASSERT_TRUE(PairOk) << "round " << Round;
+    char C = 'x';
+    EXPECT_EQ(::send(Pair[0], &C, 1, MSG_NOSIGNAL), 1) << "round " << Round;
+    EXPECT_EQ(::recv(Pair[1], &C, 1, 0), 1) << "round " << Round;
+    ::close(Pair[0]);
+    ::close(Pair[1]);
+  }
 }
 
 } // namespace
