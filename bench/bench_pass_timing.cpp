@@ -149,14 +149,14 @@ void BM_FullPipeline(benchmark::State &State) {
 }
 BENCHMARK(BM_FullPipeline)->Arg(4)->Arg(16)->Arg(64);
 
-// --- Dataflow solver: worklist engine vs the pre-change round-robin --------
+// --- Dataflow solver -------------------------------------------------------
 //
 // The input compiles once and analyzePartialRedundancies precomputes the
 // expression universe and local sets once; each iteration then re-runs only
 // the AVAIL and ANT fixpoints through solveBitDataflow, so the timing is
 // the solver alone.
 
-void solvePRE(benchmark::State &State, DataflowSolverKind Kind) {
+void BM_PRESolve(benchmark::State &State) {
   auto M = compileGen(unsigned(State.range(0)), NamingMode::Hashed);
   Function &F = *M->Functions[0];
   CFG G = CFG::compute(F);
@@ -179,25 +179,16 @@ void solvePRE(benchmark::State &State, DataflowSolverKind Kind) {
 
   std::vector<BitVector> AVIN, AVOUT, ANTIN, ANTOUT;
   for (auto _ : State) {
-    DataflowStats SA = solveBitDataflow(G, Avail, AVIN, AVOUT, Kind);
-    DataflowStats SN = solveBitDataflow(G, Ant, ANTOUT, ANTIN, Kind);
+    DataflowStats SA = solveBitDataflow(G, Avail, AVIN, AVOUT);
+    DataflowStats SN = solveBitDataflow(G, Ant, ANTOUT, ANTIN);
     benchmark::DoNotOptimize(SA.Iterations + SN.Iterations);
     benchmark::DoNotOptimize(AVOUT.data());
     benchmark::DoNotOptimize(ANTIN.data());
   }
 }
-
-void BM_PRESolve(benchmark::State &State) {
-  solvePRE(State, DataflowSolverKind::Worklist);
-}
 BENCHMARK(BM_PRESolve)->Arg(64)->Arg(128)->Arg(256);
 
-void BM_PRESolveRoundRobin(benchmark::State &State) {
-  solvePRE(State, DataflowSolverKind::RoundRobin);
-}
-BENCHMARK(BM_PRESolveRoundRobin)->Arg(64)->Arg(128)->Arg(256);
-
-void solveLiveness(benchmark::State &State, DataflowSolverKind Kind) {
+void BM_Liveness(benchmark::State &State) {
   auto M = compileGen(unsigned(State.range(0)), NamingMode::Naive);
   Function &F = *M->Functions[0];
   CFG G = CFG::compute(F);
@@ -222,21 +213,12 @@ void solveLiveness(benchmark::State &State, DataflowSolverKind Kind) {
 
   std::vector<BitVector> LiveOut, LiveIn;
   for (auto _ : State) {
-    DataflowStats SL = solveBitDataflow(G, P, LiveOut, LiveIn, Kind);
+    DataflowStats SL = solveBitDataflow(G, P, LiveOut, LiveIn);
     benchmark::DoNotOptimize(SL.Iterations);
     benchmark::DoNotOptimize(LiveIn.data());
   }
 }
-
-void BM_Liveness(benchmark::State &State) {
-  solveLiveness(State, DataflowSolverKind::Worklist);
-}
 BENCHMARK(BM_Liveness)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_LivenessRoundRobin(benchmark::State &State) {
-  solveLiveness(State, DataflowSolverKind::RoundRobin);
-}
-BENCHMARK(BM_LivenessRoundRobin)->Arg(64)->Arg(128)->Arg(256);
 
 // --- Parallel per-function pipeline driver ---------------------------------
 

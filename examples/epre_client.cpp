@@ -35,6 +35,7 @@
 #include "serve/Protocol.h"
 #include "serve/Telemetry.h"
 #include "serve/Trace.h"
+#include "support/StringUtil.h"
 
 #include <chrono>
 #include <cstdio>
@@ -217,8 +218,13 @@ int main(int argc, char **argv) {
       Requests = unsigned(std::strtoul(V.c_str(), nullptr, 10));
     else if (A == "-dup-ratio" && next(V))
       DupRatio = std::strtod(V.c_str(), nullptr);
-    else if (A == "-seed" && next(V))
-      Seed = std::strtoull(V.c_str(), nullptr, 10);
+    else if (A == "-seed" && next(V)) {
+      if (!parseUnsigned(V, Seed)) {
+        std::fprintf(stderr, "epre-client: -seed needs a non-negative number, "
+                     "got '%s'\n", V.c_str());
+        return 2;
+      }
+    }
     else if (A == "-batch" && next(V))
       Batch = std::max(1u, unsigned(std::strtoul(V.c_str(), nullptr, 10)));
     else if (A == "-min-hits" && next(V))

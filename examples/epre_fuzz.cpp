@@ -9,7 +9,6 @@
 ///   epre-fuzz -seeds 1000                     # default campaign
 ///   epre-fuzz -seeds 200 -shapes loopy,phiweb -quick
 ///   epre-fuzz -seed-start 4242 -seeds 1 -inject   # planted PRE fault
-///   epre-fuzz -seeds 10 -inject-gvn               # planted simple-gvn fault
 ///   epre-fuzz -replay repro.iloc                  # re-run one reproducer
 ///
 //===----------------------------------------------------------------------===//
@@ -19,8 +18,8 @@
 #include "fuzz/ModuleOps.h"
 #include "fuzz/Oracle.h"
 #include "fuzz/Reduce.h"
-#include "gvn/SimpleGVN.h"
 #include "pre/PRE.h"
+#include "support/StringUtil.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -41,7 +40,6 @@ struct Options {
   std::vector<std::string> Shapes;
   bool Quick = false;
   bool Inject = false;
-  bool InjectGVN = false;
   std::string Replay;
   std::string OutDir = ".";
   uint64_t MaxOps = 0; ///< 0: keep the oracle default
@@ -55,7 +53,6 @@ void usage() {
                "  -shapes a,b,c   shape presets (default: all)\n"
                "  -quick          CI config subset instead of the full matrix\n"
                "  -inject         plant the PRE availability-meet fault\n"
-               "  -inject-gvn     plant the simple-gvn first-input-phi fault\n"
                "  -replay FILE    run the oracle over one .iloc reproducer\n"
                "  -out DIR        directory for reproducer artifacts\n"
                "  -max-ops N      reference interpreter fuel\n");
@@ -67,16 +64,26 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
     auto Next = [&]() -> const char * {
       return I + 1 < Argc ? Argv[++I] : nullptr;
     };
+    // A numeric flag's value must be a plain decimal number: "abc" or "-1"
+    // would otherwise become a vacuous 0-seed campaign or a wrapped fuel.
+    auto NextNumber = [&](uint64_t &Out) {
+      const char *V = Next();
+      if (V && parseUnsigned(V, Out))
+        return true;
+      std::fprintf(stderr, "epre-fuzz: %s needs a non-negative number, got "
+                   "'%s'\n", A.c_str(), V ? V : "");
+      return false;
+    };
     if (A == "-seeds") {
-      const char *V = Next();
-      if (!V)
+      if (!NextNumber(O.Seeds))
         return false;
-      O.Seeds = std::strtoull(V, nullptr, 10);
+      if (O.Seeds == 0) {
+        std::fprintf(stderr, "epre-fuzz: -seeds 0 runs no programs\n");
+        return false;
+      }
     } else if (A == "-seed-start") {
-      const char *V = Next();
-      if (!V)
+      if (!NextNumber(O.SeedStart))
         return false;
-      O.SeedStart = std::strtoull(V, nullptr, 10);
     } else if (A == "-shapes") {
       const char *V = Next();
       if (!V)
@@ -90,8 +97,6 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
       O.Quick = true;
     } else if (A == "-inject") {
       O.Inject = true;
-    } else if (A == "-inject-gvn") {
-      O.InjectGVN = true;
     } else if (A == "-replay") {
       const char *V = Next();
       if (!V)
@@ -103,10 +108,8 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
         return false;
       O.OutDir = V;
     } else if (A == "-max-ops") {
-      const char *V = Next();
-      if (!V)
+      if (!NextNumber(O.MaxOps))
         return false;
-      O.MaxOps = std::strtoull(V, nullptr, 10);
     } else {
       std::fprintf(stderr, "epre-fuzz: unknown option '%s'\n", A.c_str());
       return false;
@@ -197,16 +200,13 @@ std::string investigate(const FuzzProgram &P, const OracleResult &OR,
         << "seed:    " << P.Seed << " (shape " << P.Shape << ")\n"
         << "replay:  epre-fuzz -replay " << IlocPath
         << (Opt.Inject ? " -inject" : "")
-        << (Opt.InjectGVN ? " -inject-gvn" : "")
         << (Opt.Quick ? " -quick" : "")
         << "\n\n--- original ---\n"
         << P.Text;
   }
   std::printf("  reproducer: %s\n", IlocPath.c_str());
-  std::printf("  replay:     epre-fuzz -replay %s%s%s%s\n", IlocPath.c_str(),
-              Opt.Inject ? " -inject" : "",
-              Opt.InjectGVN ? " -inject-gvn" : "",
-              Opt.Quick ? " -quick" : "");
+  std::printf("  replay:     epre-fuzz -replay %s%s%s\n", IlocPath.c_str(),
+              Opt.Inject ? " -inject" : "", Opt.Quick ? " -quick" : "");
   return IlocPath;
 }
 
@@ -229,8 +229,6 @@ int main(int Argc, char **Argv) {
 
   if (Opt.Inject)
     epre::fault::setPREDropAvailabilityMeet(true);
-  if (Opt.InjectGVN)
-    epre::fault::setSimpleGVNFirstInputPhi(true);
 
   OracleOptions OO;
   if (Opt.MaxOps)
@@ -295,9 +293,7 @@ int main(int Argc, char **Argv) {
               "%zu configs%s\n",
               (unsigned long long)Ran, Shapes.size(),
               (unsigned long long)Opt.Seeds, Configs.size(),
-              Opt.Inject      ? ", PRE fault injected"
-              : Opt.InjectGVN ? ", simple-gvn fault injected"
-                              : "");
+              Opt.Inject ? ", PRE fault injected" : "");
   std::printf("  mismatches:    %llu\n", (unsigned long long)Mismatches);
   std::printf("  inconclusive:  %llu\n", (unsigned long long)Inconclusive);
   std::printf("  weak warnings: %llu\n", (unsigned long long)WeakWarnings);

@@ -9,8 +9,8 @@
 ///   epre_opt [FILE] -O=distribution [-strategy=lcm] [-gvn=awz] [-j N]
 ///
 /// Passes: ssa destroyssa fwdprop negnorm reassoc distribute osr gvn dvnt
-///         simple-gvn pre pre-mr pre-spec cse constprop peephole dce
-///         coalesce simplifycfg verify
+///         pre pre-mr pre-spec cse constprop peephole dce coalesce
+///         simplifycfg verify
 ///
 /// Observability (both modes):
 ///   -time-passes        hierarchical wall-clock report on stderr
@@ -43,7 +43,6 @@
 
 #include "analysis/CFG.h"
 #include "gvn/DVNT.h"
-#include "gvn/SimpleGVN.h"
 #include "instrument/Profile.h"
 #include "interp/Interpreter.h"
 #include "gvn/ValueNumbering.h"
@@ -62,7 +61,9 @@
 #include "reassoc/Ranks.h"
 #include "reassoc/Reassociate.h"
 #include "ssa/SSA.h"
+#include "support/StringUtil.h"
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -165,17 +166,6 @@ struct PassDriver {
       const GVNStats &S = P.lastStats();
       std::fprintf(stderr, "gvn: %u regs in %u classes, %u merged\n",
                    S.Registers, S.Classes, S.MergedDefs);
-      return true;
-    }
-    if (Name == "simple-gvn") {
-      SimpleGVNPass P;
-      P.run(F, AM, Ctx);
-      const SimpleGVNStats &S = P.lastStats();
-      std::fprintf(stderr,
-                   "simple-gvn: %u regs in %u classes, %u merged "
-                   "(%u phi-simplified, %u phi-carried, %u detected)\n",
-                   S.Registers, S.Classes, S.MergedDefs, S.PhiSimplified,
-                   S.PhiCarried, S.PhiCarriedDetected);
       return true;
     }
     if (Name == "pre" || Name == "pre-mr" || Name == "pre-spec" ||
@@ -303,18 +293,15 @@ int main(int argc, char **argv) {
                      A.substr(8).c_str());
         return 2;
       }
-    } else if (A.rfind("-j", 0) == 0 && A.size() > 2 &&
-               A.find_first_not_of("0123456789", 2) == std::string::npos) {
-      Jobs = unsigned(std::stoul(A.substr(2)));
-    } else if (A == "-j" && I + 1 < argc) {
-      char *End = nullptr;
-      unsigned long V = std::strtoul(argv[I + 1], &End, 10);
-      if (!End || *End != '\0') {
-        std::fprintf(stderr, "error: -j needs a number\n");
+    } else if (A.rfind("-j", 0) == 0 && (A.size() > 2 || I + 1 < argc)) {
+      std::string V = A.size() > 2 ? A.substr(2) : argv[++I];
+      uint64_t N = 0;
+      if (!parseUnsigned(V, N, UINT_MAX)) {
+        std::fprintf(stderr, "error: -j needs a worker count, got '%s'\n",
+                     V.c_str());
         return 2;
       }
-      Jobs = unsigned(V);
-      ++I;
+      Jobs = unsigned(N);
     } else if (A == "-time-passes") {
       TimePasses = true;
     } else if (A.rfind("-trace-out=", 0) == 0) {
@@ -347,7 +334,7 @@ int main(int argc, char **argv) {
           stderr,
           "usage: %s [FILE] -passes=p1,p2,... | -O=LEVEL\n"
           "  [-strategy=lcm|morel-renvoise|gcse|speculative]\n"
-          "  [-gvn=awz|dvnt|simple-gvn] [-naming=hashed|naive] [-j N]\n"
+          "  [-gvn=awz|dvnt] [-naming=hashed|naive] [-j N]\n"
           "  [-time-passes]\n"
           "  [-trace-out=FILE] [-remarks[=p1,p2]] [-remarks-json]\n"
           "  [-stats] [-print-changed] [-profile-out=FILE]\n"

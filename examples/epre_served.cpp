@@ -43,10 +43,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "serve/Server.h"
+#include "support/StringUtil.h"
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <sys/socket.h>
 
@@ -74,21 +74,13 @@ int usage(const char *Argv0) {
   return 2;
 }
 
-bool parseUnsigned(const std::string &S, unsigned long long &Out) {
-  if (S.empty())
-    return false;
-  char *End = nullptr;
-  Out = std::strtoull(S.c_str(), &End, 10);
-  return End && *End == '\0';
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
   ServerConfig Cfg;
   for (int I = 1; I < argc; ++I) {
     std::string A = argv[I];
-    unsigned long long N = 0;
+    uint64_t N = 0;
     if (A.rfind("-socket=", 0) == 0) {
       Cfg.SocketPath = A.substr(8);
     } else if (A == "-socket" && I + 1 < argc) {

@@ -72,28 +72,10 @@ struct ProblemView {
     return P.ExtraBoundary && (*P.ExtraBoundary)[B];
   }
 
-  /// Applies the transfer for \p B to \p S in place, via the Gen/Kill sets
-  /// when the problem provides them (two passes — the historical shape the
-  /// round-robin baseline preserves) or the general lambda otherwise.
-  /// Returns the number of whole-vector kernel passes performed.
-  unsigned applyTransfer(BlockId B, BitVector &S) const {
-    if (P.Gen) {
-      if (P.Preserve)
-        S.intersectWith((*P.Preserve)[B]);
-      else
-        S.intersectWithComplement((*P.Kill)[B]);
-      S.unionWith((*P.Gen)[B]);
-      return 2;
-    }
-    P.Transfer(B, S);
-    return 2;
-  }
-
   /// Returns the meet-side set for \p B without copying when it is already
   /// materialized somewhere: the shared empty vector for boundary blocks, a
   /// sole neighbour's flow set, or the bare seed. Falls back to computing
-  /// the meet into \p S. Only used by the fused Gen/Kill path, which reads
-  /// the meet instead of mutating it.
+  /// the meet into \p S.
   const BitVector *meetSource(BlockId B, const std::vector<BitVector> &FlowSets,
                               BitVector &S, const BitVector &Empty,
                               DataflowStats &Stats, uint64_t W) const {
@@ -175,25 +157,17 @@ DataflowStats solveWorklist(const ProblemView &V,
 
     // Only the flow-side sets feed other blocks' meets, so the meet-side
     // result is not stored here; it is materialized once after convergence.
-    bool FlowChanged;
-    if (V.P.Gen) {
-      // Gen/Kill problems read the meet (no copy for single-source meets)
-      // and fuse transfer and change-detecting store into one word pass
-      // over the flow-side set. Safe even when the meet source aliases
-      // FlowSets[B] (self loop): the kernel reads each word before writing.
-      const BitVector *M = V.meetSource(B, FlowSets, S, Empty, Stats, W);
-      FlowChanged = V.P.Preserve
-                        ? FlowSets[B].assignMeetPreserveGen(
-                              *M, (*V.P.Preserve)[B], (*V.P.Gen)[B])
-                        : FlowSets[B].assignMeetKillGen(*M, (*V.P.Kill)[B],
-                                                        (*V.P.Gen)[B]);
-      Stats.WordsTouched += W;
-    } else {
-      Stats.WordsTouched += W * V.meetInto(B, FlowSets, S);
-      V.P.Transfer(B, S);
-      FlowChanged = FlowSets[B].assignFrom(S);
-      Stats.WordsTouched += 3 * W;
-    }
+    // The meet is read in place (no copy for single-source meets) and the
+    // transfer is fused with the change-detecting store into one word pass
+    // over the flow-side set. Safe even when the meet source aliases
+    // FlowSets[B] (self loop): the kernel reads each word before writing.
+    const BitVector *M = V.meetSource(B, FlowSets, S, Empty, Stats, W);
+    bool FlowChanged =
+        V.P.Preserve
+            ? FlowSets[B].assignMeetPreserveGen(*M, (*V.P.Preserve)[B],
+                                                (*V.P.Gen)[B])
+            : FlowSets[B].assignMeetKillGen(*M, (*V.P.Kill)[B], (*V.P.Gen)[B]);
+    Stats.WordsTouched += W;
 
     if (FlowChanged)
       for (BlockId N : V.flowNeighbors(B))
@@ -207,45 +181,13 @@ DataflowStats solveWorklist(const ProblemView &V,
   return Stats;
 }
 
-/// The pre-change solver, preserved verbatim in shape: sweep every block in
-/// order until a full pass makes no change, allocating fresh temporaries and
-/// comparing whole vectors on every visit. Reference implementation for the
-/// equivalence tests and the before/after benchmarks.
-DataflowStats solveRoundRobin(const ProblemView &V,
-                              const std::vector<BlockId> &Order,
-                              std::vector<BitVector> &MeetSets,
-                              std::vector<BitVector> &FlowSets) {
-  DataflowStats Stats;
-  const uint64_t W = BitVector(V.P.NumBits).numWords();
-  Stats.BlocksVisited = unsigned(Order.size());
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (BlockId B : Order) {
-      ++Stats.Iterations;
-      BitVector NewMeet(V.P.NumBits);
-      Stats.WordsTouched += W * V.meetInto(B, FlowSets, NewMeet);
-      BitVector NewFlow = NewMeet;
-      Stats.WordsTouched += W * (1 + V.applyTransfer(B, NewFlow));
-      if (NewMeet != MeetSets[B] || NewFlow != FlowSets[B]) {
-        MeetSets[B] = std::move(NewMeet);
-        FlowSets[B] = std::move(NewFlow);
-        Changed = true;
-      }
-    }
-  }
-  return Stats;
-}
-
 } // namespace
 
 DataflowStats epre::solveBitDataflow(const CFG &G, const BitDataflowProblem &P,
                                      std::vector<BitVector> &MeetSets,
-                                     std::vector<BitVector> &FlowSets,
-                                     DataflowSolverKind Kind) {
-  assert((P.Gen || P.Transfer) && "dataflow problem needs a transfer");
-  assert((!P.Gen || (!!P.Preserve ^ !!P.Kill)) &&
-         "Gen needs exactly one of Preserve/Kill");
+                                     std::vector<BitVector> &FlowSets) {
+  assert(P.Gen && (!!P.Preserve ^ !!P.Kill) &&
+         "dataflow problem needs Gen and exactly one of Preserve/Kill");
   unsigned NB = G.numBlockSlots();
   bool InitOnes = P.Meet == MeetOp::Intersect;
   MeetSets.assign(NB, BitVector(P.NumBits, InitOnes));
@@ -254,10 +196,6 @@ DataflowStats epre::solveBitDataflow(const CFG &G, const BitDataflowProblem &P,
     return {};
 
   ProblemView V{G, P};
-  std::vector<BlockId> Order =
-      V.Forward() ? G.rpo() : G.postorder();
-
-  return Kind == DataflowSolverKind::Worklist
-             ? solveWorklist(V, Order, MeetSets, FlowSets)
-             : solveRoundRobin(V, Order, MeetSets, FlowSets);
+  return solveWorklist(V, V.Forward() ? G.rpo() : G.postorder(), MeetSets,
+                       FlowSets);
 }

@@ -17,11 +17,9 @@
 ///  - all temporaries come from a BitVectorScratch pool, so the steady-state
 ///    solve performs zero heap allocation.
 ///
-/// The pre-change round-robin solver (sweep every block until a full pass
-/// makes no change, fresh temporaries per visit) is kept selectable via
-/// DataflowSolverKind::RoundRobin as the reference implementation for the
-/// equivalence tests and the before/after benchmarks. Both solvers compute
-/// the same unique fixpoint of the monotone equation system, bit for bit.
+/// The equivalence tests (tests/dataflow_test.cpp) keep a plain
+/// sweep-until-no-change solver as the reference; both compute the same
+/// unique fixpoint of the monotone equation system, bit for bit.
 ///
 /// See docs/dataflow-engine.md for the design discussion.
 ///
@@ -34,7 +32,6 @@
 #include "support/BitVector.h"
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace epre {
@@ -46,18 +43,11 @@ enum class MeetOp {
   Union,     ///< any-path problems (liveness); sets start all-zero
 };
 
-/// Which solver runs the fixpoint.
-enum class DataflowSolverKind {
-  Worklist,   ///< sparse worklist with change-driven re-enqueueing (default)
-  RoundRobin, ///< the pre-change dense sweep, kept for equivalence/benchmarks
-};
-
 /// Cost counters for one solve; cheap to gather, surfaced through
 /// PREStats/PipelineStats so degenerate CFGs that iterate excessively are
 /// visible in the suite driver.
 struct DataflowStats {
-  unsigned Iterations = 0;    ///< block transfer evaluations (worklist pops,
-                              ///< or sweeps x blocks for round-robin)
+  unsigned Iterations = 0;    ///< block transfer evaluations (worklist pops)
   unsigned BlocksVisited = 0; ///< distinct blocks evaluated at least once
   uint64_t WordsTouched = 0;  ///< 64-bit words moved by the solver's meet,
                               ///< store, and compare kernels
@@ -69,7 +59,13 @@ struct DataflowStats {
   }
 };
 
-/// Description of one bit-vector dataflow problem.
+/// Description of one bit-vector dataflow problem. The per-block transfer is
+///
+///   Flow = (Meet & Preserve) | Gen     (if \p Preserve is set), or
+///   Flow = (Meet & ~Kill)    | Gen     (if \p Kill is set),
+///
+/// computed fused with the change-detecting store in a single word pass per
+/// block (BitVector::assignMeetPreserveGen / assignMeetKillGen).
 struct BitDataflowProblem {
   DataflowDirection Dir = DataflowDirection::Forward;
   MeetOp Meet = MeetOp::Intersect;
@@ -86,25 +82,11 @@ struct BitDataflowProblem {
   /// problems; this adds to that set (e.g. blocks that cannot reach an exit
   /// in anticipability).
   const std::vector<uint8_t> *ExtraBoundary = nullptr;
-  /// Gen/Kill formulation — the preferred way to pose a problem. When
-  /// \p Gen is set the per-block transfer is
-  ///
-  ///   Flow = (Meet & Preserve) | Gen     (if \p Preserve is set), or
-  ///   Flow = (Meet & ~Kill)    | Gen     (if \p Kill is set),
-  ///
-  /// and the worklist solver computes it fused with the change-detecting
-  /// store in a single word pass per block (BitVector::assignMeetPreserveGen
-  /// / assignMeetKillGen). All vectors are indexed by BlockId. Exactly one
-  /// of Preserve/Kill must accompany Gen.
+  /// The transfer sets, indexed by BlockId. \p Gen is required, with
+  /// exactly one of \p Preserve / \p Kill.
   const std::vector<BitVector> *Gen = nullptr;
   const std::vector<BitVector> *Preserve = nullptr;
   const std::vector<BitVector> *Kill = nullptr;
-  /// General in-place transfer, for problems that do not fit Gen/Kill: on
-  /// entry \p Set holds the block's meet-side set (IN for forward problems,
-  /// OUT for backward); on return it must hold the flow-side set. Must be a
-  /// pure function of \p Set and per-block constants (monotone in \p Set)
-  /// for the fixpoint to be unique. Ignored when \p Gen is set.
-  std::function<void(BlockId, BitVector &Set)> Transfer;
 };
 
 /// Solves \p P over the reachable blocks of \p G.
@@ -114,11 +96,9 @@ struct BitDataflowProblem {
 /// backward). Both are (re)initialized by the solver — all-ones for
 /// intersect problems, all-zero for union — and unreachable blocks keep
 /// that initial value, matching the historical solvers.
-DataflowStats
-solveBitDataflow(const CFG &G, const BitDataflowProblem &P,
-                 std::vector<BitVector> &MeetSets,
-                 std::vector<BitVector> &FlowSets,
-                 DataflowSolverKind Kind = DataflowSolverKind::Worklist);
+DataflowStats solveBitDataflow(const CFG &G, const BitDataflowProblem &P,
+                               std::vector<BitVector> &MeetSets,
+                               std::vector<BitVector> &FlowSets);
 
 } // namespace epre
 

@@ -4,8 +4,7 @@
 
 using namespace epre;
 
-Liveness Liveness::compute(const Function &F, const CFG &G,
-                           DataflowSolverKind Solver) {
+Liveness Liveness::compute(const Function &F, const CFG &G) {
   Liveness L;
   unsigned NB = F.numBlocks();
   unsigned NR = F.numRegs();
@@ -41,6 +40,6 @@ Liveness Liveness::compute(const Function &F, const CFG &G,
   P.MeetSeed = &PhiUse;
   P.Gen = &L.UEVar;
   P.Kill = &L.Kill;
-  L.SolveStats = solveBitDataflow(G, P, L.LiveOut, L.LiveIn, Solver);
+  L.SolveStats = solveBitDataflow(G, P, L.LiveOut, L.LiveIn);
   return L;
 }

@@ -7,8 +7,7 @@
 ///
 /// Used for pruned SSA construction (live-in sets), dead code elimination,
 /// and copy coalescing (interference). Solved on the shared worklist
-/// dataflow engine (analysis/Dataflow.h); the pre-change round-robin solver
-/// remains selectable for equivalence testing and benchmarking.
+/// dataflow engine (analysis/Dataflow.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,9 +25,7 @@ namespace epre {
 /// Per-block live-in/live-out register sets.
 class Liveness {
 public:
-  static Liveness compute(const Function &F, const CFG &G,
-                          DataflowSolverKind Solver =
-                              DataflowSolverKind::Worklist);
+  static Liveness compute(const Function &F, const CFG &G);
 
   /// Registers live on entry to \p B (phi results of B excluded; a phi's
   /// result becomes live at the phi itself).

@@ -39,8 +39,7 @@ bool fuzz::isMiscompile(MismatchKind K) {
 
 std::vector<OracleConfig> fuzz::oracleConfigs(bool Quick) {
   auto Mk = [](const char *Name, OptLevel L, PREStrategy S, GVNEngine E,
-               bool FPReassoc, bool SR, DataflowSolverKind Solver,
-               bool Loose) {
+               bool FPReassoc, bool SR, bool Loose) {
     OracleConfig C;
     C.Name = Name;
     C.PO.Level = L;
@@ -49,7 +48,6 @@ std::vector<OracleConfig> fuzz::oracleConfigs(bool Quick) {
     C.PO.Naming = InputNaming::Hashed;
     C.PO.AllowFPReassoc = FPReassoc;
     C.PO.EnableStrengthReduction = SR;
-    C.PO.Solver = Solver;
     // The oracle checks the optimized function itself (so a verifier
     // violation becomes a reported finding instead of an abort).
     C.PO.Verify = false;
@@ -60,67 +58,52 @@ std::vector<OracleConfig> fuzz::oracleConfigs(bool Quick) {
   using L = OptLevel;
   using S = PREStrategy;
   using E = GVNEngine;
-  constexpr auto WL = DataflowSolverKind::Worklist;
-  constexpr auto RR = DataflowSolverKind::RoundRobin;
 
   std::vector<OracleConfig> Configs;
   // Bit-exact configs: integer arithmetic wraps and no pass reorders F64
   // here, so every observable must match the reference exactly.
   Configs.push_back(Mk("baseline", L::Baseline, S::LazyCodeMotion, E::AWZ,
-                       true, false, WL, false));
+                       true, false, false));
   Configs.push_back(Mk("partial/lcm", L::Partial, S::LazyCodeMotion, E::AWZ,
-                       true, false, WL, false));
+                       true, false, false));
   Configs.push_back(Mk("partial/gcse", L::Partial, S::GlobalCSE, E::AWZ, true,
-                       false, WL, false));
+                       false, false));
   // Reassociation with AllowFPReassoc=false only reorders integers:
   // bit-exact by policy, the strictest check the reassoc path gets.
   Configs.push_back(Mk("reassoc/strict/awz", L::Reassociation,
-                       S::LazyCodeMotion, E::AWZ, false, false, WL, false));
+                       S::LazyCodeMotion, E::AWZ, false, false, false));
   // FP-loose configs: F64 compared within tolerance.
   Configs.push_back(Mk("reassoc/dvnt", L::Reassociation, S::LazyCodeMotion,
-                       E::DVNT, true, false, WL, true));
-  Configs.push_back(Mk("reassoc/simple-gvn", L::Reassociation,
-                       S::LazyCodeMotion, E::SaleenaPaleri, true, false, WL,
-                       true));
+                       E::DVNT, true, false, true));
   Configs.push_back(Mk("dist/awz", L::Distribution, S::LazyCodeMotion, E::AWZ,
-                       true, false, WL, true));
+                       true, false, true));
   if (Quick)
     return Configs;
 
   Configs.push_back(Mk("baseline/sr", L::Baseline, S::LazyCodeMotion, E::AWZ,
-                       true, true, WL, false));
+                       true, true, false));
   Configs.push_back(Mk("partial/mr", L::Partial, S::MorelRenvoise, E::AWZ,
-                       true, false, WL, false));
-  Configs.push_back(Mk("partial/lcm/rr", L::Partial, S::LazyCodeMotion,
-                       E::AWZ, true, false, RR, false));
+                       true, false, false));
   Configs.push_back(Mk("partial/lcm/sr", L::Partial, S::LazyCodeMotion,
-                       E::AWZ, true, true, WL, false));
+                       E::AWZ, true, true, false));
   Configs.push_back(Mk("reassoc/strict/dvnt", L::Reassociation,
-                       S::LazyCodeMotion, E::DVNT, false, false, WL, false));
-  Configs.push_back(Mk("reassoc/strict/simple-gvn", L::Reassociation,
-                       S::LazyCodeMotion, E::SaleenaPaleri, false, false, WL,
-                       false));
+                       S::LazyCodeMotion, E::DVNT, false, false, false));
   Configs.push_back(Mk("reassoc/awz", L::Reassociation, S::LazyCodeMotion,
-                       E::AWZ, true, false, WL, true));
+                       E::AWZ, true, false, true));
   Configs.push_back(Mk("reassoc/awz/mr", L::Reassociation, S::MorelRenvoise,
-                       E::AWZ, true, false, WL, true));
+                       E::AWZ, true, false, true));
   Configs.push_back(Mk("reassoc/dvnt/gcse", L::Reassociation, S::GlobalCSE,
-                       E::DVNT, true, false, WL, true));
-  Configs.push_back(Mk("reassoc/simple-gvn/gcse", L::Reassociation,
-                       S::GlobalCSE, E::SaleenaPaleri, true, false, WL,
-                       true));
+                       E::DVNT, true, false, true));
   Configs.push_back(Mk("dist/dvnt/sr", L::Distribution, S::LazyCodeMotion,
-                       E::DVNT, true, true, WL, true));
-  Configs.push_back(Mk("dist/simple-gvn", L::Distribution, S::LazyCodeMotion,
-                       E::SaleenaPaleri, true, false, WL, true));
+                       E::DVNT, true, true, true));
   // Profile-guided speculative placement, driven by a synthetic
   // uniform-weight profile built per program (see OracleConfig).
   OracleConfig Spec = Mk("partial/speculative", L::Partial, S::Speculative,
-                         E::AWZ, true, false, WL, false);
+                         E::AWZ, true, false, false);
   Spec.SyntheticProfile = true;
   Configs.push_back(Spec);
   OracleConfig SpecR = Mk("reassoc/dvnt/speculative", L::Reassociation,
-                          S::Speculative, E::DVNT, true, false, WL, true);
+                          S::Speculative, E::DVNT, true, false, true);
   SpecR.SyntheticProfile = true;
   Configs.push_back(SpecR);
   return Configs;

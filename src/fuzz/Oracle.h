@@ -54,9 +54,8 @@ struct OracleConfig {
   bool SyntheticProfile = false;
 };
 
-/// The full configuration matrix (21 configs, covering all three GVN
-/// engines at both opt levels), or the CI-budget subset (7 configs) when
-/// \p Quick.
+/// The full configuration matrix (16 configs, covering both GVN engines at
+/// both opt levels), or the CI-budget subset (6 configs) when \p Quick.
 std::vector<OracleConfig> oracleConfigs(bool Quick = false);
 
 /// Looks up a config by Name; false if unknown.

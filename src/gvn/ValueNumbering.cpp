@@ -21,6 +21,16 @@ using namespace epre;
 
 namespace {
 
+/// The refined AWZ congruence partition of an SSA-form function, before
+/// renaming: a class id per register plus the structural ingredients the
+/// refinement used (base key strings; refinement operand lists, phi
+/// operands in sorted predecessor order). Class ids are dense from 0.
+struct CongruencePartition {
+  std::map<Reg, std::string> Keys;
+  std::map<Reg, std::vector<Reg>> Operands;
+  std::map<Reg, unsigned> ClassOf;
+};
+
 /// Builds base keys and the operand lists used for refinement.
 void collect(Function &F, CongruencePartition &P) {
 #ifndef NDEBUG
@@ -134,18 +144,20 @@ void refine(CongruencePartition &P) {
   }
 }
 
-} // namespace
-
-CongruencePartition epre::computeCongruencePartition(Function &F) {
+CongruencePartition computeCongruencePartition(Function &F) {
   CongruencePartition P;
   collect(F, P);
   refine(P);
   return P;
 }
 
-GVNStats epre::renameToClassReps(Function &F,
-                                 const std::map<Reg, unsigned> &ClassOf,
-                                 PassContext *Ctx) {
+/// Renames every definition and use to its class representative (the
+/// smallest register, except parameters always represent their class) and
+/// collapses congruent phis within a block. \p Ctx, when non-null, receives
+/// a Merge remark per renamed definition.
+GVNStats renameToClassReps(Function &F,
+                           const std::map<Reg, unsigned> &ClassOf,
+                           PassContext *Ctx) {
   GVNStats Stats;
   Stats.Registers = unsigned(ClassOf.size());
 
@@ -201,6 +213,8 @@ GVNStats epre::renameToClassReps(Function &F,
   });
   return Stats;
 }
+
+} // namespace
 
 GVNStats epre::valueNumberSSA(Function &F) {
   CongruencePartition P = computeCongruencePartition(F);

@@ -62,30 +62,6 @@ private:
 /// SSA-with-shared-names form (destroySSA must follow before other passes).
 GVNStats valueNumberSSA(Function &F);
 
-/// The refined AWZ congruence partition of an SSA-form function, before
-/// renaming: a class id per register plus the structural ingredients the
-/// refinement used (base key strings; refinement operand lists, phi
-/// operands in sorted predecessor order). Class ids are dense from 0.
-/// The Saleena–Paleri engine (gvn/SimpleGVN.h) coarsens ClassOf with its
-/// value-expression rules before renaming.
-struct CongruencePartition {
-  std::map<Reg, std::string> Keys;
-  std::map<Reg, std::vector<Reg>> Operands;
-  std::map<Reg, unsigned> ClassOf;
-};
-
-CongruencePartition computeCongruencePartition(Function &F);
-
-/// The shared rename step of the AWZ and simple-gvn engines: renames every
-/// definition and use to its class representative (the smallest register,
-/// except parameters always represent their class) and collapses congruent
-/// phis within a block. \p ClassOf may be any sound coarsening of the
-/// refined partition. \p Ctx, when non-null, receives a Merge remark per
-/// renamed definition.
-GVNStats renameToClassReps(Function &F,
-                           const std::map<Reg, unsigned> &ClassOf,
-                           PassContext *Ctx = nullptr);
-
 } // namespace epre
 
 #endif // EPRE_GVN_VALUENUMBERING_H

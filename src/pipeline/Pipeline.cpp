@@ -13,7 +13,6 @@
 #include "opt/SimplifyCFG.h"
 #include "opt/StrengthReduction.h"
 #include "gvn/DVNT.h"
-#include "gvn/SimpleGVN.h"
 #include "gvn/ValueNumbering.h"
 #include "pre/LocalizeNames.h"
 #include "reassoc/ForwardProp.h"
@@ -49,8 +48,6 @@ const char *epre::gvnEngineName(GVNEngine E) {
     return "awz";
   case GVNEngine::DVNT:
     return "dvnt";
-  case GVNEngine::SaleenaPaleri:
-    return "simple-gvn";
   }
   return "?";
 }
@@ -286,11 +283,6 @@ void runReassociationPhase(Function &F, FunctionAnalysisManager &AM,
       GVNPass().run(F, AM, Ctx);
       verifyStage(F, Opts, SSAMode::NoSSA, "global value numbering");
     }
-  } else if (Opts.Engine == GVNEngine::SaleenaPaleri) {
-    if (Gate.admit("simple-gvn")) {
-      SimpleGVNPass().run(F, AM, Ctx);
-      verifyStage(F, Opts, SSAMode::NoSSA, "global value numbering");
-    }
   } else if (Gate.admit("dvnt")) {
     DVNTPass().run(F, AM, Ctx);
     verifyStage(F, Opts, SSAMode::NoSSA, "global value numbering");
@@ -308,7 +300,7 @@ void runPREToFixpoint(Function &F, FunctionAnalysisManager &AM,
                       const PipelineOptions &Opts, PassContext &Ctx,
                       PassGate &Gate) {
   constexpr unsigned RoundCap = 16;
-  PREPass P(Opts.Strategy, Opts.Solver);
+  PREPass P(Opts.Strategy);
   unsigned Rounds = 0;
   bool Converged = false;
   while (Rounds < RoundCap && Gate.admit("pre")) {

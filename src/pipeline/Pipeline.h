@@ -26,7 +26,6 @@
 #define EPRE_PIPELINE_PIPELINE_H
 
 #include "analysis/AnalysisManager.h"
-#include "analysis/Dataflow.h"
 #include "instrument/PassInstrumentation.h"
 #include "pre/PRE.h"
 
@@ -53,18 +52,15 @@ const char *optLevelName(OptLevel L);
 enum class GVNEngine {
   AWZ,  ///< Alpern-Wegman-Zadeck optimistic partitioning (the paper's)
   DVNT, ///< dominator-tree hash-based numbering (the paper's "missing pass")
-  SaleenaPaleri, ///< "simple-gvn": value-expression fixpoint over value
-                 ///< numbers (Saleena & Paleri), finds phi-carried
-                 ///< equivalences AWZ provably misses
 };
 
 /// Every engine, in the order option surfaces enumerate them.
-inline constexpr GVNEngine AllGVNEngines[] = {
-    GVNEngine::AWZ, GVNEngine::DVNT, GVNEngine::SaleenaPaleri};
+inline constexpr GVNEngine AllGVNEngines[] = {GVNEngine::AWZ,
+                                              GVNEngine::DVNT};
 
 const char *gvnEngineName(GVNEngine E);
-/// Comma-separated list of the valid engine spellings ("awz, dvnt,
-/// simple-gvn"), for error messages on the option surfaces.
+/// Comma-separated list of the valid engine spellings ("awz, dvnt"), for
+/// error messages on the option surfaces.
 std::string gvnEngineNames();
 const char *preStrategyName(PREStrategy S);
 
@@ -105,9 +101,6 @@ struct PipelineOptions {
   /// Run loop strength reduction (the paper's other "missing pass") after
   /// PRE, before the baseline tail.
   bool EnableStrengthReduction = false;
-  /// Which dataflow solver PRE's AVAIL/ANT fixpoints run on. RoundRobin is
-  /// the pre-change reference, kept for equivalence tests and benchmarks.
-  DataflowSolverKind Solver = DataflowSolverKind::Worklist;
   /// Run the IR verifier after every pass (aborts on breakage).
   bool Verify = true;
   /// Force every analysis lookup to recompute (differential testing of the
@@ -163,25 +156,18 @@ struct PipelineStats {
   uint64_t preAvailIterations() const { return get("pre", "avail_iterations"); }
   uint64_t preAntIterations() const { return get("pre", "ant_iterations"); }
 
-  uint64_t gvnRegisters() const {
-    return get("gvn", "registers") + get("simple-gvn", "registers");
-  }
-  uint64_t gvnClasses() const {
-    return get("gvn", "classes") + get("simple-gvn", "classes");
-  }
+  uint64_t gvnRegisters() const { return get("gvn", "registers"); }
+  uint64_t gvnClasses() const { return get("gvn", "classes"); }
   /// Definitions folded into another name, whichever engine ran.
   uint64_t gvnMergedDefs() const {
-    return get("gvn", "merged_defs") + get("dvnt", "redundant") +
-           get("simple-gvn", "merged_defs");
+    return get("gvn", "merged_defs") + get("dvnt", "redundant");
   }
   /// The engine-uniform redundancy count (docs/gvn-engines.md): every
-  /// definition the engine folded into another name, plus (simple-gvn
-  /// only) phi-carried redundancies detected without a merge target.
-  /// Whichever engine ran, exactly one of these counters is non-zero.
+  /// definition the engine folded into another name. Whichever engine
+  /// ran, exactly one of these counters is non-zero.
   uint64_t gvnRedundanciesFound() const {
     return get("gvn", "redundancies_found") +
-           get("dvnt", "redundancies_found") +
-           get("simple-gvn", "redundancies_found");
+           get("dvnt", "redundancies_found");
   }
 
   uint64_t fwdOpsBefore() const { return get("fwdprop", "ops_before"); }

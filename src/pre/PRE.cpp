@@ -181,9 +181,8 @@ bool speculationSafe(const Instruction &I) {
 
 class PREImpl {
 public:
-  PREImpl(Function &F, FunctionAnalysisManager &AM, PREStrategy Strategy,
-          DataflowSolverKind Solver = DataflowSolverKind::Worklist)
-      : F(F), AM(AM), G(AM.cfg()), Strategy(Strategy), Solver(Solver) {}
+  PREImpl(Function &F, FunctionAnalysisManager &AM, PREStrategy Strategy)
+      : F(F), AM(AM), G(AM.cfg()), Strategy(Strategy) {}
 
   /// Optional remark emitter (instrumented runs only).
   PassContext *Ctx = nullptr;
@@ -372,7 +371,7 @@ private:
     P.NumBits = numExprs();
     P.Gen = &COMP;
     P.Preserve = &TRANSP;
-    Stats.AvailSolve = solveBitDataflow(G, P, AVIN, AVOUT, Solver);
+    Stats.AvailSolve = solveBitDataflow(G, P, AVIN, AVOUT);
   }
 
   // ANTOUT = product of successors' ANTIN (empty at exits);
@@ -409,7 +408,7 @@ private:
     P.ExtraBoundary = &AntBoundary;
     P.Gen = &ANTLOC;
     P.Preserve = &TRANSP;
-    Stats.AntSolve = solveBitDataflow(G, P, ANTOUT, ANTIN, Solver);
+    Stats.AntSolve = solveBitDataflow(G, P, ANTOUT, ANTIN);
   }
 
   // --- Edge set -------------------------------------------------------------
@@ -1086,7 +1085,6 @@ private:
   /// the last analysis read, and no AM accessor is called in between).
   const CFG &G;
   PREStrategy Strategy;
-  DataflowSolverKind Solver;
   PREStats Stats;
   std::vector<ExprInfo> Universe;
   std::map<Reg, unsigned> ExprIndex;
@@ -1120,7 +1118,7 @@ private:
 PreservedAnalyses epre::PREPass::run(Function &F, FunctionAnalysisManager &AM,
                                      PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
-  PREImpl Impl(F, AM, Strategy, Solver);
+  PREImpl Impl(F, AM, Strategy);
   Impl.Ctx = &Ctx;
   Last = Impl.run();
   Ctx.addStat("universe", Last.UniverseSize);
@@ -1139,10 +1137,9 @@ PreservedAnalyses epre::PREPass::run(Function &F, FunctionAnalysisManager &AM,
                          : PreservedAnalyses::cfgShape();
 }
 
-PREDataflow epre::analyzePartialRedundancies(Function &F,
-                                             DataflowSolverKind Solver) {
+PREDataflow epre::analyzePartialRedundancies(Function &F) {
   FunctionAnalysisManager AM(F);
-  return PREImpl(F, AM, PREStrategy::LazyCodeMotion, Solver).analyze();
+  return PREImpl(F, AM, PREStrategy::LazyCodeMotion).analyze();
 }
 
 namespace {

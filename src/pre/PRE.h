@@ -81,9 +81,8 @@ struct PREStats {
 class PREPass {
 public:
   static constexpr const char *name() { return "pre"; }
-  explicit PREPass(PREStrategy Strategy = PREStrategy::LazyCodeMotion,
-                   DataflowSolverKind Solver = DataflowSolverKind::Worklist)
-      : Strategy(Strategy), Solver(Solver) {}
+  explicit PREPass(PREStrategy Strategy = PREStrategy::LazyCodeMotion)
+      : Strategy(Strategy) {}
   PreservedAnalyses run(Function &F, FunctionAnalysisManager &AM,
                         PassContext &Ctx);
 
@@ -93,13 +92,12 @@ public:
 
 private:
   PREStrategy Strategy;
-  DataflowSolverKind Solver;
   PREStats Last;
 };
 
 /// The dataflow half of PRE — universe construction, local properties, and
 /// the AVAIL/ANT fixpoints — with no code motion. Exposed so the solver can
-/// be benchmarked in isolation and checked bit-for-bit across solver kinds.
+/// be benchmarked in isolation and checked bit-for-bit against a reference.
 /// The local sets and the ANT boundary are exported alongside the solutions
 /// so callers can re-pose the two fixpoint systems to solveBitDataflow
 /// directly (e.g. to time just the solve, with locals precomputed).
@@ -111,8 +109,7 @@ struct PREDataflow {
   std::vector<BitVector> AVIN, AVOUT, ANTIN, ANTOUT;
 };
 
-PREDataflow analyzePartialRedundancies(
-    Function &F, DataflowSolverKind Solver = DataflowSolverKind::Worklist);
+PREDataflow analyzePartialRedundancies(Function &F);
 
 namespace fault {
 

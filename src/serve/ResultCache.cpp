@@ -28,11 +28,6 @@ uint64_t epre::optionsFingerprint(const PipelineOptions &Opts) {
   S += Opts.StrengthReduceMul ? '1' : '0';
   S += ";osr=";
   S += Opts.EnableStrengthReduction ? '1' : '0';
-  // The solver choice never changes the optimized ILOC, but it does change
-  // the cached pre.*_iterations counters, and a hit must be bit-identical
-  // to a fresh compile under the same options — so it participates.
-  S += ";solver=";
-  S += Opts.Solver == DataflowSolverKind::Worklist ? "worklist" : "roundrobin";
   // The attached profile steers speculative placement, so its *content*
   // (not its address) separates cache entries: the same source compiled
   // under two profiles must never alias, and "no profile" is its own key.

@@ -23,3 +23,19 @@ std::string epre::strprintf(const char *Fmt, ...) {
   va_end(ArgsCopy);
   return Out;
 }
+
+bool epre::parseUnsigned(std::string_view S, uint64_t &Out, uint64_t Max) {
+  if (S.empty())
+    return false;
+  uint64_t V = 0;
+  for (char C : S) {
+    if (C < '0' || C > '9')
+      return false;
+    unsigned D = unsigned(C - '0');
+    if (D > Max || V > (Max - D) / 10)
+      return false;
+    V = V * 10 + D;
+  }
+  Out = V;
+  return true;
+}

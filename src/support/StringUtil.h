@@ -1,8 +1,9 @@
 //===- support/StringUtil.h - Small string helpers -------------*- C++ -*-===//
 ///
 /// \file
-/// printf-style std::string formatting and a deterministic 64-bit hash
-/// combiner used for value-numbering keys and memory-image digests.
+/// printf-style std::string formatting, a strict decimal parser for
+/// numeric command-line flags, and a deterministic 64-bit hash combiner
+/// used for value-numbering keys and memory-image digests.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -12,12 +13,19 @@
 #include <cstdarg>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace epre {
 
 /// Formats like printf into a std::string.
 std::string strprintf(const char *Fmt, ...)
     __attribute__((format(printf, 1, 2)));
+
+/// Parses \p S as a decimal unsigned integer no larger than \p Max: one or
+/// more ASCII digits and nothing else (no sign, no whitespace). Returns
+/// false, leaving \p Out untouched, on any other input or on overflow.
+bool parseUnsigned(std::string_view S, uint64_t &Out,
+                   uint64_t Max = UINT64_MAX);
 
 /// Deterministic 64-bit hash combiner (a splitmix64-style mix).
 inline uint64_t hashCombine(uint64_t Seed, uint64_t V) {

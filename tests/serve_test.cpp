@@ -176,10 +176,6 @@ TEST(OptionsFingerprint, CoversOutputAffectingFields) {
   O = Base;
   O.EnableStrengthReduction = !O.EnableStrengthReduction;
   EXPECT_NE(optionsFingerprint(O), FP);
-  // The solver changes pre.*_iterations counters in cached stats payloads.
-  O = Base;
-  O.Solver = DataflowSolverKind::RoundRobin;
-  EXPECT_NE(optionsFingerprint(O), FP);
 }
 
 /// A one-function, one-block profile document for fingerprint/protocol

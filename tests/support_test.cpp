@@ -289,6 +289,31 @@ TEST(StringUtil, Strprintf) {
   EXPECT_EQ(strprintf("%s", Long.c_str()), Long);
 }
 
+TEST(StringUtil, ParseUnsignedIsStrict) {
+  uint64_t V = 99;
+  EXPECT_TRUE(parseUnsigned("0", V));
+  EXPECT_EQ(V, 0u);
+  EXPECT_TRUE(parseUnsigned("4242", V));
+  EXPECT_EQ(V, 4242u);
+  EXPECT_TRUE(parseUnsigned("18446744073709551615", V));
+  EXPECT_EQ(V, UINT64_MAX);
+
+  // Rejected inputs leave the output untouched.
+  V = 7;
+  for (const char *Bad : {"", "abc", "12abc", "-1", "+1", " 1", "1 ", "0x10",
+                          "1.5", "18446744073709551616",
+                          "99999999999999999999999"})
+    EXPECT_FALSE(parseUnsigned(Bad, V)) << "'" << Bad << "'";
+  EXPECT_EQ(V, 7u);
+
+  // An explicit bound: inclusive, and checked before the value wraps.
+  EXPECT_TRUE(parseUnsigned("4294967295", V, UINT32_MAX));
+  EXPECT_EQ(V, 4294967295u);
+  EXPECT_FALSE(parseUnsigned("4294967296", V, UINT32_MAX));
+  EXPECT_FALSE(parseUnsigned("7", V, 5));
+  EXPECT_TRUE(parseUnsigned("5", V, 5));
+}
+
 TEST(StringUtil, HashCombineDistinguishes) {
   EXPECT_NE(hashCombine(0, 1), hashCombine(0, 2));
   EXPECT_NE(hashCombine(1, 0), hashCombine(2, 0));
