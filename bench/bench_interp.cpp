@@ -1,10 +1,10 @@
 //===- bench/bench_interp.cpp - Interpreter engine benchmarks -------------===//
 ///
-/// Old-vs-new interpreter benchmarks for the predecoded bytecode engine
-/// (docs/interpreter.md): the legacy tree-walk against direct-threaded
-/// predecoded execution, one-time predecode cost, profiling overhead on the
-/// new engine, and end-to-end fuzz-campaign throughput (where the win
-/// compounds — every oracle config re-executes the same program).
+/// Interpreter benchmarks for the predecoded bytecode engine
+/// (docs/interpreter.md): the tree-walking reference in tests/reference/
+/// against direct-threaded predecoded execution, one-time predecode cost,
+/// profiling overhead, and end-to-end fuzz-campaign throughput (where the
+/// win compounds — every oracle config re-executes the same program).
 ///
 /// scripts/bench.sh runs this binary, extracts BM_InterpretLegacy vs
 /// BM_Interpret at Arg 64, and refuses to publish BENCH_interp.json unless
@@ -18,6 +18,8 @@
 #include "instrument/Profile.h"
 #include "interp/Predecode.h"
 #include "support/StringUtil.h"
+
+#include "ReferenceInterpreter.h"
 
 #include <benchmark/benchmark.h>
 
@@ -55,12 +57,12 @@ struct Workload {
   size_t memBytes() const { return LR.Routines[0].LocalMemBytes; }
 };
 
-/// The legacy tree-walking engine — the old `interpret` path.
+/// The tree-walking reference from tests/reference/: the gate's baseline.
 void BM_InterpretLegacy(benchmark::State &State) {
   Workload W(unsigned(State.range(0)));
   for (auto _ : State) {
     MemoryImage Mem(W.memBytes());
-    ExecResult E = interpretLegacy(W.func(), W.Args, Mem);
+    ExecResult E = interpretReference(W.func(), W.Args, Mem);
     assert(!E.Trapped);
     benchmark::DoNotOptimize(E.DynOps);
     State.SetItemsProcessed(State.items_processed() + int64_t(E.DynOps));
@@ -68,7 +70,7 @@ void BM_InterpretLegacy(benchmark::State &State) {
 }
 BENCHMARK(BM_InterpretLegacy)->Arg(16)->Arg(64)->Unit(benchmark::kMicrosecond);
 
-/// The predecoded direct-threaded engine — what `interpret` runs now.
+/// The predecoded direct-threaded engine — what `interpret` runs.
 /// Includes the per-call predecode (amortized to near zero by the
 /// thread-local arena; BM_Predecode isolates it).
 void BM_Interpret(benchmark::State &State) {
@@ -83,7 +85,7 @@ void BM_Interpret(benchmark::State &State) {
 }
 BENCHMARK(BM_Interpret)->Arg(16)->Arg(64)->Unit(benchmark::kMicrosecond);
 
-/// The new engine with the full dynamic profile attached, for the
+/// The engine with the full dynamic profile attached, for the
 /// zero-cost-when-off comparison on the predecoded loop.
 void BM_InterpretProfiled(benchmark::State &State) {
   Workload W(unsigned(State.range(0)));
@@ -120,8 +122,8 @@ BENCHMARK(BM_Predecode)->Arg(16)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 /// Fuzz-campaign execution throughput: generate a fixed pool of programs
 /// once, then measure interpretation across the pool — the shape of the
-/// differential oracle's inner loop, where each of 15 configs used to
-/// re-walk the instruction tree.
+/// differential oracle's inner loop, where every config re-executes the
+/// same program.
 void BM_FuzzExecThroughput(benchmark::State &State) {
   std::vector<std::string> Shapes = fuzz::generatorShapeNames();
   struct Prog {

@@ -18,6 +18,7 @@
 #include "fuzz/ModuleOps.h"
 #include "fuzz/Oracle.h"
 #include "fuzz/Reduce.h"
+#include "ir/Verifier.h"
 #include "pre/PRE.h"
 #include "support/StringUtil.h"
 
@@ -120,7 +121,8 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
 
 /// Loads an .iloc reproducer as a FuzzProgram, synthesizing deterministic
 /// arguments from the entry function's parameter types. Corpus programs use
-/// hash-exact memory comparison (MemWords left empty).
+/// hash-exact memory comparison (MemWords left empty). Fails, printing the
+/// first message, when the file does not parse or does not verify.
 bool loadProgramFile(const std::string &Path, FuzzProgram &P) {
   std::ifstream In(Path);
   if (!In) {
@@ -138,6 +140,13 @@ bool loadProgramFile(const std::string &Path, FuzzProgram &P) {
   if (!M || M->Functions.empty()) {
     std::fprintf(stderr, "epre-fuzz: parse error in '%s': %s\n", Path.c_str(),
                  Err.c_str());
+    return false;
+  }
+  // A file the verifier rejects has no reference behavior to replay.
+  std::vector<std::string> Errors = verifyModule(*M, SSAMode::Relaxed);
+  if (!Errors.empty()) {
+    std::fprintf(stderr, "epre-fuzz: verifier error in '%s': %s\n",
+                 Path.c_str(), Errors.front().c_str());
     return false;
   }
   const Function &F = *M->Functions[0];

@@ -94,6 +94,10 @@ std::vector<OracleConfig> fuzz::oracleConfigs(bool Quick) {
                        E::AWZ, true, false, true));
   Configs.push_back(Mk("reassoc/dvnt/gcse", L::Reassociation, S::GlobalCSE,
                        E::DVNT, true, false, true));
+  // The strongest detector of a planted PRE availability fault: global CSE
+  // over AWZ-renamed, reassociated code (docs/fuzzing.md).
+  Configs.push_back(Mk("reassoc/awz/gcse", L::Reassociation, S::GlobalCSE,
+                       E::AWZ, true, false, true));
   Configs.push_back(Mk("dist/dvnt/sr", L::Distribution, S::LazyCodeMotion,
                        E::DVNT, true, true, true));
   // Profile-guided speculative placement, driven by a synthetic
@@ -127,6 +131,13 @@ ReferenceRun fuzz::runReference(const FuzzProgram &P,
   std::unique_ptr<Module> M = parseModuleText(P.Text, &Err);
   if (!M || M->Functions.empty()) {
     Out.ParseError = Err.empty() ? "module has no functions" : Err;
+    return Out;
+  }
+  // Only verified text is interpreted: what the verifier rejects has no
+  // defined behavior to compare against.
+  std::vector<std::string> Errors = verifyModule(*M, SSAMode::Relaxed);
+  if (!Errors.empty()) {
+    Out.ParseError = "verifier: " + Errors.front();
     return Out;
   }
   Out.ParseOk = true;
@@ -212,7 +223,7 @@ ConfigOutcome fuzz::runConfigOnce(const FuzzProgram &P, const OracleConfig &C,
 
   if (!Ref.ParseOk) {
     Out.Kind = MismatchKind::Inconclusive;
-    Out.Detail = "reference parse failed: " + Ref.ParseError;
+    Out.Detail = "reference rejected: " + Ref.ParseError;
     return Out;
   }
   Out.RefDynOps = Ref.R.DynOps;

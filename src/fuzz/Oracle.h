@@ -54,7 +54,7 @@ struct OracleConfig {
   bool SyntheticProfile = false;
 };
 
-/// The full configuration matrix (16 configs, covering both GVN engines at
+/// The full configuration matrix (17 configs, covering both GVN engines at
 /// both opt levels), or the CI-budget subset (6 configs) when \p Quick.
 std::vector<OracleConfig> oracleConfigs(bool Quick = false);
 
@@ -102,11 +102,15 @@ struct ConfigOutcome {
 struct ReferenceRun {
   ExecResult R;
   MemoryImage Mem;
+  /// False when the text does not parse or does not verify (Relaxed);
+  /// ParseError then holds the parser's or the first verifier message and
+  /// nothing was interpreted.
   bool ParseOk = false;
   std::string ParseError;
 };
 
-/// Parses and executes \p P unoptimized under \p O's reference fuel.
+/// Parses, verifies and executes \p P unoptimized under \p O's reference
+/// fuel.
 ReferenceRun runReference(const FuzzProgram &P, const OracleOptions &O);
 
 /// Runs \p C on a fresh parse of \p P and compares against the precomputed

@@ -5,7 +5,6 @@
 #include "instrument/Profile.h"
 #include "interp/Predecode.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -53,6 +52,8 @@ const char *epre::trapKindName(TrapKind K) {
     return "memory-out-of-bounds";
   case TrapKind::ArithmeticTrap:
     return "arithmetic-trap";
+  case TrapKind::Malformed:
+    return "malformed-function";
   }
   assert(false && "unknown trap kind");
   return "?";
@@ -105,215 +106,6 @@ unsigned epre::opcodeCost(Opcode Op) {
   return 1;
 }
 
-/// The legacy dispatch loop, instantiated once without profiling and once
-/// with it; every profiling touch sits behind `if constexpr`. Resumable:
-/// the predecoded engine calls it with mid-run state when a block's
-/// residual fuel goes negative, so the exact per-instruction fuel
-/// accounting lives in exactly one place.
-template <bool Profiling>
-void epre::detail::interpretCore(const Function &F, RtValue *Regs,
-                                 MemoryImage &Mem, uint64_t MaxOps,
-                                 ProfileCollector *Prof, ExecResult &R,
-                                 BlockId Cur, BlockId Prev,
-                                 bool SkipEntryPhis) {
-  // Trap with no block context (branch to an erased block).
-  auto trap = [&](TrapKind Kind, std::string Why) {
-    R.Trapped = true;
-    R.Kind = Kind;
-    R.TrapReason = Why + strprintf(" (in @%s)", F.name().c_str());
-  };
-  // Trap at instruction \p Idx of block \p B.
-  auto trapAt = [&](TrapKind Kind, std::string Why, const BasicBlock &B,
-                    unsigned Idx) {
-    R.Trapped = true;
-    R.Kind = Kind;
-    R.TrapBlock = B.label();
-    R.TrapInstIndex = Idx;
-    R.TrapReason =
-        Why + strprintf(" (in @%s, block ^%s, inst %u)", F.name().c_str(),
-                        B.label().c_str(), Idx);
-  };
-
-  // Function-scope scratch, reused by every block entry: the old code
-  // constructed a fresh PhiVals vector inside the dispatch loop, paying a
-  // heap allocation per executed block with phis.
-  std::vector<std::pair<Reg, RtValue>> PhiVals;
-  std::vector<RtValue> Ops;
-  bool Skip = SkipEntryPhis;
-  while (true) {
-    const BasicBlock *B = F.block(Cur);
-    if (!B)
-      return trap(TrapKind::ErasedBlock,
-                  strprintf("branch to erased block b%u", Cur));
-    if constexpr (Profiling)
-      if (!Skip)
-        Prof->enterBlock(Cur);
-
-    // Phis read their inputs in parallel at block entry. When resuming
-    // from the predecoded engine the first block's phi moves already ran
-    // as the taken edge's parallel-copy sequence.
-    unsigned FirstNonPhi = B->firstNonPhi();
-    if (!Skip && FirstNonPhi != 0) {
-      PhiVals.clear();
-      for (unsigned I = 0; I < FirstNonPhi; ++I) {
-        const Instruction &Phi = B->Insts[I];
-        bool Found = false;
-        for (unsigned J = 0; J < Phi.Operands.size(); ++J) {
-          if (Phi.PhiBlocks[J] == Prev) {
-            PhiVals.push_back({Phi.Dst, Regs[Phi.Operands[J]]});
-            Found = true;
-            break;
-          }
-        }
-        if (!Found)
-          return trapAt(TrapKind::MissingPhiEntry,
-                        "phi has no entry for predecessor", *B, I);
-      }
-      for (auto &[Dst, V] : PhiVals)
-        Regs[Dst] = V;
-    }
-    Skip = false;
-
-    for (unsigned Idx = FirstNonPhi; Idx < B->Insts.size(); ++Idx) {
-      const Instruction &I = B->Insts[Idx];
-      unsigned Cost = opcodeCost(I.Op);
-      ++R.DynOps;
-      R.WeightedCost += Cost;
-      ++R.OpCounts[unsigned(I.Op)];
-      if constexpr (Profiling)
-        Prof->countOp(Cur, Cost, classifyOp(I.Op, I.Ty));
-      // The limit check comes after counting so DynOps == sum(OpCounts)
-      // holds on every exit path, including this trap.
-      if (R.DynOps > MaxOps)
-        return trapAt(TrapKind::FuelExhausted, "operation limit exceeded", *B,
-                      Idx);
-
-      switch (I.Op) {
-      case Opcode::Br:
-        if constexpr (Profiling)
-          Prof->takeEdge(Cur, I.Succs[0]);
-        Prev = Cur;
-        Cur = I.Succs[0];
-        break;
-      case Opcode::Cbr: {
-        BlockId Target = Regs[I.Operands[0]].I != 0 ? I.Succs[0] : I.Succs[1];
-        if constexpr (Profiling)
-          Prof->takeEdge(Cur, Target);
-        Prev = Cur;
-        Cur = Target;
-        break;
-      }
-      case Opcode::Ret:
-        if (!I.Operands.empty()) {
-          R.HasReturn = true;
-          R.ReturnValue = Regs[I.Operands[0]];
-        }
-        return;
-      case Opcode::Load: {
-        int64_t Addr = Regs[I.Operands[0]].I;
-        if (!Mem.inBounds(Addr, 8))
-          return trapAt(TrapKind::MemoryOutOfBounds,
-                        strprintf("load out of bounds at address %lld",
-                                  (long long)Addr),
-                        *B, Idx);
-        Regs[I.Dst] = I.Ty == Type::F64 ? RtValue::ofF(Mem.loadF64(Addr))
-                                        : RtValue::ofI(Mem.loadI64(Addr));
-        break;
-      }
-      case Opcode::Store: {
-        int64_t Addr = Regs[I.Operands[0]].I;
-        if (!Mem.inBounds(Addr, 8))
-          return trapAt(TrapKind::MemoryOutOfBounds,
-                        strprintf("store out of bounds at address %lld",
-                                  (long long)Addr),
-                        *B, Idx);
-        const RtValue &V = Regs[I.Operands[1]];
-        if (V.Ty == Type::F64)
-          Mem.storeF64(Addr, V.F);
-        else
-          Mem.storeI64(Addr, V.I);
-        break;
-      }
-      default: {
-        Ops.clear();
-        for (Reg Op : I.Operands)
-          Ops.push_back(Regs[Op]);
-        RtValue Out;
-        if (!evalPure(I, Ops, Out))
-          return trapAt(TrapKind::ArithmeticTrap,
-                        std::string("arithmetic trap in ") + opcodeName(I.Op),
-                        *B, Idx);
-        Regs[I.Dst] = Out;
-        break;
-      }
-      }
-      if (I.isTerminator())
-        break;
-    }
-  }
-}
-
-template void epre::detail::interpretCore<false>(const Function &, RtValue *,
-                                                 MemoryImage &, uint64_t,
-                                                 ProfileCollector *,
-                                                 ExecResult &, BlockId,
-                                                 BlockId, bool);
-template void epre::detail::interpretCore<true>(const Function &, RtValue *,
-                                                MemoryImage &, uint64_t,
-                                                ProfileCollector *,
-                                                ExecResult &, BlockId,
-                                                BlockId, bool);
-
-namespace {
-
-template <bool Profiling>
-ExecResult legacyImpl(const Function &F, const std::vector<RtValue> &Args,
-                      MemoryImage &Mem, const ExecLimits &Limits,
-                      ProfileCollector *Prof) {
-  ExecResult R;
-  R.OpCounts.assign(unsigned(Opcode::Phi) + 1, 0);
-  R.TrapFunction = F.name();
-
-  auto trap = [&](TrapKind Kind, std::string Why) {
-    R.Trapped = true;
-    R.Kind = Kind;
-    R.TrapReason = Why + strprintf(" (in @%s)", F.name().c_str());
-    return R;
-  };
-
-  if (Args.size() != F.params().size())
-    return trap(TrapKind::ArgumentMismatch, "argument count mismatch");
-
-  // Register file, zero-initialized with each register's declared type.
-  std::vector<RtValue> Regs(F.numRegs());
-  for (Reg RG = 1; RG < F.numRegs(); ++RG)
-    Regs[RG].Ty = F.regType(RG);
-  for (unsigned I = 0; I < Args.size(); ++I) {
-    if (Args[I].Ty != F.regType(F.params()[I]))
-      return trap(TrapKind::ArgumentMismatch, "argument type mismatch");
-    Regs[F.params()[I]] = Args[I];
-  }
-
-  if constexpr (Profiling)
-    Prof->reset(F);
-
-  detail::interpretCore<Profiling>(
-      F, Regs.data(), Mem, std::min(Limits.MaxOps, detail::FuelSaturation),
-      Prof, R, 0, InvalidBlock, /*SkipEntryPhis=*/false);
-  return R;
-}
-
-} // namespace
-
-ExecResult epre::interpretLegacy(const Function &F,
-                                 const std::vector<RtValue> &Args,
-                                 MemoryImage &Mem, const ExecLimits &Limits,
-                                 ProfileCollector *Prof) {
-  if (Prof)
-    return legacyImpl<true>(F, Args, Mem, Limits, Prof);
-  return legacyImpl<false>(F, Args, Mem, Limits, nullptr);
-}
-
 ExecResult epre::interpret(const Function &F,
                            const std::vector<RtValue> &Args, MemoryImage &Mem,
                            const ExecLimits &Limits, ProfileCollector *Prof) {
@@ -325,7 +117,19 @@ ExecResult epre::interpret(const Function &F,
   thread_local Arena ScratchArena;
   thread_local BytecodeFunction BF;
   CodeArena.reset();
-  if (!PD.predecode(F, CodeArena, BF))
-    return interpretLegacy(F, Args, Mem, Limits, Prof);
-  return executeBytecode(BF, Args, Mem, Limits, Prof, ScratchArena);
+  if (PD.predecode(F, CodeArena, BF))
+    return executeBytecode(BF, Args, Mem, Limits, Prof, ScratchArena);
+
+  // Every shape predecode() refuses is one the verifier rejects: report it
+  // without running anything. The reset collector finalizes to an empty
+  // profile of F.
+  ExecResult R;
+  R.OpCounts.assign(unsigned(Opcode::Phi) + 1, 0);
+  R.TrapFunction = F.name();
+  R.Trapped = true;
+  R.Kind = TrapKind::Malformed;
+  R.TrapReason = strprintf("malformed function (in @%s)", F.name().c_str());
+  if (Prof)
+    Prof->reset(F);
+  return R;
 }

@@ -7,18 +7,14 @@
 /// instructions execute (with parallel-read semantics) but cost zero
 /// operations — measured code is always out of SSA form.
 ///
-/// Two engines share this entry point (and are bit-for-bit identical in
-/// every observable — see docs/interpreter.md):
-///
-///  - interpret() predecodes the function into flat bytecode and runs it
-///    through a direct-threaded dispatch loop with fused superinstructions
-///    and block-granular fuel accounting (interp/Predecode.h). This is the
-///    default: the profiler, the suite harness, the fuzz oracle, and the
-///    benchmarks all go through it.
-///  - interpretLegacy() is the original switch-dispatch tree-walk over the
-///    in-memory IR, kept as the differential reference: the identity suite
-///    asserts the engines agree on return value, memory image, DynOps,
-///    per-opcode counts, and trap kind/location for every program.
+/// interpret() predecodes the function into flat bytecode and runs it
+/// through a direct-threaded dispatch loop with fused superinstructions and
+/// block-granular fuel accounting (interp/Predecode.h). It is the only
+/// engine: the profiler, the suite harness, the fuzz oracle and the
+/// benchmarks all go through it. Every verifier-clean function runs on it;
+/// a function the verifier rejects traps before executing anything
+/// (TrapKind::Malformed). The identity suite compares it bit for bit with a
+/// tree-walking reference kept in tests/reference/ (docs/interpreter.md).
 ///
 /// Passing a ProfileCollector additionally records per-block and per-edge
 /// execution counts with per-block operation attribution (see
@@ -89,6 +85,7 @@ enum class TrapKind : uint8_t {
   FuelExhausted,   ///< ExecLimits::MaxOps hit — a resource limit, not UB.
   MemoryOutOfBounds,///< Load/store outside the MemoryImage.
   ArithmeticTrap,  ///< Division/remainder/F2I/Abs domain error (ir/Eval.h).
+  Malformed,       ///< Verifier-rejected shape; nothing ran (pre-execution).
 };
 
 const char *trapKindName(TrapKind K);
@@ -127,17 +124,16 @@ struct ExecResult {
 /// DynOps remains the paper's unweighted count.
 unsigned opcodeCost(Opcode Op);
 
-/// Execution limits. Fuel above 2^62 operations is saturating: the engines
-/// treat it as unlimited-in-practice (a run would need centuries to get
-/// there), which lets the predecoded engine keep its residual-fuel counter
-/// in a signed 64-bit word.
+/// Execution limits. Fuel above 2^62 operations is saturating: it counts as
+/// unlimited in practice (a run would need centuries to get there), which
+/// lets the engine keep its residual-fuel counter in a signed 64-bit word.
 struct ExecLimits {
   uint64_t MaxOps = 500'000'000;
 };
 
 /// Runs \p F on \p Args, reading and writing \p Mem, on the predecoded
-/// threaded engine (falling back to the legacy tree-walk for IR shapes the
-/// predecoder rejects — all of them verifier-rejected too). When \p Prof is
+/// threaded engine. A function whose shape the verifier rejects returns at
+/// once with a TrapKind::Malformed trap and DynOps == 0. When \p Prof is
 /// non-null it is reset for \p F and filled during the run; call
 /// Prof->finalize(F) afterwards for the label-keyed profile (valid for
 /// trapped runs too — the profile covers everything executed up to the
@@ -146,42 +142,12 @@ ExecResult interpret(const Function &F, const std::vector<RtValue> &Args,
                      MemoryImage &Mem, const ExecLimits &Limits = {},
                      ProfileCollector *Prof = nullptr);
 
-/// The original switch-dispatch tree-walk over the in-memory IR, kept as
-/// the bit-identical differential reference for the predecoded engine.
-ExecResult interpretLegacy(const Function &F, const std::vector<RtValue> &Args,
-                           MemoryImage &Mem, const ExecLimits &Limits = {},
-                           ProfileCollector *Prof = nullptr);
-
 namespace detail {
 
-/// Fuel above this saturates (see ExecLimits): both engines clamp
-/// ExecLimits::MaxOps to this value, which keeps the predecoded engine's
-/// residual-fuel counter representable in a signed 64-bit word.
+/// Fuel above this saturates (see ExecLimits): ExecLimits::MaxOps is
+/// clamped to this value, which keeps the engine's residual-fuel counter
+/// representable in a signed 64-bit word.
 inline constexpr uint64_t FuelSaturation = uint64_t(1) << 62;
-
-/// The legacy tree-walk dispatch loop, resumable mid-execution: runs \p F
-/// from block \p Cur (with \p Prev as the phi-selecting predecessor) until
-/// return or trap. \p R must arrive with OpCounts sized, TrapFunction set,
-/// and DynOps seeded with the operations already executed (the fuel check
-/// compares R.DynOps against \p MaxOps in absolute terms); OpCounts and
-/// WeightedCost accumulate on top of whatever they hold. When
-/// \p SkipEntryPhis is set the first block's phi moves (and, when
-/// profiling, its enterBlock) are assumed already performed by the caller —
-/// this is how the predecoded engine hands a block that might exhaust fuel
-/// to the exact per-instruction accounting path.
-template <bool Profiling>
-void interpretCore(const Function &F, RtValue *Regs, MemoryImage &Mem,
-                   uint64_t MaxOps, ProfileCollector *Prof, ExecResult &R,
-                   BlockId Cur, BlockId Prev, bool SkipEntryPhis);
-
-extern template void interpretCore<false>(const Function &, RtValue *,
-                                          MemoryImage &, uint64_t,
-                                          ProfileCollector *, ExecResult &,
-                                          BlockId, BlockId, bool);
-extern template void interpretCore<true>(const Function &, RtValue *,
-                                         MemoryImage &, uint64_t,
-                                         ProfileCollector *, ExecResult &,
-                                         BlockId, BlockId, bool);
 
 } // namespace detail
 

@@ -36,18 +36,15 @@ const char *epre::interpDispatchMode() {
 
 bool Predecoder::predecode(const Function &F, Arena &A, BytecodeFunction &Out) {
   Out = BytecodeFunction();
-  if (F.numBlocks() == 0 || F.numBlocks() > 65535 || !F.block(0))
-    return false;
-  // Entry-block phis would need a synthetic InvalidBlock predecessor edge;
-  // the verifier rejects them, so fall back instead of modelling it.
-  if (F.block(0)->firstNonPhi() != 0)
-    return false;
-  if (!emitFunction(F))
+  if (F.numBlocks() == 0 || !emitFunction(F))
     return false;
 
-  // Resolve branch targets: each fixup becomes either the successor's
-  // BlockEntry pc directly (no phis) or the pc of a per-edge sequence of
-  // parallel-copy moves (or a trap stub) appended here.
+  // Execution enters block 0 along a pseudo-edge from InvalidBlock, so entry
+  // phis (a missing-phi stub) and an erased entry (the erased-block stub)
+  // need no special case. Then resolve branch targets: each fixup becomes
+  // either the successor's BlockEntry pc directly (no phis) or the pc of a
+  // per-edge sequence of parallel-copy moves (or a trap stub) appended here.
+  uint32_t StartPC = emitEdge(F, InvalidBlock, 0);
   for (size_t I = 0; I < Fixups.size(); ++I) {
     const Fixup Fx = Fixups[I];
     uint32_t PC = emitEdge(F, Fx.Pred, Fx.Succ);
@@ -67,7 +64,7 @@ bool Predecoder::predecode(const Function &F, Arena &A, BytecodeFunction &Out) {
   Out.CodeLen = uint32_t(Code.size());
   Out.Blocks = B;
   Out.NumBlocks = uint32_t(PBlocks.size());
-  Out.StartPC = PBlocks[PBlockOf[0]].FirstPC;
+  Out.StartPC = StartPC;
   Out.RegFileSize = F.numRegs() + MaxPhis;
   Out.FusedCount = Fused;
   Out.SrcVersion = F.version();
@@ -100,21 +97,20 @@ bool Predecoder::emitBlock(const Function &F, const BasicBlock &B,
   Info.OrigId = B.id();
   Info.FirstPC = uint32_t(Code.size());
 
-  // Execution stops at the first terminator (the legacy loop breaks there);
-  // anything after it in the vector is unreachable and not translated. A
-  // block with no terminator at all re-runs forever in the legacy engine —
-  // verifier-rejected; fall back.
+  // Execution stops at the first terminator; anything after it in the
+  // vector is unreachable and not translated. A block with no terminator at
+  // all is verifier-rejected, and so are phis after the first non-phi.
   unsigned FirstNonPhi = B.firstNonPhi();
   unsigned ExecLen = 0;
   for (unsigned I = FirstNonPhi; I < B.Insts.size(); ++I) {
     if (B.Insts[I].isPhi())
-      return false; // phi after the first non-phi: verifier-rejected shape
+      return false;
     if (B.Insts[I].isTerminator()) {
       ExecLen = I + 1;
       break;
     }
   }
-  if (ExecLen == 0 || ExecLen > 65535)
+  if (ExecLen == 0)
     return false;
 
   Info.FirstNonPhi = FirstNonPhi;
@@ -125,11 +121,14 @@ bool Predecoder::emitBlock(const Function &F, const BasicBlock &B,
     Info.Weight += opcodeCost(B.Insts[I].Op);
   MaxPhis = std::max(MaxPhis, FirstNonPhi);
 
-  // Register-slot and successor-id sanity for everything that can execute
-  // (phis included: their regs feed the edge move sequences). The executor
-  // indexes the register file unchecked, so reject what the verifier would.
+  // Register-slot, successor-id and phi-shape sanity for everything that
+  // can execute (phis included: their regs feed the edge move sequences).
+  // The executor indexes the register file unchecked, so reject what the
+  // verifier would.
   for (unsigned I = 0; I < ExecLen; ++I) {
     const Instruction &Ins = B.Insts[I];
+    if (Ins.isPhi() && Ins.Operands.size() != Ins.PhiBlocks.size())
+      return false;
     if (Ins.Dst >= F.numRegs())
       return false;
     for (Reg R : Ins.Operands)
@@ -145,33 +144,28 @@ bool Predecoder::emitBlock(const Function &F, const BasicBlock &B,
     E.Op = POp::BlockEntry;
     E.A = PBIdx;
     E.Imm = int64_t(Info.Ops);
-    E.Blk = uint16_t(PBIdx);
+    E.Blk = PBIdx;
     Code.push_back(E);
   }
 
   auto base = [&](unsigned Idx) {
     PInst P{};
-    P.Blk = uint16_t(PBIdx);
-    P.InstIdx = uint16_t(Idx);
+    P.Blk = PBIdx;
     P.OpsInto = uint32_t(Idx - FirstNonPhi + 1);
-    P.OrigOp = uint8_t(B.Insts[Idx].Op);
     P.Ty = B.Insts[Idx].Ty;
     return P;
   };
 
   // Superinstruction peephole over adjacent pairs. Both register writes
   // still happen, so fusion needs no liveness proof; the first half of each
-  // pair (add/mul/cmp) can never trap, so trap attribution only ever points
-  // at the second half (the load).
+  // pair (add/mul/cmp) can never trap, so a behavioral trap only ever points
+  // at the second half (the load). A fuel trap may land on either half.
   auto tryFuse = [&](unsigned I) -> bool {
     if (I + 1 >= ExecLen)
       return false;
     const Instruction &I0 = B.Insts[I];
     const Instruction &I1 = B.Insts[I + 1];
-    PInst P = base(I);
-    P.InstIdx2 = uint16_t(I + 1);
-    P.OrigOp2 = uint8_t(I1.Op);
-    P.OpsInto = uint32_t(I + 1 - FirstNonPhi + 1);
+    PInst P = base(I + 1);
     // Address arithmetic feeding a load.
     if (I0.Op == Opcode::Add && I0.Ty == Type::I64 &&
         I0.Operands.size() == 2 && I0.Dst != NoReg && I1.Op == Opcode::Load &&
@@ -229,9 +223,8 @@ bool Predecoder::emitBlock(const Function &F, const BasicBlock &B,
 
   auto emitOne = [&](unsigned Idx) -> bool {
     const Instruction &I = B.Insts[Idx];
-    // The legacy engine tolerates short operand lists (evalPure substitutes
-    // zeros); the executor reads fixed slots, so route those shapes — all
-    // verifier-rejected — to the fallback.
+    // The executor reads fixed operand slots: refuse wrong operand counts,
+    // which the verifier rejects too.
     int FO = fixedOperandCount(I.Op);
     if (FO >= 0 && int(I.Operands.size()) != FO)
       return false;
@@ -296,7 +289,7 @@ bool Predecoder::emitBlock(const Function &F, const BasicBlock &B,
     case Opcode::Shl:
     case Opcode::Shr:
       if (!IsI)
-        return false; // F64-typed integer-only op: legacy arithmetic-traps
+        return false; // F64-typed integer-only op: verifier-rejected
       P.Op = I.Op == Opcode::Mod   ? POp::ModI
              : I.Op == Opcode::And ? POp::AndI
              : I.Op == Opcode::Or  ? POp::OrI
@@ -409,7 +402,7 @@ uint32_t Predecoder::emitEdge(const Function &F, BlockId Pred, BlockId Succ) {
   const BasicBlock *S = F.block(Succ);
   if (!S) {
     // Branch into a tombstone: the branch itself executes (and counts),
-    // then the legacy loop traps looking the block up.
+    // then the run traps looking the block up.
     uint32_t PC = uint32_t(Code.size());
     PInst P{};
     P.Op = POp::TrapErased;
@@ -424,9 +417,9 @@ uint32_t Predecoder::emitEdge(const Function &F, BlockId Pred, BlockId Succ) {
 
   uint32_t PC = uint32_t(Code.size());
 
-  // Select each phi's incoming value for this predecessor. The legacy
-  // engine reads them all before writing any; a missing entry traps before
-  // any write, so the trap stub replaces the whole sequence.
+  // Select each phi's incoming value for this predecessor. Phis read them
+  // all before writing any; a missing entry traps before any write, so the
+  // trap stub replaces the whole sequence.
   Moves.clear();
   for (unsigned I = 0; I < NPhis; ++I) {
     const Instruction &Phi = S->Insts[I];
@@ -456,7 +449,7 @@ uint32_t Predecoder::emitEdge(const Function &F, BlockId Pred, BlockId Succ) {
   };
   // Read-all-then-write-all through scratch slots past the register file.
   // Exact for every case including duplicate destinations (last write wins
-  // in phi order, like the legacy PhiVals replay).
+  // in phi order, as in a sequential replay of the read values).
   auto twoPhase = [&](const std::vector<std::pair<Reg, Reg>> &M) {
     for (size_t K = 0; K < M.size(); ++K)
       emitMove(Reg(F.numRegs() + K), M[K].second);
@@ -543,60 +536,55 @@ bool cmpF(Opcode Op, double A, double B) {
   }
 }
 
-template <bool Profiling>
-ExecResult runImpl(const BytecodeFunction &BF, const std::vector<RtValue> &Args,
-                   MemoryImage &Mem, const ExecLimits &Limits,
-                   ProfileCollector *Prof, Arena &Scratch) {
-  const Function &F = *BF.Src;
-  const PInst *const Code = BF.Code;
-  const PBlockInfo *const PB = BF.Blocks;
+bool isFusedPair(POp Op) {
+  return Op == POp::FuseAddLoad || Op == POp::FuseMulAddI ||
+         Op == POp::FuseMulAddF || Op == POp::FuseCmpCbrI ||
+         Op == POp::FuseCmpCbrF;
+}
 
-  ExecResult R;
-  R.OpCounts.assign(unsigned(Opcode::Phi) + 1, 0);
-  R.TrapFunction = F.name();
+/// What one run's hot and careful loops share.
+struct RunState {
+  const Function &F;
+  const BytecodeFunction &BF;
+  MemoryImage &Mem;
+  ProfileCollector *Prof;
+  RtValue *Regs;
+  uint64_t *Entries; ///< per-pblock entry counts
+  uint64_t Clamp;    ///< the run's fuel
+  ExecResult &R;
+};
 
-  auto trapArg = [&](std::string Why) {
-    R.Trapped = true;
-    R.Kind = TrapKind::ArgumentMismatch;
-    R.TrapReason = Why + strprintf(" (in @%s)", F.name().c_str());
-    return R;
-  };
-  if (Args.size() != F.params().size())
-    return trapArg("argument count mismatch");
-
-  Scratch.reset();
-  RtValue *Regs = Scratch.allocArray<RtValue>(BF.RegFileSize);
-  Regs[0] = RtValue{};
-  for (Reg RG = 1; RG < F.numRegs(); ++RG) {
-    Regs[RG] = RtValue{};
-    Regs[RG].Ty = F.regType(RG);
-  }
-  for (uint32_t RG = F.numRegs(); RG < BF.RegFileSize; ++RG)
-    Regs[RG] = RtValue{};
-  for (unsigned I = 0; I < Args.size(); ++I) {
-    if (Args[I].Ty != F.regType(F.params()[I]))
-      return trapArg("argument type mismatch");
-    Regs[F.params()[I]] = Args[I];
-  }
-
-  uint64_t *Entries = Scratch.allocArray<uint64_t>(BF.NumBlocks);
-  for (uint32_t B = 0; B < BF.NumBlocks; ++B)
-    Entries[B] = 0;
-
-  if constexpr (Profiling)
-    Prof->reset(F);
+/// The dispatch loop from \p p with \p Residual fuel left, instantiated
+/// with and without profiling and in two fuel modes. The hot mode
+/// (Careful false) charges fuel once per block entry and carries no
+/// per-instruction fuel code. When a block entry finds less fuel than the
+/// block's ops, it hands that one block to the careful mode, which checks
+/// each instruction's OpsInto against the fuel left at block entry. The
+/// block's terminator necessarily crosses the limit, so control never
+/// leaves the block: the careful loop ends the run with a fuel trap, or
+/// with the behavioral trap that comes first.
+template <bool Profiling, bool Careful>
+void execute(const RunState &S, int64_t Residual, const PInst *p) {
+  const Function &F = S.F;
+  const PInst *const Code = S.BF.Code;
+  const PBlockInfo *const PB = S.BF.Blocks;
+  const uint32_t NumBlocks = S.BF.NumBlocks;
+  MemoryImage &Mem = S.Mem;
+  ProfileCollector *const Prof = S.Prof;
+  RtValue *const Regs = S.Regs;
+  uint64_t *const Entries = S.Entries;
+  const uint64_t Clamp = S.Clamp;
+  ExecResult &R = S.R;
   (void)Prof;
-
-  const uint64_t Clamp = std::min(Limits.MaxOps, detail::FuelSaturation);
-  int64_t Residual = int64_t(Clamp);
-  const PInst *p = Code + BF.StartPC;
+  // Fuel left when the careful mode's one block was entered.
+  [[maybe_unused]] int64_t BlockFuel = 0;
 
   // Fold each fully executed block's static opcode histogram and weight,
   // scaled by its entry count, into R. With the DynOps formulas below this
-  // reconstructs the legacy engine's exact counters without any
-  // per-instruction bookkeeping on the fast path.
+  // reconstructs the exact per-instruction counters without any
+  // bookkeeping on the fast path.
   auto addBlockCounts = [&]() {
-    for (uint32_t B = 0; B < BF.NumBlocks; ++B) {
+    for (uint32_t B = 0; B < NumBlocks; ++B) {
       uint64_t E = Entries[B];
       if (!E)
         continue;
@@ -608,20 +596,20 @@ ExecResult runImpl(const BytecodeFunction &BF, const std::vector<RtValue> &Args,
     }
   };
 
-  // A behavioral trap (memory, arithmetic) cuts the current block short:
-  // take back the pre-counted tail after the trapping instruction.
-  auto behavioralTrap = [&](TrapKind Kind, std::string Why, const PInst *Q,
-                            unsigned OrigIdx, Opcode OrigOp) -> ExecResult & {
+  // A trap inside a block cuts it short at its \p K-th counted op: take
+  // back the pre-counted tail after the trapping instruction.
+  auto trapAt = [&](TrapKind Kind, std::string Why, const PInst *Q,
+                    uint32_t K) {
     const PBlockInfo &Info = PB[Q->Blk];
     const BasicBlock *OB = F.block(Info.OrigId);
-    R.DynOps = (Clamp - uint64_t(Residual)) - Info.Ops + Q->OpsInto;
+    unsigned OrigIdx = Info.FirstNonPhi + K - 1;
+    R.DynOps = (Clamp - uint64_t(Residual)) - Info.Ops + K;
     addBlockCounts();
     for (uint32_t I = OrigIdx + 1; I < Info.ExecLen; ++I) {
       Opcode Op = OB->Insts[I].Op;
       --R.OpCounts[unsigned(Op)];
       R.WeightedCost -= opcodeCost(Op);
     }
-    (void)OrigOp;
     R.Trapped = true;
     R.Kind = Kind;
     R.TrapBlock = OB->label();
@@ -629,21 +617,52 @@ ExecResult runImpl(const BytecodeFunction &BF, const std::vector<RtValue> &Args,
     R.TrapReason =
         Why + strprintf(" (in @%s, block ^%s, inst %u)", F.name().c_str(),
                         OB->label().c_str(), OrigIdx);
-    return R;
+  };
+
+  // Careful mode only: \p Q holds the block's op BlockFuel + 1, the first
+  // past the limit, which is counted and profiled but not run. Only the
+  // second half of a fused pair can be that op; then the first half is
+  // profiled as well, and its register write is skipped because nothing
+  // reads registers after the trap.
+  auto fuelTrap = [&](const PInst *Q) {
+    uint32_t K = uint32_t(BlockFuel) + 1;
+    if constexpr (Profiling) {
+      const PBlockInfo &Info = PB[Q->Blk];
+      const BasicBlock *OB = F.block(Info.OrigId);
+      for (uint32_t J = Q->OpsInto - isFusedPair(Q->Op); J <= K; ++J) {
+        const Instruction &I = OB->Insts[Info.FirstNonPhi + J - 1];
+        Prof->countOp(Info.OrigId, opcodeCost(I.Op), classifyOp(I.Op, I.Ty));
+      }
+    }
+    trapAt(TrapKind::FuelExhausted, "operation limit exceeded", Q, K);
   };
 
 // One profiling tick for an original instruction, attributed to the
 // predecoded instruction's owning block. Compiled out entirely in the
-// non-profiling instantiation.
+// non-profiling instantiations.
 #define VM_PROF(OpC, TyC)                                                      \
   do {                                                                         \
     if constexpr (Profiling)                                                   \
       Prof->countOp(PB[p->Blk].OrigId, opcodeCost(OpC), classifyOp(OpC, TyC)); \
   } while (0)
 
+// The careful mode's per-instruction fuel check, made before dispatching
+// each instruction (edge code has OpsInto 0 and always passes). Compiled
+// out entirely in the hot instantiations.
+#define VM_FUEL_CHECK()                                                        \
+  do {                                                                         \
+    if constexpr (Careful)                                                     \
+      if (int64_t(p->OpsInto) > BlockFuel)                                     \
+        return fuelTrap(p);                                                    \
+  } while (0)
+
 #if EPRE_COMPUTED_GOTO
 #define VM_CASE(N) Lbl_##N:
-#define VM_NEXT() goto *JumpTable[unsigned(p->Op)]
+#define VM_NEXT()                                                              \
+  do {                                                                         \
+    VM_FUEL_CHECK();                                                           \
+    goto *JumpTable[unsigned(p->Op)];                                          \
+  } while (0)
   static const void *const JumpTable[] = {
 #define EPRE_POP_LABEL(N) &&Lbl_##N,
       EPRE_POP_LIST(EPRE_POP_LABEL)
@@ -654,29 +673,22 @@ ExecResult runImpl(const BytecodeFunction &BF, const std::vector<RtValue> &Args,
 #define VM_CASE(N) case POp::N:
 #define VM_NEXT() continue
   for (;;) {
+    VM_FUEL_CHECK();
     switch (p->Op) {
 #endif
 
   VM_CASE(BlockEntry) {
-    const PBlockInfo &Info = PB[p->A];
+    if constexpr (Careful) {
+      BlockFuel = Residual;
+    } else if (EPRE_UNLIKELY(Residual < p->Imm)) {
+      // This block may cross the fuel limit: run it on the careful
+      // instantiation, which pins the exact trap instruction.
+      return execute<Profiling, true>(S, Residual, p);
+    }
     if constexpr (Profiling)
-      Prof->enterBlock(Info.OrigId);
+      Prof->enterBlock(PB[p->A].OrigId);
     ++Entries[p->A];
     Residual -= p->Imm;
-    if (EPRE_UNLIKELY(Residual < 0)) {
-      // This block may cross the fuel limit: give it back and replay it on
-      // the legacy core, whose per-instruction check pins the exact trap
-      // instruction. The block's terminator necessarily crosses the limit,
-      // so control cannot leave the block — the core finishes the run.
-      --Entries[p->A];
-      Residual += p->Imm;
-      R.DynOps = Clamp - uint64_t(Residual);
-      addBlockCounts();
-      detail::interpretCore<Profiling>(F, Regs, Mem, Clamp, Prof, R,
-                                       Info.OrigId, InvalidBlock,
-                                       /*SkipEntryPhis=*/true);
-      return R;
-    }
     ++p;
     VM_NEXT();
   }
@@ -695,7 +707,7 @@ ExecResult runImpl(const BytecodeFunction &BF, const std::vector<RtValue> &Args,
   VM_CASE(TrapMissingPhi) {
     const PBlockInfo &SB = PB[p->A];
     if constexpr (Profiling)
-      Prof->enterBlock(SB.OrigId); // legacy enters the block, then traps
+      Prof->enterBlock(SB.OrigId); // the block is entered, then traps
     const BasicBlock *OB = F.block(SB.OrigId);
     R.DynOps = Clamp - uint64_t(Residual);
     addBlockCounts();
@@ -706,7 +718,7 @@ ExecResult runImpl(const BytecodeFunction &BF, const std::vector<RtValue> &Args,
     R.TrapReason = strprintf(
         "phi has no entry for predecessor (in @%s, block ^%s, inst %u)",
         F.name().c_str(), OB->label().c_str(), unsigned(p->B));
-    return R;
+    return;
   }
 
   VM_CASE(TrapErased) {
@@ -717,7 +729,7 @@ ExecResult runImpl(const BytecodeFunction &BF, const std::vector<RtValue> &Args,
     R.TrapReason =
         strprintf("branch to erased block b%u", unsigned(p->Imm)) +
         strprintf(" (in @%s)", F.name().c_str());
-    return R;
+    return;
   }
 
   VM_CASE(LoadImmI) {
@@ -747,10 +759,10 @@ ExecResult runImpl(const BytecodeFunction &BF, const std::vector<RtValue> &Args,
     VM_PROF(Opcode::Load, p->Ty);
     int64_t Addr = Regs[p->A].I;
     if (EPRE_UNLIKELY(!Mem.inBounds(Addr, 8)))
-      return behavioralTrap(TrapKind::MemoryOutOfBounds,
-                            strprintf("load out of bounds at address %lld",
-                                      (long long)Addr),
-                            p, p->InstIdx, Opcode::Load);
+      return trapAt(TrapKind::MemoryOutOfBounds,
+                    strprintf("load out of bounds at address %lld",
+                              (long long)Addr),
+                    p, p->OpsInto);
     Regs[p->Dst] = p->Ty == Type::F64 ? RtValue::ofF(Mem.loadF64(Addr))
                                       : RtValue::ofI(Mem.loadI64(Addr));
     ++p;
@@ -761,10 +773,10 @@ ExecResult runImpl(const BytecodeFunction &BF, const std::vector<RtValue> &Args,
     VM_PROF(Opcode::Store, p->Ty);
     int64_t Addr = Regs[p->A].I;
     if (EPRE_UNLIKELY(!Mem.inBounds(Addr, 8)))
-      return behavioralTrap(TrapKind::MemoryOutOfBounds,
-                            strprintf("store out of bounds at address %lld",
-                                      (long long)Addr),
-                            p, p->InstIdx, Opcode::Store);
+      return trapAt(TrapKind::MemoryOutOfBounds,
+                    strprintf("store out of bounds at address %lld",
+                              (long long)Addr),
+                    p, p->OpsInto);
     const RtValue &V = Regs[p->B];
     if (V.Ty == Type::F64)
       Mem.storeF64(Addr, V.F);
@@ -802,10 +814,10 @@ ExecResult runImpl(const BytecodeFunction &BF, const std::vector<RtValue> &Args,
     VM_PROF(Opcode::Div, Type::I64);
     int64_t A = Regs[p->A].I, B = Regs[p->B].I;
     if (EPRE_UNLIKELY(B == 0 || (A == INT64_MIN && B == -1)))
-      return behavioralTrap(TrapKind::ArithmeticTrap,
-                            std::string("arithmetic trap in ") +
-                                opcodeName(Opcode::Div),
-                            p, p->InstIdx, Opcode::Div);
+      return trapAt(TrapKind::ArithmeticTrap,
+                    std::string("arithmetic trap in ") +
+                        opcodeName(Opcode::Div),
+                    p, p->OpsInto);
     Regs[p->Dst] = RtValue::ofI(A / B);
     ++p;
     VM_NEXT();
@@ -815,10 +827,10 @@ ExecResult runImpl(const BytecodeFunction &BF, const std::vector<RtValue> &Args,
     VM_PROF(Opcode::Mod, Type::I64);
     int64_t A = Regs[p->A].I, B = Regs[p->B].I;
     if (EPRE_UNLIKELY(B == 0 || (A == INT64_MIN && B == -1)))
-      return behavioralTrap(TrapKind::ArithmeticTrap,
-                            std::string("arithmetic trap in ") +
-                                opcodeName(Opcode::Mod),
-                            p, p->InstIdx, Opcode::Mod);
+      return trapAt(TrapKind::ArithmeticTrap,
+                    std::string("arithmetic trap in ") +
+                        opcodeName(Opcode::Mod),
+                    p, p->OpsInto);
     Regs[p->Dst] = RtValue::ofI(A % B);
     ++p;
     VM_NEXT();
@@ -968,10 +980,10 @@ ExecResult runImpl(const BytecodeFunction &BF, const std::vector<RtValue> &Args,
     double V = Regs[p->A].F;
     if (EPRE_UNLIKELY(
             !(V >= -9.2233720368547758e18 && V <= 9.2233720368547758e18)))
-      return behavioralTrap(TrapKind::ArithmeticTrap,
-                            std::string("arithmetic trap in ") +
-                                opcodeName(Opcode::F2I),
-                            p, p->InstIdx, Opcode::F2I);
+      return trapAt(TrapKind::ArithmeticTrap,
+                    std::string("arithmetic trap in ") +
+                        opcodeName(Opcode::F2I),
+                    p, p->OpsInto);
     Regs[p->Dst] = RtValue::ofI(int64_t(V));
     ++p;
     VM_NEXT();
@@ -984,10 +996,10 @@ ExecResult runImpl(const BytecodeFunction &BF, const std::vector<RtValue> &Args,
     RtValue Out;
     if (EPRE_UNLIKELY(!evalIntrinsic(Intrinsic(p->Sub), p->Ty, CallArgs,
                                      p->Flags, Out)))
-      return behavioralTrap(TrapKind::ArithmeticTrap,
-                            std::string("arithmetic trap in ") +
-                                opcodeName(Opcode::Call),
-                            p, p->InstIdx, Opcode::Call);
+      return trapAt(TrapKind::ArithmeticTrap,
+                    std::string("arithmetic trap in ") +
+                        opcodeName(Opcode::Call),
+                    p, p->OpsInto);
     Regs[p->Dst] = Out;
     ++p;
     VM_NEXT();
@@ -1018,7 +1030,7 @@ ExecResult runImpl(const BytecodeFunction &BF, const std::vector<RtValue> &Args,
       R.HasReturn = true;
       R.ReturnValue = Regs[p->A];
     }
-    return R;
+    return;
   }
 
   VM_CASE(FuseAddLoad) {
@@ -1028,10 +1040,10 @@ ExecResult runImpl(const BytecodeFunction &BF, const std::vector<RtValue> &Args,
     VM_PROF(Opcode::Load, p->Ty);
     int64_t Addr = int64_t(Sum);
     if (EPRE_UNLIKELY(!Mem.inBounds(Addr, 8)))
-      return behavioralTrap(TrapKind::MemoryOutOfBounds,
-                            strprintf("load out of bounds at address %lld",
-                                      (long long)Addr),
-                            p, p->InstIdx2, Opcode::Load);
+      return trapAt(TrapKind::MemoryOutOfBounds,
+                    strprintf("load out of bounds at address %lld",
+                              (long long)Addr),
+                    p, p->OpsInto);
     Regs[p->Dst2] = p->Ty == Type::F64 ? RtValue::ofF(Mem.loadF64(Addr))
                                        : RtValue::ofI(Mem.loadI64(Addr));
     ++p;
@@ -1088,7 +1100,55 @@ ExecResult runImpl(const BytecodeFunction &BF, const std::vector<RtValue> &Args,
 #endif
 #undef VM_CASE
 #undef VM_NEXT
+#undef VM_FUEL_CHECK
 #undef VM_PROF
+}
+
+template <bool Profiling>
+ExecResult runImpl(const BytecodeFunction &BF, const std::vector<RtValue> &Args,
+                   MemoryImage &Mem, const ExecLimits &Limits,
+                   ProfileCollector *Prof, Arena &Scratch) {
+  const Function &F = *BF.Src;
+
+  ExecResult R;
+  R.OpCounts.assign(unsigned(Opcode::Phi) + 1, 0);
+  R.TrapFunction = F.name();
+
+  auto trapArg = [&](std::string Why) {
+    R.Trapped = true;
+    R.Kind = TrapKind::ArgumentMismatch;
+    R.TrapReason = Why + strprintf(" (in @%s)", F.name().c_str());
+    return R;
+  };
+  if (Args.size() != F.params().size())
+    return trapArg("argument count mismatch");
+
+  Scratch.reset();
+  RtValue *Regs = Scratch.allocArray<RtValue>(BF.RegFileSize);
+  Regs[0] = RtValue{};
+  for (Reg RG = 1; RG < F.numRegs(); ++RG) {
+    Regs[RG] = RtValue{};
+    Regs[RG].Ty = F.regType(RG);
+  }
+  for (uint32_t RG = F.numRegs(); RG < BF.RegFileSize; ++RG)
+    Regs[RG] = RtValue{};
+  for (unsigned I = 0; I < Args.size(); ++I) {
+    if (Args[I].Ty != F.regType(F.params()[I]))
+      return trapArg("argument type mismatch");
+    Regs[F.params()[I]] = Args[I];
+  }
+
+  uint64_t *Entries = Scratch.allocArray<uint64_t>(BF.NumBlocks);
+  for (uint32_t B = 0; B < BF.NumBlocks; ++B)
+    Entries[B] = 0;
+
+  if constexpr (Profiling)
+    Prof->reset(F);
+
+  const uint64_t Clamp = std::min(Limits.MaxOps, detail::FuelSaturation);
+  RunState S{F, BF, Mem, Prof, Regs, Entries, Clamp, R};
+  execute<Profiling, false>(S, int64_t(Clamp), BF.Code + BF.StartPC);
+  return R;
 }
 
 } // namespace

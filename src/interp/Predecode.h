@@ -17,20 +17,21 @@
 ///    (address arithmetic feeding a load, compare feeding a conditional
 ///    branch, multiply feeding an add) are fused into superinstructions;
 ///  - the per-instruction fuel check is hoisted to a per-block
-///    residual-fuel decrement; a block that might cross the limit is
-///    re-executed instruction-by-instruction by the legacy core, which
-///    reproduces the exact trap instruction and counts.
+///    residual-fuel decrement; the one block that might cross the limit
+///    runs on a careful instantiation of the same loop, which checks each
+///    instruction's fuel and pins the exact trap instruction and counts.
 ///
-/// The engine is observationally bit-identical to interpretLegacy(): same
-/// return value, memory image, DynOps, per-opcode OpCounts, WeightedCost,
-/// trap kind, trap location, trap message, and (when profiling) the same
-/// FunctionProfile. The differential identity suite in
-/// tests/predecode_test.cpp enforces this.
+/// The engine is observationally bit-identical to the tree-walking
+/// reference in tests/reference/: same return value, memory image, DynOps,
+/// per-opcode OpCounts, WeightedCost, trap kind, trap location, trap
+/// message, and (when profiling) the same FunctionProfile. The
+/// differential identity suite in tests/predecode_test.cpp enforces this.
 ///
-/// Functions whose shape the predecoder does not support (no terminator at
-/// block end, phis after the first non-phi, out-of-range operands — all
-/// verifier-rejected) fail predecode(); interpret() falls back to the
-/// legacy engine for them, keeping its behaviour universal.
+/// predecode() accepts every function verifyFunction() accepts. It refuses
+/// only verifier-rejected shapes (no terminator, phis after the first
+/// non-phi, wrong operand or successor counts, out-of-range registers or
+/// successors, integer-only operations typed f64), for which interpret()
+/// reports TrapKind::Malformed without executing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -84,26 +85,25 @@ enum class POp : uint8_t {
 #undef EPRE_POP_ENUM
 };
 
-/// One fixed-width predecoded instruction (64-byte cache-line friendly).
-/// Field meaning is per-POp; see EPRE_POP_LIST comments. Trap bookkeeping
-/// (Blk, InstIdx*, OpsInto) lets every exit path reconstruct the exact
-/// legacy DynOps/OpCounts without per-instruction counters.
+/// One fixed-width predecoded instruction. Field meaning is per-POp; see
+/// EPRE_POP_LIST comments. Trap bookkeeping (Blk, OpsInto) lets every exit
+/// path reconstruct the exact DynOps/OpCounts without per-instruction
+/// counters: the original index of the instruction (of a fused pair's
+/// second half) is its block's FirstNonPhi + OpsInto - 1.
 struct PInst {
   POp Op = POp::Jump;
   uint8_t Sub = 0;     ///< cmp Opcode byte or Intrinsic byte
   Type Ty = Type::I64; ///< value type of the (second, if fused) operation
   uint8_t Flags = 0;
-  uint8_t OrigOp = 0;  ///< original Opcode byte (profiling class/cost, traps)
-  uint8_t OrigOp2 = 0; ///< fused second original Opcode byte
-  uint16_t InstIdx = 0;  ///< original instruction index of the (first) op
-  uint16_t InstIdx2 = 0; ///< original index of the fused second op
-  uint16_t Blk = 0;      ///< owning predecoded block index
-  uint32_t OpsInto = 0;  ///< counted ops through this instruction in its block
+  uint32_t Blk = 0;     ///< owning predecoded block index
+  uint32_t OpsInto = 0; ///< counted ops through this instruction in its
+                        ///< block (0 for uncounted edge code)
   uint32_t Dst = 0, A = 0, B = 0, Dst2 = 0;
   uint32_t X = 0, Y = 0; ///< branch targets' original BlockIds
   int64_t Imm = 0;       ///< immediate bits / taken-target pc / block ops
   int64_t Imm2 = 0;      ///< not-taken-target pc
 };
+static_assert(sizeof(PInst) <= 56, "PInst grew past 56 bytes");
 
 /// Per-block predecode metadata, indexed by dense predecoded block index.
 struct PBlockInfo {
@@ -117,8 +117,8 @@ struct PBlockInfo {
 
 /// A predecoded function: flat code array plus block metadata, all backed
 /// by the Arena handed to Predecoder::predecode. Holds a pointer to the
-/// source Function (labels, careful-mode re-execution, count assembly), so
-/// it is valid only while that Function is alive and unmodified.
+/// source Function (labels, trap and count assembly), so it is valid only
+/// while that Function is alive and unmodified.
 class BytecodeFunction {
 public:
   const Function *Src = nullptr;
@@ -140,8 +140,8 @@ public:
 class Predecoder {
 public:
   /// Predecodes \p F into \p Out with storage from \p A. Returns false —
-  /// leaving \p Out invalid — when the function's shape is unsupported
-  /// (see file comment); callers fall back to interpretLegacy().
+  /// leaving \p Out invalid — only for verifier-rejected shapes (see file
+  /// comment).
   bool predecode(const Function &F, Arena &A, BytecodeFunction &Out);
 
 private:
@@ -165,11 +165,10 @@ private:
   uint32_t emitEdge(const Function &F, BlockId Pred, BlockId Succ);
 };
 
-/// Executes predecoded bytecode. Exactly interpretLegacy()'s observable
-/// behaviour (see file comment). \p Scratch provides the register file and
-/// per-block counters; it is reset by the call — so it must not be the
-/// arena holding \p BF's storage — and reusing one scratch arena across
-/// runs keeps the campaign inner loop off the general heap.
+/// Executes predecoded bytecode (see file comment). \p Scratch provides the
+/// register file and per-block counters; it is reset by the call — so it
+/// must not be the arena holding \p BF's storage — and reusing one scratch
+/// arena across runs keeps the campaign inner loop off the general heap.
 ExecResult executeBytecode(const BytecodeFunction &BF,
                            const std::vector<RtValue> &Args, MemoryImage &Mem,
                            const ExecLimits &Limits, ProfileCollector *Prof,

@@ -157,6 +157,10 @@ private:
           if (regTyOk(I.Operands[J]) && opTy(J) != Type::I64)
             error(strprintf("block ^%s: %s requires i64 operands",
                             B.label().c_str(), opcodeName(I.Op)));
+        if (I.Ty != Type::I64 ||
+            (regTyOk(I.Dst) && F.regType(I.Dst) != Type::I64))
+          error(strprintf("block ^%s: %s must be typed i64",
+                          B.label().c_str(), opcodeName(I.Op)));
       }
       if (isComparison(I.Op) && regTyOk(I.Dst) &&
           F.regType(I.Dst) != Type::I64)
@@ -165,6 +169,12 @@ private:
     }
 
     // Successor references.
+    size_t WantSuccs =
+        I.Op == Opcode::Br ? 1 : I.Op == Opcode::Cbr ? 2 : I.Succs.size();
+    if (I.Succs.size() != WantSuccs)
+      error(strprintf("block ^%s: %s expects %zu successors, has %zu",
+                      B.label().c_str(), opcodeName(I.Op), WantSuccs,
+                      I.Succs.size()));
     for (BlockId S : I.Succs)
       if (S >= F.numBlocks() || !F.block(S))
         error(strprintf("block ^%s: branch to dead block %u",

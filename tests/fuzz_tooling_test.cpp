@@ -20,6 +20,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 using namespace epre;
 using namespace epre::fuzz;
 
@@ -48,6 +51,32 @@ TEST(FuzzTooling, CleanMiniCampaign) {
                       << "] " << F.Detail;
     }
   }
+}
+
+TEST(FuzzTooling, ReferenceRejectsUnverifiedText) {
+  // A block with no terminator parses but does not verify: the oracle must
+  // report it instead of interpreting it.
+  std::ifstream In(EPRE_REJECTED_DIR "/no-terminator.iloc");
+  ASSERT_TRUE(In.good());
+  std::stringstream SS;
+  SS << In.rdbuf();
+  FuzzProgram P;
+  P.Text = SS.str();
+  P.MemBytes = 64;
+  ASSERT_NE(parseModuleText(P.Text), nullptr);
+
+  OracleOptions OO;
+  ReferenceRun Ref = runReference(P, OO);
+  EXPECT_FALSE(Ref.ParseOk);
+  EXPECT_NE(Ref.ParseError.find("does not end in a terminator"),
+            std::string::npos)
+      << Ref.ParseError;
+  EXPECT_EQ(Ref.R.DynOps, 0u);
+
+  OracleResult OR = runDifferentialOracle(P, OO, oracleConfigs(/*Quick=*/true));
+  EXPECT_FALSE(OR.Mismatch);
+  EXPECT_TRUE(OR.Inconclusive);
+  EXPECT_EQ(OR.ConfigsRun, 1u);
 }
 
 TEST(FuzzTooling, PlantedFaultIsCaughtBisectedAndReduced) {

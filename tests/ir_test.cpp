@@ -131,6 +131,43 @@ TEST(Verifier, RejectsTypeErrors) {
   EXPECT_FALSE(verifyFunction(F).empty());
 }
 
+TEST(Verifier, RejectsIntegerOnlyOpTypedF64) {
+  // `%r3:f64 = and %r1, %r2` on i64 operands: and/or/xor/not/shl/shr/mod
+  // exist only on i64, so an f64 type or destination is ill-typed.
+  for (Opcode Op : {Opcode::And, Opcode::Mod, Opcode::Shl}) {
+    Function F("f");
+    Reg A = F.addParam(Type::I64);
+    Reg B = F.addParam(Type::I64);
+    BasicBlock *BB = F.addBlock("entry");
+    BB->Insts.push_back(
+        Instruction::makeBinary(Op, Type::F64, F.makeReg(Type::F64), A, B));
+    BB->Insts.push_back(Instruction::makeRet());
+    std::vector<std::string> E = verifyFunction(F);
+    ASSERT_FALSE(E.empty()) << opcodeName(Op);
+    EXPECT_NE(E[0].find("must be typed i64"), std::string::npos) << E[0];
+    // An i64 destination with an f64 instruction type is rejected too.
+    BB->Insts[0].Dst = F.makeReg(Type::I64);
+    EXPECT_FALSE(verifyFunction(F).empty()) << opcodeName(Op);
+    BB->Insts[0].Ty = Type::I64;
+    EXPECT_TRUE(verifyFunction(F).empty()) << opcodeName(Op);
+  }
+}
+
+TEST(Verifier, RejectsWrongSuccessorCount) {
+  Function F("f");
+  Reg P = F.addParam(Type::I64);
+  BasicBlock *BB = F.addBlock("entry");
+  BasicBlock *T = F.addBlock("t");
+  T->Insts.push_back(Instruction::makeRet());
+  BB->Insts.push_back(Instruction::makeCbr(P, T->id(), T->id()));
+  EXPECT_TRUE(verifyFunction(F).empty());
+  BB->Insts[0].Succs.pop_back(); // cbr with one target
+  EXPECT_FALSE(verifyFunction(F).empty());
+  BB->Insts[0] = Instruction::makeBr(T->id());
+  BB->Insts[0].Succs.push_back(T->id()); // br with two targets
+  EXPECT_FALSE(verifyFunction(F).empty());
+}
+
 TEST(Verifier, RejectsBranchToErasedBlock) {
   Function F("f");
   BasicBlock *BB = F.addBlock("entry");

@@ -1,15 +1,18 @@
 //===- tests/predecode_test.cpp - Predecoded-engine identity suite --------===//
 ///
 /// \file
-/// The differential identity suite for the predecoded bytecode interpreter:
-/// the predecoded engine must be bit-for-bit identical to the legacy
-/// tree-walk in every observable — return value, memory-image hash, DynOps,
-/// per-opcode OpCounts, WeightedCost, trap kind/location/message, and (when
-/// profiling) the finalized FunctionProfile. Exercised over the committed
-/// corpus, the paper's Fig. 2 running example, 1000+ fuzz-generated
-/// programs, hand-written trap programs for every TrapKind, and fuel sweeps
-/// that force the block-residual accounting onto its careful path at every
-/// boundary (N-1, N, N+1).
+/// The differential identity suite for the bytecode interpreter:
+/// interpret() must be bit-for-bit identical to the tree-walking reference
+/// (tests/reference/) in every observable — return value, memory-image
+/// hash, DynOps, per-opcode OpCounts, WeightedCost, trap kind/location/
+/// message, and (when profiling) the finalized FunctionProfile. Exercised
+/// over the committed corpus, the paper's Fig. 2 running example, 1000+
+/// fuzz-generated programs, hand-written trap programs for every TrapKind,
+/// an entry-block phi, 70,000 blocks, a block of 70,000 instructions, and
+/// fuel sweeps that force the careful fuel instantiation at every boundary
+/// (N-1, N, N+1), including each half of every fused pair. Also checks that
+/// predecode() accepts every verifier-clean function it is shown and
+/// refuses only verifier-rejected ones.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +21,10 @@
 #include "fuzz/ModuleOps.h"
 #include "instrument/Profile.h"
 #include "interp/Predecode.h"
+#include "ir/Verifier.h"
+#include "suite/Harness.h"
+
+#include "ReferenceInterpreter.h"
 
 #include <gtest/gtest.h>
 
@@ -36,8 +43,9 @@ std::string profileJSON(const FunctionProfile &P) {
   return D.toJSON(/*IncludeBlocks=*/true);
 }
 
-/// Runs \p F on both engines under identical conditions and asserts every
-/// observable matches. Returns the legacy result for follow-up assertions.
+/// Runs \p F on interpret() and on the reference under identical conditions
+/// and asserts every observable matches. Returns the reference result for
+/// follow-up assertions.
 ExecResult expectIdentical(const Function &F, const std::vector<RtValue> &Args,
                            size_t MemBytes, uint64_t MaxOps,
                            bool WithProfile = false) {
@@ -46,8 +54,8 @@ ExecResult expectIdentical(const Function &F, const std::vector<RtValue> &Args,
 
   MemoryImage MemL(MemBytes), MemP(MemBytes);
   ProfileCollector PCL, PCP;
-  ExecResult L = interpretLegacy(F, Args, MemL, Limits,
-                                 WithProfile ? &PCL : nullptr);
+  ExecResult L = interpretReference(F, Args, MemL, Limits,
+                                    WithProfile ? &PCL : nullptr);
   ExecResult P =
       interpret(F, Args, MemP, Limits, WithProfile ? &PCP : nullptr);
 
@@ -66,7 +74,7 @@ ExecResult expectIdentical(const Function &F, const std::vector<RtValue> &Args,
   EXPECT_EQ(L.OpCounts, P.OpCounts);
   EXPECT_EQ(MemL.hash(), MemP.hash());
 
-  // The documented invariant holds on every exit path of both engines.
+  // The documented invariant holds on every exit path of both runs.
   uint64_t SumL = 0, SumP = 0;
   for (uint64_t C : L.OpCounts)
     SumL += C;
@@ -76,7 +84,7 @@ ExecResult expectIdentical(const Function &F, const std::vector<RtValue> &Args,
   EXPECT_EQ(P.DynOps, SumP);
 
   // Argument-mismatch traps return before the collectors are reset against
-  // F, so there is no profile to finalize on either engine.
+  // F, so there is no profile to finalize on either side.
   if (WithProfile && L.Kind != TrapKind::ArgumentMismatch)
     EXPECT_EQ(profileJSON(PCL.finalize(F)), profileJSON(PCP.finalize(F)));
   return L;
@@ -84,7 +92,8 @@ ExecResult expectIdentical(const Function &F, const std::vector<RtValue> &Args,
 
 /// Fuel sweep around and below the program's clean-run operation count:
 /// exact fit, one short (trap on the last instruction), one past, midpoints
-/// and tiny budgets. Forces the careful-path handoff at every boundary.
+/// and tiny budgets. Forces the careful fuel instantiation at every
+/// boundary.
 void fuelSweep(const Function &F, const std::vector<RtValue> &Args,
                size_t MemBytes, uint64_t CleanDynOps) {
   std::vector<uint64_t> Budgets = {CleanDynOps, CleanDynOps + 1, 1, 2, 3};
@@ -124,6 +133,21 @@ std::vector<RtValue> defaultArgs(const Function &F) {
     }
   }
   return Args;
+}
+
+bool predecodes(const Function &F) {
+  Predecoder PD;
+  Arena A;
+  BytecodeFunction BF;
+  return PD.predecode(F, A, BF);
+}
+
+/// Parses \p Text and returns its only function's module.
+std::unique_ptr<Module> parseOne(const std::string &Text) {
+  std::unique_ptr<Module> M = parseModuleText(Text);
+  EXPECT_NE(M, nullptr) << Text;
+  EXPECT_TRUE(!M || M->Functions.size() == 1);
+  return M;
 }
 
 TEST(PredecodeIdentity, CorpusPrograms) {
@@ -170,7 +194,7 @@ end
 
 TEST(PredecodeIdentity, FuzzGeneratedPrograms) {
   // >= 1000 generated programs across every shape preset; every 8th one
-  // additionally gets the full fuel sweep (careful-path coverage).
+  // additionally gets the full fuel sweep (careful-mode coverage).
   std::vector<std::string> Shapes = generatorShapeNames();
   ASSERT_FALSE(Shapes.empty());
   unsigned PerShape = (1000 + unsigned(Shapes.size()) - 1) /
@@ -195,7 +219,7 @@ TEST(PredecodeIdentity, FuzzGeneratedPrograms) {
 }
 
 //===--------------------------------------------------------------------===//
-// Trap programs: every TrapKind, both engines, including fused positions.
+// Trap programs: every TrapKind, including fused positions.
 //===--------------------------------------------------------------------===//
 
 void expectTrapIdentity(const std::string &Text,
@@ -365,8 +389,114 @@ TEST(PredecodeTraps, FuelBoundaryExact) {
   EXPECT_FALSE(L.Trapped);
 }
 
+TEST(PredecodeTraps, FuelLandsOnEachFusedHalf) {
+  // Each program runs its fused pair in a loop. Sweeping every budget from
+  // 0 to the clean count lands the fuel limit on both halves of the pair
+  // in several iterations; counts, trap location and profile must match
+  // the reference at each.
+  struct Case {
+    POp Fused;
+    const char *Text;
+    std::vector<RtValue> Args;
+  };
+  const Case Cases[] = {
+      {POp::FuseAddLoad, R"(func @t(%r1:i64, %r2:i64) -> i64 {
+^entry:
+  %r3:i64 = loadi 0
+  br ^loop
+^loop:
+  %r4:i64 = add %r1, %r3
+  %r5:i64 = load %r4
+  %r6:i64 = loadi 8
+  %r3:i64 = add %r3, %r6
+  %r7:i64 = cmplt %r3, %r2
+  cbr %r7, ^loop, ^exit
+^exit:
+  ret %r5
+})",
+       {RtValue::ofI(0), RtValue::ofI(32)}},
+      {POp::FuseMulAddI, R"(func @t(%r1:i64, %r2:i64) -> i64 {
+^entry:
+  %r3:i64 = loadi 0
+  br ^loop
+^loop:
+  %r4:i64 = mul %r3, %r1
+  %r5:i64 = add %r4, %r2
+  %r6:i64 = loadi 1
+  %r3:i64 = add %r3, %r6
+  %r7:i64 = cmplt %r3, %r2
+  cbr %r7, ^loop, ^exit
+^exit:
+  ret %r5
+})",
+       {RtValue::ofI(3), RtValue::ofI(4)}},
+      {POp::FuseMulAddF, R"(func @t(%r1:f64, %r2:i64) -> f64 {
+^entry:
+  %r3:i64 = loadi 0
+  %r8:f64 = loadf 0.5
+  br ^loop
+^loop:
+  %r4:f64 = mul %r1, %r8
+  %r8:f64 = add %r8, %r4
+  %r6:i64 = loadi 1
+  %r3:i64 = add %r3, %r6
+  %r7:i64 = cmplt %r3, %r2
+  cbr %r7, ^loop, ^exit
+^exit:
+  ret %r8
+})",
+       {RtValue::ofF(1.25), RtValue::ofI(4)}},
+      {POp::FuseCmpCbrI, R"(func @t(%r1:i64) -> i64 {
+^entry:
+  %r3:i64 = loadi 0
+  br ^loop
+^loop:
+  %r6:i64 = loadi 1
+  %r3:i64 = add %r3, %r6
+  %r7:i64 = cmplt %r3, %r1
+  cbr %r7, ^loop, ^exit
+^exit:
+  ret %r7
+})",
+       {RtValue::ofI(4)}},
+      {POp::FuseCmpCbrF, R"(func @t(%r1:f64) -> i64 {
+^entry:
+  %r3:f64 = loadf 0.0
+  %r6:f64 = loadf 1.0
+  br ^loop
+^loop:
+  %r3:f64 = add %r3, %r6
+  %r7:i64 = cmplt %r3, %r1
+  cbr %r7, ^loop, ^exit
+^exit:
+  ret %r7
+})",
+       {RtValue::ofF(4.0)}},
+  };
+  for (const Case &C : Cases) {
+    std::unique_ptr<Module> M = parseOne(C.Text);
+    ASSERT_NE(M, nullptr);
+    const Function &F = *M->Functions[0];
+    ASSERT_TRUE(verifyFunction(F).empty());
+    Predecoder PD;
+    Arena A;
+    BytecodeFunction BF;
+    ASSERT_TRUE(PD.predecode(F, A, BF));
+    bool HasPair = false;
+    for (uint32_t PC = 0; PC < BF.CodeLen; ++PC)
+      HasPair |= BF.Code[PC].Op == C.Fused;
+    EXPECT_TRUE(HasPair) << C.Text;
+    ExecResult Clean = expectIdentical(F, C.Args, 64, 1000, true);
+    ASSERT_FALSE(Clean.Trapped) << Clean.TrapReason;
+    for (uint64_t Budget = 0; Budget <= Clean.DynOps; ++Budget) {
+      SCOPED_TRACE("MaxOps=" + std::to_string(Budget));
+      expectIdentical(F, C.Args, 64, Budget, /*WithProfile=*/true);
+    }
+  }
+}
+
 //===--------------------------------------------------------------------===//
-// Engine plumbing: fusion, fallback shapes, dispatch mode.
+// Engine plumbing: fusion, rejected shapes, dispatch mode.
 //===--------------------------------------------------------------------===//
 
 TEST(Predecode, FusesHotPairs) {
@@ -393,9 +523,28 @@ TEST(Predecode, FusesHotPairs) {
                   1000, true);
 }
 
-TEST(Predecode, FallsBackOnUnsupportedShapes) {
-  // No terminator: the legacy engine re-runs the block until fuel runs out;
-  // the predecoder refuses and interpret() must match via fallback.
+TEST(Predecode, TrapsMalformedOnVerifierRejectedShapes) {
+  // The predecoder refuses only shapes the verifier rejects; interpret()
+  // then returns a malformed-function trap without running anything.
+  auto expectMalformed = [](const Function &F) {
+    EXPECT_FALSE(verifyFunction(F).empty());
+    EXPECT_FALSE(predecodes(F));
+    MemoryImage Mem(0);
+    ProfileCollector PC;
+    ExecResult R = interpret(F, {RtValue::ofI(1)}, Mem, {}, &PC);
+    EXPECT_TRUE(R.Trapped);
+    EXPECT_EQ(int(R.Kind), int(TrapKind::Malformed));
+    EXPECT_STREQ(trapKindName(R.Kind), "malformed-function");
+    EXPECT_EQ(R.TrapReason, "malformed function (in @t)");
+    EXPECT_EQ(R.TrapFunction, "t");
+    EXPECT_TRUE(R.TrapBlock.empty());
+    EXPECT_EQ(R.DynOps, 0u);
+    EXPECT_EQ(R.WeightedCost, 0u);
+    EXPECT_EQ(R.OpCounts, std::vector<uint64_t>(unsigned(Opcode::Phi) + 1, 0));
+    FunctionProfile P = PC.finalize(F); // reset against F: an empty profile
+    EXPECT_EQ(P.DynOps, 0u);
+  };
+  // No terminator.
   {
     Function F("t");
     Reg A0 = F.addParam(Type::I64);
@@ -403,14 +552,9 @@ TEST(Predecode, FallsBackOnUnsupportedShapes) {
     F.addBlock("entry");
     F.entry()->Insts.push_back(
         Instruction::makeBinary(Opcode::Add, Type::I64, D, A0, A0));
-    Predecoder PD;
-    Arena A;
-    BytecodeFunction BF;
-    EXPECT_FALSE(PD.predecode(F, A, BF));
-    ExecResult L = expectIdentical(F, {RtValue::ofI(1)}, 0, 25, true);
-    EXPECT_EQ(int(L.Kind), int(TrapKind::FuelExhausted));
+    expectMalformed(F);
   }
-  // Phi after the first non-phi: also refused, also identical.
+  // Phi after the first non-phi.
   {
     Function F("t");
     Reg A0 = F.addParam(Type::I64);
@@ -422,11 +566,156 @@ TEST(Predecode, FallsBackOnUnsupportedShapes) {
     Phi.addPhiIncoming(A0, 0);
     F.entry()->Insts.push_back(Phi);
     F.entry()->Insts.push_back(Instruction::makeRet(Type::I64, D));
-    Predecoder PD;
-    Arena A;
-    BytecodeFunction BF;
-    EXPECT_FALSE(PD.predecode(F, A, BF));
-    expectIdentical(F, {RtValue::ofI(1)}, 0, 1000, true);
+    expectMalformed(F);
+  }
+}
+
+//===--------------------------------------------------------------------===//
+// predecode() accepts every verifier-clean function.
+//===--------------------------------------------------------------------===//
+
+/// An entry block whose phi is fed only by a back edge: execution enters
+/// from no predecessor, so the run traps on the phi before any operation.
+const char *EntryPhiText = R"(func @t(%r1:i64) -> i64 {
+^entry:
+  %r2:i64 = phi [%r3, ^loop]
+  br ^loop
+^loop:
+  %r3:i64 = add %r2, %r1
+  %r4:i64 = cmplt %r3, %r1
+  cbr %r4, ^entry, ^exit
+^exit:
+  ret %r3
+})";
+
+/// A straight chain of \p N blocks, each adding the parameter once.
+Function chainFunction(unsigned N) {
+  Function F("chain");
+  Reg P = F.addParam(Type::I64);
+  F.setReturnType(Type::I64);
+  Reg Acc = F.makeReg(Type::I64);
+  for (unsigned I = 0; I < N; ++I)
+    F.addBlock("b" + std::to_string(I));
+  F.block(0)->Insts.push_back(Instruction::makeLoadI(Acc, 0));
+  for (unsigned I = 0; I + 1 < N; ++I) {
+    if (I)
+      F.block(I)->Insts.push_back(
+          Instruction::makeBinary(Opcode::Add, Type::I64, Acc, Acc, P));
+    F.block(I)->Insts.push_back(Instruction::makeBr(I + 1));
+  }
+  F.block(N - 1)->Insts.push_back(Instruction::makeRet(Type::I64, Acc));
+  return F;
+}
+
+/// One block of \p N instructions: alternating adds (half of them fusing
+/// with a load of the sum) and a return.
+Function longBlockFunction(unsigned N) {
+  Function F("long");
+  Reg P = F.addParam(Type::I64);
+  F.setReturnType(Type::I64);
+  Reg Addr = F.makeReg(Type::I64), V = F.makeReg(Type::I64);
+  Reg Acc = F.makeReg(Type::I64);
+  BasicBlock *B = F.addBlock("entry");
+  B->Insts.push_back(Instruction::makeLoadI(Acc, 0));
+  while (B->Insts.size() + 3 < N) {
+    B->Insts.push_back(
+        Instruction::makeBinary(Opcode::Add, Type::I64, Addr, P, P));
+    B->Insts.push_back(Instruction::makeLoad(Type::I64, V, Addr));
+    B->Insts.push_back(
+        Instruction::makeBinary(Opcode::Add, Type::I64, Acc, Acc, V));
+  }
+  B->Insts.push_back(Instruction::makeRet(Type::I64, Acc));
+  return F;
+}
+
+TEST(Predecode, AcceptsEveryVerifierCleanFunction) {
+  auto expectAccepted = [](const Function &F) {
+    ASSERT_TRUE(verifyFunction(F).empty()) << F.name();
+    EXPECT_TRUE(predecodes(F)) << F.name();
+  };
+
+  for (const std::string &Path : corpusFiles()) {
+    SCOPED_TRACE(Path);
+    std::ifstream In(Path);
+    std::stringstream SS;
+    SS << In.rdbuf();
+    std::unique_ptr<Module> M = parseModuleText(SS.str());
+    ASSERT_NE(M, nullptr);
+    for (auto &FP : M->Functions)
+      expectAccepted(*FP);
+  }
+
+  // The 50 suite routines, optimized at each measured level.
+  unsigned Routines = 0;
+  for (const Routine &R : benchmarkSuite()) {
+    for (OptLevel L : {OptLevel::Baseline, OptLevel::Partial,
+                       OptLevel::Reassociation, OptLevel::Distribution}) {
+      SCOPED_TRACE(R.Name + " at " + optLevelName(L));
+      LowerResult LR = compileMiniFortran(R.Source, namingForLevel(L));
+      ASSERT_TRUE(LR.ok()) << LR.Error;
+      Function *F = LR.M->find(R.Name);
+      ASSERT_NE(F, nullptr);
+      PipelineOptions PO;
+      PO.Level = L;
+      PO.Naming = InputNaming::Naive;
+      if (namingForLevel(L) == NamingMode::Hashed)
+        PO.Naming = InputNaming::Hashed;
+      optimizeFunction(*F, PO);
+      expectAccepted(*F);
+      ++Routines;
+    }
+  }
+  EXPECT_EQ(Routines, 200u);
+
+  unsigned Programs = 0;
+  for (const std::string &Shape : generatorShapeNames()) {
+    GeneratorOptions Opts;
+    ASSERT_TRUE(shapeOptions(Shape, Opts));
+    for (unsigned Seed = 0; Seed < 170; ++Seed, ++Programs) {
+      SCOPED_TRACE(Shape + " seed " + std::to_string(Seed));
+      FuzzProgram Prog = generateProgram(5000 + Seed, Opts, Shape);
+      std::unique_ptr<Module> M = parseModuleText(Prog.Text);
+      ASSERT_NE(M, nullptr);
+      expectAccepted(*M->Functions[0]);
+    }
+  }
+  EXPECT_GE(Programs, 1000u);
+
+  // Verifier-clean shapes at the edges of the bytecode format: each must
+  // match the reference at every fuel boundary.
+  {
+    SCOPED_TRACE("entry-block phi");
+    std::unique_ptr<Module> M = parseOne(EntryPhiText);
+    ASSERT_NE(M, nullptr);
+    const Function &F = *M->Functions[0];
+    expectAccepted(F);
+    ExecResult R = expectIdentical(F, {RtValue::ofI(3)}, 0, 1000, true);
+    EXPECT_EQ(int(R.Kind), int(TrapKind::MissingPhiEntry));
+    EXPECT_EQ(R.TrapBlock, "entry");
+    EXPECT_EQ(R.DynOps, 0u);
+    fuelSweep(F, {RtValue::ofI(3)}, 0, R.DynOps);
+  }
+  {
+    SCOPED_TRACE("70,000-block chain");
+    Function F = chainFunction(70'000);
+    expectAccepted(F);
+    ExecResult R = expectIdentical(F, {RtValue::ofI(2)}, 0, 1'000'000, true);
+    ASSERT_FALSE(R.Trapped) << R.TrapReason;
+    EXPECT_EQ(R.ReturnValue.I, 2 * (70'000 - 2));
+    fuelSweep(F, {RtValue::ofI(2)}, 0, R.DynOps);
+  }
+  {
+    SCOPED_TRACE("block of 70,000 instructions");
+    Function F = longBlockFunction(70'000);
+    EXPECT_GT(F.entry()->Insts.size(), 65'535u);
+    expectAccepted(F);
+    ExecResult R = expectIdentical(F, {RtValue::ofI(8)}, 64, 1'000'000, true);
+    ASSERT_FALSE(R.Trapped) << R.TrapReason;
+    fuelSweep(F, {RtValue::ofI(8)}, 64, R.DynOps);
+    // A trap past instruction 65,535 reports its full index.
+    R = expectIdentical(F, {RtValue::ofI(8)}, 64, 68'000, true);
+    EXPECT_EQ(int(R.Kind), int(TrapKind::FuelExhausted));
+    EXPECT_EQ(R.TrapInstIndex, 68'000u);
   }
 }
 
