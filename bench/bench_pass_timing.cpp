@@ -192,30 +192,9 @@ void BM_Liveness(benchmark::State &State) {
   auto M = compileGen(unsigned(State.range(0)), NamingMode::Naive);
   Function &F = *M->Functions[0];
   CFG G = CFG::compute(F);
-  // Local sets come from one up-front Liveness run; each iteration re-runs
-  // only the backward union fixpoint (the input is phi-free, so there is no
-  // PhiUse seed).
-  Liveness L = Liveness::compute(F, G);
-
-  BitDataflowProblem P;
-  P.Dir = DataflowDirection::Backward;
-  P.Meet = MeetOp::Union;
-  P.NumBits = unsigned(F.numRegs());
-  // Same Gen/Kill posing as Liveness::compute itself, minus the (empty)
-  // phi seed.
-  std::vector<BitVector> Gen, Kill;
-  for (unsigned B = 0; B < F.numBlocks(); ++B) {
-    Gen.push_back(L.upwardExposed(B));
-    Kill.push_back(L.kill(B));
-  }
-  P.Gen = &Gen;
-  P.Kill = &Kill;
-
-  std::vector<BitVector> LiveOut, LiveIn;
   for (auto _ : State) {
-    DataflowStats SL = solveBitDataflow(G, P, LiveOut, LiveIn);
-    benchmark::DoNotOptimize(SL.Iterations);
-    benchmark::DoNotOptimize(LiveIn.data());
+    Liveness L = Liveness::compute(F, G);
+    benchmark::DoNotOptimize(L.work());
   }
 }
 BENCHMARK(BM_Liveness)->Arg(64)->Arg(128)->Arg(256);

@@ -1,13 +1,24 @@
 //===- analysis/Liveness.h - Global register liveness ------------*- C++ -*-===//
 ///
 /// \file
-/// Backward iterative liveness over registers. Phi-aware: a phi's operands
+/// Sparse per-variable liveness over registers. Phi-aware: a phi's operands
 /// are uses at the end of the corresponding predecessor, and a phi's result
 /// is defined at the top of its block.
 ///
-/// Used for pruned SSA construction (live-in sets), dead code elimination,
-/// and copy coalescing (interference). Solved on the shared worklist
-/// dataflow engine (analysis/Dataflow.h).
+/// Each register is solved on its own by path exploration (after Brandner
+/// et al., "Computing Liveness Sets for SSA-Form Programs", 2011): walk
+/// backward from every upward-exposed use, and from the end of the
+/// predecessor that feeds each phi use, until a block that defines the
+/// register. The walk needs no SSA form. Its cost is proportional to the
+/// total size of the live ranges, not blocks x registers, and the result is
+/// stored as one sorted register list per block.
+///
+/// Only blocks reachable from the entry take part; unreachable blocks have
+/// empty sets. Used for pruned SSA construction (live-in sets), SSA
+/// destruction, forward propagation, name localization, conditional
+/// constant propagation (lattice row sizing), dead code elimination and
+/// copy coalescing (interference). tests/liveness_test.cpp checks every set
+/// bit for bit against the dense bit-vector formulation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,43 +26,51 @@
 #define EPRE_ANALYSIS_LIVENESS_H
 
 #include "analysis/CFG.h"
-#include "analysis/Dataflow.h"
-#include "support/BitVector.h"
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 namespace epre {
 
-/// Per-block live-in/live-out register sets.
+/// Per-block live-in/live-out register lists.
 class Liveness {
 public:
+  /// Registers in ascending order.
+  using RegList = std::span<const Reg>;
+
   static Liveness compute(const Function &F, const CFG &G);
 
   /// Registers live on entry to \p B (phi results of B excluded; a phi's
   /// result becomes live at the phi itself).
-  const BitVector &liveIn(BlockId B) const { return LiveIn[B]; }
+  RegList liveIn(BlockId B) const { return list(InBegin, InRegs, B); }
 
   /// Registers live on exit from \p B (includes values flowing into
   /// successors' phis from B).
-  const BitVector &liveOut(BlockId B) const { return LiveOut[B]; }
-
-  /// Registers with an upward-exposed use in \p B.
-  const BitVector &upwardExposed(BlockId B) const { return UEVar[B]; }
-
-  /// Registers defined (killed) in \p B. Together with upwardExposed this
-  /// is the full transfer function, letting callers re-pose the live-range
-  /// system to solveBitDataflow directly (e.g. solver benchmarks).
-  const BitVector &kill(BlockId B) const { return Kill[B]; }
+  RegList liveOut(BlockId B) const { return list(OutBegin, OutRegs, B); }
 
   /// True if register \p R is live on entry to \p B.
-  bool isLiveIn(Reg R, BlockId B) const { return LiveIn[B].test(R); }
+  bool isLiveIn(Reg R, BlockId B) const;
 
-  /// Cost counters of the dataflow solve that produced these sets.
-  const DataflowStats &solveStats() const { return SolveStats; }
+  /// Updates the sets for definitions of \p Regs, a subset of the entry's
+  /// live-in set, inserted at the top of the entry block. Valid only when
+  /// the entry block has no predecessors: then no other set depends on the
+  /// entry's live-in set, and \p Regs simply leave it.
+  void defineAtEntry(std::span<const Reg> Regs);
+
+  /// Walk steps of the computation (blocks marked live plus predecessor
+  /// edges followed): the deterministic cost the asking pass reports.
+  uint64_t work() const { return Work; }
 
 private:
-  std::vector<BitVector> LiveIn, LiveOut, UEVar, Kill;
-  DataflowStats SolveStats;
+  static RegList list(const std::vector<uint32_t> &Begin,
+                      const std::vector<Reg> &Regs, BlockId B) {
+    return RegList(Regs.data() + Begin[B], Begin[B + 1] - Begin[B]);
+  }
+
+  std::vector<uint32_t> InBegin, OutBegin; ///< per block, plus one sentinel
+  std::vector<Reg> InRegs, OutRegs;
+  uint64_t Work = 0;
 };
 
 } // namespace epre

@@ -7,18 +7,25 @@
 /// analysis (Wegman–Zadeck style conditional propagation, formulated without
 /// requiring SSA form).
 ///
+/// A block's input row holds only the registers live into it: no other
+/// register is read before the block writes it, so the fixpoint on every
+/// value that is read is the one over full rows. Phi operands are the
+/// exception. A phi reads each operand's meet over *all* executable
+/// predecessors, including those where the operand is dead, so every
+/// register that some phi reads keeps a slot in every row.
+///
 //===----------------------------------------------------------------------===//
 
 #include "opt/ConstantPropagation.h"
 
 #include "analysis/AnalysisManager.h"
+#include "analysis/Liveness.h"
 #include "ir/Eval.h"
 #include "support/StringUtil.h"
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
-#include <set>
+#include <iterator>
 #include <vector>
 
 using namespace epre;
@@ -62,87 +69,83 @@ using LatticeRow = std::vector<LatVal>;
 
 class SCCP {
 public:
-  explicit SCCP(Function &F) : F(F) {}
+  SCCP(Function &F, const CFG &G) : F(F), G(G) {}
 
   bool run() {
     unsigned NB = F.numBlocks();
-    unsigned NR = F.numRegs();
-    // Per-block rows hold only the registers whose values cross a block
-    // boundary; everything else is block-local by construction and lives
-    // in the shared scratch row. This keeps the lattice NB x NG instead of
-    // NB x NR (NG is typically a small fraction of NR once forward
-    // propagation has localized expression evaluation).
-    computeGlobals();
-    In.assign(NB, LatticeRow(GlobalRegs.size()));
-    Scratch.assign(NR, LatVal::top());
+    buildRows();
+    Scratch.assign(F.numRegs(), LatVal::top());
     BlockExec.assign(NB, false);
+    Queued.assign(NB, false);
 
-    // Entry: parameters are runtime inputs. A parameter that never
-    // crosses a block boundary unread has no row slot and needs none.
-    for (Reg P : F.params())
-      if (GIdx[P] != NoIdx)
-        In[0][GIdx[P]] = LatVal::bottom();
+    // Entry: parameters are runtime inputs. A parameter the entry row does
+    // not hold is never read before being written.
+    for (unsigned K = RowBegin[0]; K < RowBegin[1]; ++K)
+      if (F.isParam(RowRegs[K]))
+        RowVals[K] = LatVal::bottom();
 
     BlockExec[0] = true;
-    Worklist.push_back(0);
-    while (!Worklist.empty()) {
-      BlockId B = Worklist.front();
-      Worklist.pop_front();
-      InWorklist.erase(B);
+    enqueue(0);
+    for (size_t Head = 0; Head < Worklist.size(); ++Head) {
+      BlockId B = Worklist[Head];
+      Queued[B] = false;
       processBlock(B);
     }
     return rewrite();
   }
 
-private:
-  static constexpr unsigned NoIdx = ~0u;
+  /// Lattice cells loaded or met plus instructions evaluated, and the
+  /// liveness walk that sized the rows.
+  uint64_t Work = 0;
 
-  /// A register is "global" when some block reads it without a preceding
-  /// definition in that block (phi inputs always qualify: they are read on
-  /// entry). Only globals need per-block lattice slots.
-  void computeGlobals() {
-    unsigned NR = F.numRegs();
-    GIdx.assign(NR, NoIdx);
-    GlobalRegs.clear();
-    auto markGlobal = [&](Reg R) {
-      if (GIdx[R] == NoIdx) {
-        GIdx[R] = unsigned(GlobalRegs.size());
-        GlobalRegs.push_back(R);
-      }
-    };
-    for (Reg P : F.params())
-      markGlobal(P);
-    std::vector<uint32_t> DefStamp(NR, 0);
-    uint32_t BlockStamp = 0;
+private:
+  /// Sizes every block's input row: its live-in registers, plus every
+  /// register a phi reads (see the file comment). Rows are sorted runs of
+  /// RowRegs/RowVals; block B owns [RowBegin[B], RowBegin[B + 1]).
+  void buildRows() {
+    Liveness Live = Liveness::compute(F, G);
+    Work += Live.work();
+    std::vector<Reg> PhiRead;
     F.forEachBlock([&](const BasicBlock &B) {
-      ++BlockStamp;
       for (const Instruction &I : B.Insts) {
-        if (I.isPhi()) {
-          for (Reg Op : I.Operands)
-            markGlobal(Op);
-        } else {
-          for (Reg Op : I.Operands)
-            if (DefStamp[Op] != BlockStamp)
-              markGlobal(Op);
-        }
-        if (I.hasDst())
-          DefStamp[I.Dst] = BlockStamp;
+        if (!I.isPhi())
+          break;
+        PhiRead.insert(PhiRead.end(), I.Operands.begin(), I.Operands.end());
       }
     });
+    std::sort(PhiRead.begin(), PhiRead.end());
+    PhiRead.erase(std::unique(PhiRead.begin(), PhiRead.end()), PhiRead.end());
+
+    unsigned NB = F.numBlocks();
+    RowBegin.assign(NB + 1, 0);
+    RowRegs.clear();
+    for (BlockId B = 0; B < NB; ++B) {
+      RowBegin[B] = unsigned(RowRegs.size());
+      Liveness::RegList In = Live.liveIn(B);
+      if (PhiRead.empty())
+        RowRegs.insert(RowRegs.end(), In.begin(), In.end());
+      else if (G.isReachable(B))
+        std::set_union(In.begin(), In.end(), PhiRead.begin(), PhiRead.end(),
+                       std::back_inserter(RowRegs));
+    }
+    RowBegin[NB] = unsigned(RowRegs.size());
+    RowVals.assign(RowRegs.size(), LatVal::top());
   }
 
-  /// Loads block \p B's In row (globals only) into the scratch value map.
-  /// Block-local registers keep stale values from earlier blocks, which is
-  /// safe: a local is always written before it is read within a block.
+  /// Loads block \p B's input row into the scratch value map. Registers
+  /// outside the row keep stale values from earlier blocks, which is safe:
+  /// the block writes each of them before reading it.
   void loadEntry(BlockId B) {
-    const LatticeRow &Entry = In[B];
-    for (unsigned GI = 0; GI < GlobalRegs.size(); ++GI)
-      Scratch[GlobalRegs[GI]] = Entry[GI];
+    Work += RowBegin[B + 1] - RowBegin[B];
+    for (unsigned K = RowBegin[B]; K < RowBegin[B + 1]; ++K)
+      Scratch[RowRegs[K]] = RowVals[K];
   }
 
   void enqueue(BlockId B) {
-    if (InWorklist.insert(B).second)
-      Worklist.push_back(B);
+    if (Queued[B])
+      return;
+    Queued[B] = true;
+    Worklist.push_back(B);
   }
 
   /// Evaluates one instruction given the running value map; returns the
@@ -184,6 +187,7 @@ private:
   /// are globals the phi writes below could clobber), so their results are
   /// buffered and stored in a second step; everything else is sequential.
   void transfer(const BasicBlock &BB) {
+    Work += BB.Insts.size();
     unsigned NumPhis = BB.firstNonPhi();
     PhiVals.clear();
     for (unsigned Idx = 0; Idx < NumPhis; ++Idx)
@@ -221,9 +225,9 @@ private:
       BlockId S = ExecSuccs[E];
       bool Changed = !BlockExec[S];
       BlockExec[S] = true;
-      LatticeRow &SIn = In[S];
-      for (unsigned GI = 0; GI < SIn.size(); ++GI)
-        if (SIn[GI].meet(Scratch[GlobalRegs[GI]]))
+      Work += RowBegin[S + 1] - RowBegin[S];
+      for (unsigned K = RowBegin[S]; K < RowBegin[S + 1]; ++K)
+        if (RowVals[K].meet(Scratch[RowRegs[K]]))
           Changed = true;
       if (Changed)
         enqueue(S);
@@ -316,14 +320,15 @@ private:
   }
 
   Function &F;
-  std::vector<LatticeRow> In;       ///< per block, indexed by global slot
-  std::vector<Reg> GlobalRegs;      ///< global slot -> register
-  std::vector<unsigned> GIdx;       ///< register -> global slot or NoIdx
+  const CFG &G;
+  std::vector<unsigned> RowBegin;   ///< per block, plus one sentinel
+  std::vector<Reg> RowRegs;         ///< row slot -> register
+  LatticeRow RowVals;               ///< row slot -> input value
   LatticeRow Scratch;               ///< running value map, indexed by Reg
   std::vector<LatVal> PhiVals;      ///< parallel-phi evaluation buffer
   std::vector<bool> BlockExec;
-  std::deque<BlockId> Worklist;
-  std::set<BlockId> InWorklist;
+  std::vector<bool> Queued;         ///< block is on the worklist
+  std::vector<BlockId> Worklist;    ///< FIFO: consumed from the front
 
 public:
   /// Set by rewrite() when a cbr was folded to br (a CFG edge died).
@@ -340,9 +345,10 @@ PreservedAnalyses epre::SCCPPass::run(Function &F,
                                       FunctionAnalysisManager &AM,
                                       PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
-  SCCP S(F);
+  SCCP S(F, AM.cfg());
   S.Ctx = &Ctx;
   bool Changed = S.run();
+  LastWork = S.Work;
   Ctx.addStat("folds", S.Folds);
   Ctx.addStat("branches_folded", S.BranchFolds);
   Ctx.addStat("changed", Changed);

@@ -33,6 +33,14 @@ public:
   /// (everything when nothing changed; CFG shape unless a branch folded).
   PreservedAnalyses run(Function &F, FunctionAnalysisManager &AM,
                         PassContext &Ctx);
+
+  /// Deterministic cost of the most recent run: lattice cells loaded or
+  /// met, instructions evaluated, and the liveness walk that sized the
+  /// rows.
+  uint64_t lastWork() const { return LastWork; }
+
+private:
+  uint64_t LastWork = 0;
 };
 
 } // namespace epre

@@ -28,6 +28,13 @@ public:
   static constexpr const char *name() { return "coalesce"; }
   PreservedAnalyses run(Function &F, FunctionAnalysisManager &AM,
                         PassContext &Ctx);
+
+  /// Deterministic cost of the most recent run, over all rounds: live-set
+  /// members scanned, interference inserts, and the liveness walks.
+  uint64_t lastWork() const { return LastWork; }
+
+private:
+  uint64_t LastWork = 0;
 };
 
 } // namespace epre

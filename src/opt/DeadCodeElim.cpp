@@ -5,8 +5,8 @@
 #include "analysis/AnalysisManager.h"
 #include "analysis/Liveness.h"
 #include "support/BitVector.h"
+#include "support/SparseSet.h"
 
-#include <set>
 #include <vector>
 
 using namespace epre;
@@ -18,7 +18,8 @@ namespace {
 /// return. Liveness alone cannot remove self-sustaining dead cycles like a
 /// loop accumulator whose sum is never read (`s = s + i`), because the
 /// cycle keeps itself live; this register-level mark phase can.
-bool sweepUnobservableRegisters(Function &F, unsigned &Removed) {
+bool sweepUnobservableRegisters(Function &F, unsigned &Removed,
+                                uint64_t &Work) {
   // Backward reachability from effects over the def-use graph, driven by a
   // register worklist (one pass over the instructions to index defs, then
   // each definition is visited once per its register's first marking —
@@ -37,6 +38,7 @@ bool sweepUnobservableRegisters(Function &F, unsigned &Removed) {
   // pointers stay stable: nothing mutates the blocks until the sweep.
   std::vector<std::vector<const Instruction *>> DefsOf(NR);
   F.forEachBlock([&](const BasicBlock &B) {
+    Work += B.Insts.size();
     for (const Instruction &I : B.Insts) {
       if (I.hasDst())
         DefsOf[I.Dst].push_back(&I);
@@ -49,6 +51,7 @@ bool sweepUnobservableRegisters(Function &F, unsigned &Removed) {
   while (!Worklist.empty()) {
     Reg R = Worklist.back();
     Worklist.pop_back();
+    Work += DefsOf[R].size();
     for (const Instruction *I : DefsOf[R])
       for (Reg Op : I->Operands)
         mark(Op);
@@ -76,16 +79,18 @@ bool sweepUnobservableRegisters(Function &F, unsigned &Removed) {
 }
 
 bool eliminateDeadCodeImpl(Function &F, FunctionAnalysisManager &AM,
-                           unsigned &Removed) {
-  bool EverChanged = sweepUnobservableRegisters(F, Removed);
+                           unsigned &Removed, uint64_t &Work) {
+  bool EverChanged = sweepUnobservableRegisters(F, Removed, Work);
   // Only instructions are removed below, never blocks or edges: one CFG
-  // serves every liveness round.
+  // serves every liveness round, and the register universe stays fixed.
   const CFG &G = AM.cfg();
   std::vector<Instruction> Kept; // reused across blocks to recycle capacity
+  SparseSet LiveNow(F.numRegs());
   bool Changed = true;
   while (Changed) {
     Changed = false;
     Liveness Live = Liveness::compute(F, G);
+    Work += Live.work();
 
     F.forEachBlock([&](BasicBlock &B) {
       if (!G.isReachable(B.id()))
@@ -93,21 +98,25 @@ bool eliminateDeadCodeImpl(Function &F, FunctionAnalysisManager &AM,
       // Walk backwards with a running live set. A phi's operands are uses
       // in the *predecessors*, not here, but adding them to the local live
       // set is merely conservative; the next liveness round is exact.
-      BitVector LiveNow = Live.liveOut(B.id());
+      LiveNow.clear();
+      for (Reg R : Live.liveOut(B.id()))
+        LiveNow.insert(R);
+      Work += LiveNow.size() + B.Insts.size();
       Kept.clear();
       for (auto It = B.Insts.rbegin(); It != B.Insts.rend(); ++It) {
         Instruction &I = *It;
         bool Needed = I.hasSideEffects() || !I.hasDst() ||
-                      LiveNow.test(I.Dst);
+                      LiveNow.contains(I.Dst);
         if (!Needed) {
           Changed = true;
           ++Removed;
           continue;
         }
         if (I.hasDst())
-          LiveNow.reset(I.Dst);
+          LiveNow.erase(I.Dst);
         for (Reg R : I.Operands)
-          LiveNow.set(R);
+          LiveNow.insert(R);
+        Work += 1 + I.Operands.size();
         Kept.push_back(std::move(I));
       }
       // Instructions were moved into Kept; always write them back.
@@ -129,7 +138,8 @@ PreservedAnalyses epre::DCEPass::run(Function &F, FunctionAnalysisManager &AM,
                                      PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
   unsigned Removed = 0;
-  bool Changed = eliminateDeadCodeImpl(F, AM, Removed);
+  LastWork = 0;
+  bool Changed = eliminateDeadCodeImpl(F, AM, Removed, LastWork);
   Ctx.addStat("removed", Removed);
   Ctx.addStat("changed", Changed);
   // The impl already settled AM (cfgShape) when it changed anything.

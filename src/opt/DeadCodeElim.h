@@ -25,6 +25,13 @@ public:
   static constexpr const char *name() { return "dce"; }
   PreservedAnalyses run(Function &F, FunctionAnalysisManager &AM,
                         PassContext &Ctx);
+
+  /// Deterministic cost of the most recent run: instructions visited,
+  /// live-set updates, and the liveness walks.
+  uint64_t lastWork() const { return LastWork; }
+
+private:
+  uint64_t LastWork = 0;
 };
 
 } // namespace epre

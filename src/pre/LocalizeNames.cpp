@@ -67,7 +67,7 @@ unsigned localizeExpressionNamesImpl(Function &F,
   for (Reg R : Unsafe) {
     Reg Shadow = F.makeReg(F.regType(R));
     ShadowOf[R] = Shadow;
-    if (Live.liveIn(0).test(R))
+    if (Live.isLiveIn(R, 0))
       EntrySeeds.push_back(Instruction::makeCopy(F.regType(R), Shadow, R));
   }
 

@@ -94,9 +94,8 @@ private:
         if (T == S)
           continue;
         std::set<Reg> Needed;
-        const BitVector &In = Live.liveIn(T);
-        for (int R = In.findFirst(); R != -1; R = In.findNext(unsigned(R)))
-          treeLeaves(Reg(R), Needed);
+        for (Reg R : Live.liveIn(T))
+          treeLeaves(R, Needed);
         for (const auto &[Dst, Src] : Items)
           if (Needed.count(Dst))
             return false;

@@ -64,7 +64,6 @@ public:
     DF = DominanceFrontier::compute(F, *G, *DT);
 
     insertEntryInits();
-    Live = Liveness::compute(F, *G);
     collectDefSites();
     insertPhis();
     rename();
@@ -77,21 +76,30 @@ public:
 
 private:
   /// Zero-initializes any register that may be used before being defined,
-  /// so renaming always finds a reaching definition.
+  /// so renaming always finds a reaching definition, and leaves \c Live
+  /// describing the function with the inits in place.
   void insertEntryInits() {
-    Liveness L0 = Liveness::compute(F, *G);
-    const BitVector &EntryLive = L0.liveIn(0);
+    Live = Liveness::compute(F, *G);
+    std::vector<Reg> InitRegs;
     std::vector<Instruction> Inits;
-    for (int R = EntryLive.findFirst(); R != -1; R = EntryLive.findNext(R)) {
-      if (F.isParam(Reg(R)))
+    for (Reg R : Live.liveIn(0)) {
+      if (F.isParam(R))
         continue;
-      if (F.regType(Reg(R)) == Type::F64)
-        Inits.push_back(Instruction::makeLoadF(Reg(R), 0.0));
+      InitRegs.push_back(R);
+      if (F.regType(R) == Type::F64)
+        Inits.push_back(Instruction::makeLoadF(R, 0.0));
       else
-        Inits.push_back(Instruction::makeLoadI(Reg(R), 0));
+        Inits.push_back(Instruction::makeLoadI(R, 0));
     }
     BasicBlock *Entry = F.entry();
     Entry->Insts.insert(Entry->Insts.begin(), Inits.begin(), Inits.end());
+    // The inits kill their registers at the top of the entry block. With no
+    // edge into the entry nothing else changes; a loop back to the entry
+    // carries the change around the loop, so solve again.
+    if (G->preds(0).empty())
+      Live.defineAtEntry(InitRegs);
+    else if (!InitRegs.empty())
+      Live = Liveness::compute(F, *G);
   }
 
   void collectDefSites() {
@@ -285,7 +293,7 @@ void destroySSAImpl(Function &F, FunctionAnalysisManager &AM) {
       if (T == S)
         continue;
       for (const PendingCopy &C : Items)
-        if (Live.liveIn(T).test(C.Dst))
+        if (Live.isLiveIn(C.Dst, T))
           return false;
     }
     return true;

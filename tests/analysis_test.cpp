@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace epre;
 
 namespace {
@@ -145,10 +147,9 @@ func @f(%a:i64) -> i64 {
   CFG G = CFG::compute(F);
   Liveness L = Liveness::compute(F, G);
   // Only the parameter is live into the entry block.
-  const BitVector &In = L.liveIn(0);
-  EXPECT_TRUE(In.test(F.params()[0]));
-  EXPECT_EQ(In.count(), 1u);
-  EXPECT_TRUE(L.liveOut(0).none());
+  EXPECT_TRUE(L.isLiveIn(F.params()[0], 0));
+  EXPECT_EQ(L.liveIn(0).size(), 1u);
+  EXPECT_TRUE(L.liveOut(0).empty());
 }
 
 TEST(Liveness, AcrossBranchAndPhi) {
@@ -178,8 +179,8 @@ func @f(%p:i64, %x:i64, %y:i64) -> i64 {
   // Phi inputs are live out of their predecessor, not live into the join.
   const BasicBlock *A = F.block(1);
   Reg U = A->Insts[0].Dst;
-  EXPECT_TRUE(L.liveOut(1).test(U));
-  EXPECT_FALSE(L.liveIn(3).test(U));
+  EXPECT_TRUE(std::ranges::binary_search(L.liveOut(1), U));
+  EXPECT_FALSE(L.isLiveIn(U, 3));
 }
 
 TEST(EdgeSplitting, SplitsOnlyCriticalEdges) {

@@ -4,16 +4,16 @@
 /// plain reference solver kept here: sweep every block until a full pass
 /// changes nothing, applying the transfer in two passes. Checked on
 /// AVAIL/ANT (re-posed from the local sets analyzePartialRedundancies
-/// exports) and on liveness (with and without SSA phis, which exercise
-/// MeetSeed), over the paper's running example and generated loop-nest
+/// exports) and on liveness (posed test-side, with and without SSA phis,
+/// which exercise MeetSeed), over the paper's running example and generated loop-nest
 /// inputs of increasing size (the bench corpus).
 ///
 //===----------------------------------------------------------------------===//
 
+#include "DenseLiveness.h"
 #include "TestUtil.h"
 
 #include "analysis/CFG.h"
-#include "analysis/Liveness.h"
 #include "pre/PRE.h"
 #include "ssa/SSA.h"
 #include "support/StringUtil.h"
@@ -21,7 +21,9 @@
 #include <gtest/gtest.h>
 
 using namespace epre;
+using epre::test::DenseLiveness;
 using epre::test::runPass;
+using epre::test::toBits;
 
 namespace {
 
@@ -150,8 +152,10 @@ void checkPREDataflowEquivalence(const std::string &Src,
   EXPECT_LE(W.Stats.AntSolve.Iterations, RN.Iterations);
 }
 
-/// Live-in/live-out must match the reference solve bit for bit. In SSA
-/// form the phi uses along each edge enter as the MeetSeed.
+/// Liveness posed densely (DenseLiveness.h) must solve to the same sets on
+/// the worklist engine as on the reference sweep, and both must match the
+/// sparse Liveness::compute, bit for bit. In SSA form the phi uses along
+/// each edge enter as the MeetSeed.
 void checkLivenessEquivalence(const std::string &Src, const std::string &Fn,
                               bool SSAForm) {
   auto M = compile(Src, NamingMode::Naive);
@@ -160,44 +164,31 @@ void checkLivenessEquivalence(const std::string &Src, const std::string &Fn,
   if (SSAForm)
     runPass(F, SSABuildPass());
   CFG G = CFG::compute(F);
-  Liveness W = Liveness::compute(F, G);
-
-  unsigned NR = unsigned(F.numRegs());
-  std::vector<BitVector> Gen, Kill, PhiUse(F.numBlocks(), BitVector(NR));
-  unsigned Phis = 0;
-  for (unsigned B = 0; B < F.numBlocks(); ++B) {
-    Gen.push_back(W.upwardExposed(B));
-    Kill.push_back(W.kill(B));
-  }
-  F.forEachBlock([&](const BasicBlock &B) {
-    for (const Instruction &I : B.Insts)
-      if (I.isPhi()) {
-        ++Phis;
-        for (unsigned J = 0; J < I.Operands.size(); ++J)
-          PhiUse[I.PhiBlocks[J]].set(I.Operands[J]);
-      }
-  });
+  DenseLiveness Dense(F);
   if (SSAForm) {
-    EXPECT_GT(Phis, 0u) << "the SSA case must exercise MeetSeed";
+    bool AnyPhiUse = false;
+    for (const BitVector &PU : Dense.PhiUse)
+      AnyPhiUse |= PU.any();
+    EXPECT_TRUE(AnyPhiUse) << "the SSA case must exercise MeetSeed";
   }
 
-  BitDataflowProblem P;
-  P.Dir = DataflowDirection::Backward;
-  P.Meet = MeetOp::Union;
-  P.NumBits = NR;
-  P.MeetSeed = &PhiUse;
-  P.Gen = &Gen;
-  P.Kill = &Kill;
-  std::vector<BitVector> LiveOut, LiveIn;
-  DataflowStats R = solveBySweeping(G, P, LiveOut, LiveIn);
+  std::vector<BitVector> WOut, WIn, LiveOut, LiveIn;
+  DataflowStats W = solveBitDataflow(G, Dense.problem(), WOut, WIn);
+  DataflowStats R = solveBySweeping(G, Dense.problem(), LiveOut, LiveIn);
+  Liveness Sparse = Liveness::compute(F, G);
 
+  unsigned NR = F.numRegs();
   for (unsigned B = 0; B < F.numBlocks(); ++B) {
     if (!F.block(B))
       continue;
-    EXPECT_EQ(W.liveIn(B), LiveIn[B]) << "LiveIn differs at block " << B;
-    EXPECT_EQ(W.liveOut(B), LiveOut[B]) << "LiveOut differs at block " << B;
+    EXPECT_EQ(WIn[B], LiveIn[B]) << "LiveIn differs at block " << B;
+    EXPECT_EQ(WOut[B], LiveOut[B]) << "LiveOut differs at block " << B;
+    EXPECT_EQ(toBits(Sparse.liveIn(B), NR), LiveIn[B])
+        << "sparse LiveIn differs at block " << B;
+    EXPECT_EQ(toBits(Sparse.liveOut(B), NR), LiveOut[B])
+        << "sparse LiveOut differs at block " << B;
   }
-  EXPECT_LE(W.solveStats().Iterations, R.Iterations);
+  EXPECT_LE(W.Iterations, R.Iterations);
 }
 
 TEST(DataflowEquivalence, PaperExamplePRESets) {

@@ -7,15 +7,24 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
+
 #include "frontend/Lower.h"
 #include "instrument/Profile.h"
 #include "interp/Interpreter.h"
 #include "ir/IRPrinter.h"
+#include "opt/ConstantPropagation.h"
+#include "opt/CopyCoalescing.h"
+#include "opt/DeadCodeElim.h"
 #include "pipeline/Pipeline.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+
 using namespace epre;
+using epre::test::runPass;
 
 namespace {
 
@@ -221,6 +230,42 @@ TEST(Pipeline, SpeculativeFixpointConvergesBeforeTheRoundCap) {
     EXPECT_GT(S.get("pre", "speculated"), 0u) << Loops << " loops";
     EXPECT_GT(S.get("pre", "rounds"), 0u) << Loops << " loops";
     EXPECT_EQ(S.get("pre", "round_cap_hit"), 0u) << Loops << " loops";
+  }
+}
+
+/// The complexity ratchet for the baseline tail: each pass's deterministic
+/// work count may grow at most 4.5x when the loop chain grows 4x
+/// (near-linear; the dense structures it replaced grew about 10x). The
+/// passes run on the pipeline's own state just before its tail.
+TEST(Complexity, BaselineTailWorkGrowsNearLinearly) {
+  auto tailWork = [](unsigned Loops) {
+    auto lower = [Loops] {
+      LowerResult LR = compileMiniFortran(loopChain(Loops), NamingMode::Naive);
+      EXPECT_TRUE(LR.ok()) << LR.Error;
+      return std::move(LR.M);
+    };
+    PipelineOptions PO;
+    PO.Level = OptLevel::Distribution;
+    PO.Naming = InputNaming::Naive;
+    auto Traced = lower();
+    PassPrefixResult Full =
+        optimizeFunctionPrefix(*Traced->find("chain"), PO, ~0u);
+    auto FirstTail = std::find(Full.Trace.begin(), Full.Trace.end(), "sccp");
+    EXPECT_NE(FirstTail, Full.Trace.end());
+    auto M = lower();
+    Function &F = *M->find("chain");
+    optimizeFunctionPrefix(F, PO, unsigned(FirstTail - Full.Trace.begin()));
+    return std::array<uint64_t, 3>{runPass(F, SCCPPass()).lastWork(),
+                                   runPass(F, DCEPass()).lastWork(),
+                                   runPass(F, CopyCoalescingPass()).lastWork()};
+  };
+  std::array<uint64_t, 3> Small = tailWork(32), Large = tailWork(128);
+  const char *Names[] = {"sccp", "dce", "coalesce"};
+  for (unsigned P = 0; P < 3; ++P) {
+    ASSERT_GT(Small[P], 0u) << Names[P];
+    EXPECT_LE(double(Large[P]) / double(Small[P]), 4.5)
+        << Names[P] << " work: " << Small[P] << " at 32 loops, " << Large[P]
+        << " at 128";
   }
 }
 

@@ -174,6 +174,37 @@ func @f(%p:i64) -> i64 {
   EXPECT_EQ(R1.ReturnValue.I, S1.ReturnValue.I);
 }
 
+TEST(SSA, EntryInitEndsLiveRangeAroundLoopThroughEntry) {
+  // The back edge ^j -> ^e makes the entry a loop header. Before the
+  // zero-init, %v is live around the loop (read at ^e before any
+  // definition); the init at the top of ^e kills it there, so %v is dead
+  // at the join ^j and pruned SSA must place no phi for it.
+  const char *Src = R"(
+func @f(%n:i64, %c:i64) -> i64 {
+^e:
+  %one:i64 = loadi 1
+  %t:i64 = add %v, %one
+  %k:i64 = add %k, %one
+  cbr %c, ^a, ^b
+^a:
+  %v:i64 = loadi 5
+  br ^j
+^b:
+  br ^j
+^j:
+  %d:i64 = cmplt %k, %n
+  cbr %d, ^e, ^x
+^x:
+  ret %t
+}
+)";
+  auto M = parse(Src);
+  Function &F = *M->Functions[0];
+  runPass(F, SSABuildPass());
+  EXPECT_TRUE(verifyFunction(F, SSAMode::SSA).empty()) << printFunction(F);
+  EXPECT_EQ(countPhis(F), 0u) << printFunction(F);
+}
+
 TEST(ParallelCopy, IndependentCopies) {
   Function F("f");
   Reg A = F.makeReg(Type::I64), B = F.makeReg(Type::I64);
