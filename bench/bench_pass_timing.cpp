@@ -110,7 +110,11 @@ void BM_Reassociate(benchmark::State &State) {
 }
 BENCHMARK(BM_Reassociate)->Arg(4)->Arg(16)->Arg(64);
 
+/// The whole GVN phase (SSA rebuild, AWZ partition, renaming, SSA exit);
+/// the "work" counter is GVNPass::lastWork(), the deterministic count the
+/// complexity ratchet bounds.
 void BM_GVN(benchmark::State &State) {
+  uint64_t Work = 0;
   for (auto _ : State) {
     State.PauseTiming();
     auto M = compileGen(unsigned(State.range(0)), NamingMode::Naive);
@@ -120,10 +124,11 @@ void BM_GVN(benchmark::State &State) {
     RankMap Ranks = RankMap::compute(F, G);
     runPass(F, ForwardPropPass(Ranks));
     State.ResumeTiming();
-    runPass(F, GVNPass());
+    Work = runPass(F, GVNPass()).lastWork();
   }
+  State.counters["work"] = double(Work);
 }
-BENCHMARK(BM_GVN)->Arg(4)->Arg(16)->Arg(64);
+BENCHMARK(BM_GVN)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_PRE(benchmark::State &State) {
   for (auto _ : State) {

@@ -53,8 +53,15 @@ public:
   /// Stats of the most recent run.
   const GVNStats &lastStats() const { return Last; }
 
+  /// Deterministic work count of the most recent run: the signature words
+  /// hashed over all refinement rounds plus the instructions renaming
+  /// visited. The complexity ratchet (tests/pipeline_test.cpp) bounds its
+  /// growth; it is not a registry counter.
+  uint64_t lastWork() const { return LastWork; }
+
 private:
   GVNStats Last;
+  uint64_t LastWork = 0;
 };
 
 /// The partition+rename core, for code already in SSA form. Exposed for

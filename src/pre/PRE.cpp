@@ -13,8 +13,6 @@
 #include <cassert>
 #include <deque>
 #include <utility>
-#include <map>
-#include <set>
 #include <vector>
 
 using namespace epre;
@@ -253,10 +251,12 @@ private:
   // --- Universe -------------------------------------------------------------
 
   void buildUniverse() {
-    // Candidate: every def is the same lexical expression.
-    std::map<Reg, ExprKey> KeyOf;
-    std::map<Reg, Instruction> ProtoOf;
-    std::set<Reg> Bad;
+    const unsigned NR = F.numRegs();
+    // Candidate: every def is the same lexical expression. ProtoOf holds a
+    // register's first reachable expression definition; a later one whose
+    // key differs marks the name Bad.
+    std::vector<const Instruction *> ProtoOf(NR, nullptr);
+    std::vector<uint8_t> Bad(NR, 0);
     F.forEachBlock([&](const BasicBlock &B) {
       if (!G.isReachable(B.id()))
         return;
@@ -264,55 +264,59 @@ private:
         if (!I.hasDst())
           continue;
         if (I.isPhi()) {
-          Bad.insert(I.Dst);
+          Bad[I.Dst] = 1;
           continue;
         }
         if (!I.isExpression()) {
-          Bad.insert(I.Dst); // variables (copies) and loads
+          Bad[I.Dst] = 1; // variables (copies) and loads
           continue;
         }
         // Self-referential names can never be moved.
         for (Reg Op : I.Operands)
           if (Op == I.Dst)
-            Bad.insert(I.Dst);
-        ExprKey K = makeExprKey(I, /*NormalizeCommutative=*/true);
-        auto It = KeyOf.find(I.Dst);
-        if (It == KeyOf.end()) {
-          KeyOf.emplace(I.Dst, std::move(K));
-          ProtoOf.emplace(I.Dst, I);
-        } else if (!(It->second == K)) {
-          Bad.insert(I.Dst); // one name, two different expressions
-        }
+            Bad[I.Dst] = 1;
+        const Instruction *&Proto = ProtoOf[I.Dst];
+        if (!Proto)
+          Proto = &I;
+        else if (!(makeExprKey(*Proto, /*NormalizeCommutative=*/true) ==
+                   makeExprKey(I, /*NormalizeCommutative=*/true)))
+          Bad[I.Dst] = 1; // one name, two different expressions
       }
     });
     for (Reg P : F.params())
-      Bad.insert(P);
+      Bad[P] = 1;
 
     // §5.1 rule: an expression name may not be live across a basic block
     // boundary — every use must follow a local definition. Names violating
-    // this are conservatively dropped from the universe.
-    std::set<Reg> DefinedHere;
+    // this are conservatively dropped from the universe. DefinedHere holds,
+    // per register, 1 + the id of the last block that defined it.
+    std::vector<BlockId> DefinedHere(NR, 0);
     F.forEachBlock([&](const BasicBlock &B) {
       if (!G.isReachable(B.id()))
         return;
-      DefinedHere.clear();
+      const BlockId Stamp = B.id() + 1;
       for (const Instruction &I : B.Insts) {
         for (Reg Op : I.Operands)
-          if (KeyOf.count(Op) && !DefinedHere.count(Op) && Bad.insert(Op).second)
+          if (ProtoOf[Op] && DefinedHere[Op] != Stamp && !Bad[Op]) {
+            Bad[Op] = 1;
             ++Stats.DroppedUnsafe;
+          }
         if (I.hasDst())
-          DefinedHere.insert(I.Dst);
+          DefinedHere[I.Dst] = Stamp;
       }
     });
 
-    for (auto &[R, Proto] : ProtoOf) {
-      if (Bad.count(R))
+    // Members in ascending register order: expression indices, insertion
+    // order and the printed IR depend on it.
+    ExprIndex.assign(NR, NoExpr);
+    for (Reg R = 0; R < NR; ++R) {
+      if (!ProtoOf[R] || Bad[R])
         continue;
       ExprIndex[R] = unsigned(Universe.size());
-      Universe.push_back({R, Proto});
+      Universe.push_back({R, *ProtoOf[R]});
     }
     // Reverse map: operand register -> expressions it occurs in.
-    RegToExprs.assign(F.numRegs(), {});
+    RegToExprs.assign(NR, {});
     for (unsigned E = 0; E < Universe.size(); ++E)
       for (Reg Op : Universe[E].Proto.Operands)
         RegToExprs[Op].push_back(E);
@@ -339,9 +343,8 @@ private:
       BitVector CompClean(NE);     // computed, no operand killed since
       for (const Instruction &I : B.Insts) {
         if (I.hasDst()) {
-          auto It = ExprIndex.find(I.Dst);
-          if (It != ExprIndex.end() && computes(I, It->second)) {
-            unsigned E = It->second;
+          unsigned E = ExprIndex[I.Dst];
+          if (E != NoExpr && computes(I, E)) {
             if (!Killed.test(E))
               ANTLOC[B.id()].set(E);
             CompClean.set(E);
@@ -434,7 +437,6 @@ private:
   }
 
   BitVector earliest(const Edge &E) const {
-    unsigned NE = numExprs();
     if (E.From == InvalidBlock)
       return ANTIN[E.To];
     BitVector R = ANTIN[E.To];
@@ -445,7 +447,6 @@ private:
     Guard &= ANTOUT[E.From];
     Guard.flip();
     R &= Guard;
-    (void)NE;
     return R;
   }
 
@@ -941,9 +942,8 @@ private:
       for (Instruction &I : B.Insts) {
         bool DropLocal = false, DropGlobal = false;
         if (I.hasDst()) {
-          auto It = ExprIndex.find(I.Dst);
-          if (It != ExprIndex.end() && computes(I, It->second)) {
-            unsigned E = It->second;
+          unsigned E = ExprIndex[I.Dst];
+          if (E != NoExpr && computes(I, E)) {
             if (CompClean.test(E))
               DropLocal = true; // locally redundant recomputation
             else if (DELETE[B.id()].test(E) && !Killed.test(E))
@@ -981,36 +981,38 @@ private:
     for (int E = Ins.findFirst(); E != -1; E = Ins.findNext(unsigned(E)))
       List.push_back(unsigned(E));
     std::vector<unsigned> Ordered;
-    std::set<unsigned> Placed;
+    // Placed is all-clear between calls: each call clears what it set.
+    Placed.resize(numExprs(), 0);
     // Simple repeated sweep; dependency chains are short.
     while (Ordered.size() < List.size()) {
       bool Progress = false;
       for (unsigned E : List) {
-        if (Placed.count(E))
+        if (Placed[E])
           continue;
         bool Ready = true;
         for (Reg Op : Universe[E].Proto.Operands) {
-          auto It = ExprIndex.find(Op);
-          if (It != ExprIndex.end() && Ins.test(It->second) &&
-              !Placed.count(It->second))
+          unsigned OpE = ExprIndex[Op];
+          if (OpE != NoExpr && Ins.test(OpE) && !Placed[OpE])
             Ready = false;
         }
         if (!Ready)
           continue;
         Ordered.push_back(E);
-        Placed.insert(E);
+        Placed[E] = 1;
         Progress = true;
       }
       if (!Progress) {
         // Operand cycle between inserted expressions cannot happen with
         // acyclic lexical nesting, but fall back gracefully.
         for (unsigned E : List)
-          if (!Placed.count(E)) {
+          if (!Placed[E]) {
             Ordered.push_back(E);
-            Placed.insert(E);
+            Placed[E] = 1;
           }
       }
     }
+    for (unsigned E : List)
+      Placed[E] = 0;
     return Ordered;
   }
 
@@ -1086,8 +1088,10 @@ private:
   const CFG &G;
   PREStrategy Strategy;
   PREStats Stats;
+  static constexpr unsigned NoExpr = ~0u;
   std::vector<ExprInfo> Universe;
-  std::map<Reg, unsigned> ExprIndex;
+  std::vector<unsigned> ExprIndex; ///< per register: its expression, or NoExpr
+  std::vector<uint8_t> Placed;     ///< per expression: orderInsertions scratch
   std::vector<std::vector<unsigned>> RegToExprs;
   std::vector<BitVector> ANTLOC, COMP, TRANSP;
   std::vector<uint8_t> AntBoundary;

@@ -4,10 +4,12 @@
 /// The AWZ partition and rename core, plus the engine axis: every corpus
 /// program and 500+ generated programs behave identically under the
 /// interpreter whichever engine (AWZ or DVNT) named the values, and the
-/// engine names round-trip.
+/// engine names round-trip. The register-indexed partition must also match
+/// the string-keyed reference in reference/ReferenceAWZ.cpp exactly.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "frontend/Lower.h"
 #include "fuzz/FuzzGen.h"
 #include "fuzz/ModuleOps.h"
 #include "fuzz/Oracle.h"
@@ -16,8 +18,11 @@
 #include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
 #include "ir/Verifier.h"
+#include "pipeline/Pipeline.h"
 #include "ssa/SSA.h"
+#include "suite/Harness.h"
 
+#include "ReferenceAWZ.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
@@ -25,6 +30,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 using namespace epre;
@@ -307,6 +313,141 @@ TEST(EngineAgreement, FuzzedProgramsAgreeAcrossEngines) {
     }
   }
   EXPECT_GE(Ran, 500u);
+}
+
+//===----------------------------------------------------------------------===//
+// Identity against the string-keyed reference
+//===----------------------------------------------------------------------===//
+
+/// The SSA flavours AWZ sees: the pipeline's ssa.build (copies folded) and
+/// GVNPass's own rebuild (copies kept as variable definitions).
+std::vector<SSAOptions> ssaFlavours() {
+  SSAOptions Folded;
+  SSAOptions GVNStyle;
+  GVNStyle.FoldCopies = false;
+  return {Folded, GVNStyle};
+}
+
+/// \p Make returns a fresh copy of the same SSA-form function (in the
+/// module it returns, found by \p Name) each call. valueNumberSSA runs on
+/// one copy and the reference on another; the printed IR and every
+/// GVNStats field must agree.
+void expectSameAsReference(
+    const std::function<std::unique_ptr<Module>()> &Make,
+    const std::string &Name) {
+  std::unique_ptr<Module> Fast = Make(), Ref = Make();
+  ASSERT_NE(Fast, nullptr);
+  ASSERT_NE(Ref, nullptr);
+  Function *FF = Fast->find(Name), *RF = Ref->find(Name);
+  ASSERT_NE(FF, nullptr);
+  ASSERT_NE(RF, nullptr);
+  GVNStats S = valueNumberSSA(*FF);
+  GVNStats R = valueNumberSSAReference(*RF);
+  EXPECT_EQ(S.Registers, R.Registers);
+  EXPECT_EQ(S.Classes, R.Classes);
+  EXPECT_EQ(S.MergedDefs, R.MergedDefs);
+  EXPECT_EQ(printFunction(*FF), printFunction(*RF));
+}
+
+/// Parses \p Text and builds SSA with \p Opts.
+std::unique_ptr<Module> parseIntoSSA(const std::string &Text,
+                                     const SSAOptions &Opts) {
+  std::unique_ptr<Module> M = parseModuleText(Text);
+  if (M)
+    runPass(*M->Functions[0], SSABuildPass(Opts));
+  return M;
+}
+
+TEST(ReferenceAWZ, CorpusMatches) {
+  std::vector<std::string> Files = corpusFiles();
+  ASSERT_TRUE(std::any_of(Files.begin(), Files.end(), [](auto &P) {
+    return P.find("irreducible.iloc") != std::string::npos;
+  }));
+  for (const std::string &Path : Files) {
+    std::ifstream In(Path);
+    ASSERT_TRUE(In.good()) << Path;
+    std::stringstream SS;
+    SS << In.rdbuf();
+    std::string Text = SS.str();
+    std::string Name = parseModuleText(Text)->Functions[0]->name();
+    for (const SSAOptions &Opts : ssaFlavours()) {
+      SCOPED_TRACE(Path + (Opts.FoldCopies ? " (copies folded)" : ""));
+      expectSameAsReference([&] { return parseIntoSSA(Text, Opts); }, Name);
+    }
+  }
+}
+
+/// The 50 suite routines at every level, cut right after the pipeline's
+/// ssa.build (levels that never build SSA get one directly after
+/// lowering), and again in the form GVNPass itself partitions.
+TEST(ReferenceAWZ, SuiteRoutinesMatch) {
+  unsigned Compared = 0;
+  for (const Routine &R : benchmarkSuite()) {
+    for (OptLevel L : {OptLevel::Baseline, OptLevel::Partial,
+                       OptLevel::Reassociation, OptLevel::Distribution}) {
+      SCOPED_TRACE(R.Name + " at " + optLevelName(L));
+      PipelineOptions PO;
+      PO.Level = L;
+      PO.Naming = namingForLevel(L) == NamingMode::Hashed ? InputNaming::Hashed
+                                                          : InputNaming::Naive;
+      auto lower = [&] {
+        LowerResult LR = compileMiniFortran(R.Source, namingForLevel(L));
+        EXPECT_TRUE(LR.ok()) << LR.Error;
+        return std::move(LR.M);
+      };
+      std::unique_ptr<Module> Traced = lower();
+      ASSERT_NE(Traced, nullptr);
+      std::vector<std::string> Trace =
+          optimizeFunctionPrefix(*Traced->find(R.Name), PO, ~0u).Trace;
+      // Runs the first Cut pass applications on a fresh copy, then builds
+      // SSA with Opts when Build is set.
+      auto prefix = [&](unsigned Cut, bool Build, SSAOptions Opts) {
+        return [&, Cut, Build, Opts] {
+          std::unique_ptr<Module> M = lower();
+          Function &F = *M->find(R.Name);
+          optimizeFunctionPrefix(F, PO, Cut);
+          if (Build)
+            runPass(F, SSABuildPass(Opts));
+          return M;
+        };
+      };
+      auto SSA = std::find(Trace.begin(), Trace.end(), "ssa.build");
+      if (SSA != Trace.end())
+        expectSameAsReference(
+            prefix(unsigned(SSA - Trace.begin()) + 1, false, {}), R.Name);
+      else
+        expectSameAsReference(prefix(0, true, {}), R.Name);
+      ++Compared;
+      // GVNPass's input: the pipeline just before gvn, rebuilt into SSA
+      // with copies kept.
+      auto GVN = std::find(Trace.begin(), Trace.end(), "gvn");
+      if (GVN != Trace.end())
+        expectSameAsReference(
+            prefix(unsigned(GVN - Trace.begin()), true, ssaFlavours()[1]),
+            R.Name);
+    }
+  }
+  EXPECT_EQ(Compared, 200u);
+}
+
+/// 540 generated programs (90 per shape), both SSA flavours.
+TEST(ReferenceAWZ, FuzzedProgramsMatch) {
+  unsigned Compared = 0;
+  for (const std::string &Shape : generatorShapeNames()) {
+    GeneratorOptions GO;
+    ASSERT_TRUE(shapeOptions(Shape, GO));
+    for (uint64_t Seed = 1; Seed <= 90; ++Seed, ++Compared) {
+      SCOPED_TRACE(Shape + " seed " + std::to_string(Seed));
+      FuzzProgram P = generateProgram(Seed, GO, Shape);
+      std::unique_ptr<Module> M = parseModuleText(P.Text);
+      ASSERT_NE(M, nullptr);
+      std::string Name = M->Functions[0]->name();
+      for (const SSAOptions &Opts : ssaFlavours())
+        expectSameAsReference([&] { return parseIntoSSA(P.Text, Opts); },
+                              Name);
+    }
+  }
+  EXPECT_EQ(Compared, 540u);
 }
 
 //===----------------------------------------------------------------------===//

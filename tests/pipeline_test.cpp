@@ -10,6 +10,7 @@
 #include "TestUtil.h"
 
 #include "frontend/Lower.h"
+#include "gvn/ValueNumbering.h"
 #include "instrument/Profile.h"
 #include "interp/Interpreter.h"
 #include "ir/IRPrinter.h"
@@ -267,6 +268,35 @@ TEST(Complexity, BaselineTailWorkGrowsNearLinearly) {
         << Names[P] << " work: " << Small[P] << " at 32 loops, " << Large[P]
         << " at 128";
   }
+}
+
+/// The same ratchet for AWZ value numbering (signature words hashed over
+/// every refinement round plus the instructions renaming visits), on the
+/// pipeline's own state just before gvn.
+TEST(Complexity, GVNWorkGrowsNearLinearly) {
+  auto gvnWork = [](unsigned Loops) {
+    auto lower = [Loops] {
+      LowerResult LR = compileMiniFortran(loopChain(Loops), NamingMode::Naive);
+      EXPECT_TRUE(LR.ok()) << LR.Error;
+      return std::move(LR.M);
+    };
+    PipelineOptions PO;
+    PO.Level = OptLevel::Distribution;
+    PO.Naming = InputNaming::Naive;
+    auto Traced = lower();
+    PassPrefixResult Full =
+        optimizeFunctionPrefix(*Traced->find("chain"), PO, ~0u);
+    auto GVN = std::find(Full.Trace.begin(), Full.Trace.end(), "gvn");
+    EXPECT_NE(GVN, Full.Trace.end());
+    auto M = lower();
+    Function &F = *M->find("chain");
+    optimizeFunctionPrefix(F, PO, unsigned(GVN - Full.Trace.begin()));
+    return runPass(F, GVNPass()).lastWork();
+  };
+  uint64_t Small = gvnWork(32), Large = gvnWork(128);
+  ASSERT_GT(Small, 0u);
+  EXPECT_LE(double(Large) / double(Small), 4.5)
+      << "gvn work: " << Small << " at 32 loops, " << Large << " at 128";
 }
 
 TEST(Pipeline, InvertedComparisonNormalized) {

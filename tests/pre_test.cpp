@@ -180,6 +180,12 @@ func @f(%x:i64, %y:i64) -> i64 {
   EXPECT_EQ(S.Deleted, 0u);
 }
 
+/// Runs PRE on the single function of \p Src and returns its stats.
+PREStats universeOf(const char *Src) {
+  auto M = parse(Src);
+  return runPass(*M->Functions[0], PREPass()).lastStats();
+}
+
 TEST(PRE, UniverseRejectsInconsistentNames) {
   // One register defined by two different expressions: not a §2.2 name.
   auto M = parse(R"(
@@ -200,6 +206,10 @@ func @f(%x:i64, %y:i64, %p:i64) -> i64 {
 )");
   Function &F = *M->Functions[0];
   PREStats S = runPass(F, PREPass()).lastStats();
+  // %t2 and %r remain; %t's cross-block use is not counted as a §5.1 drop
+  // because %t was never a candidate.
+  EXPECT_EQ(S.UniverseSize, 2u);
+  EXPECT_EQ(S.DroppedUnsafe, 0u);
   EXPECT_TRUE(verifyFunction(F, SSAMode::NoSSA).empty());
   MemoryImage Mem(0);
   for (int64_t P : {0, 1}) {
@@ -208,7 +218,54 @@ func @f(%x:i64, %y:i64, %p:i64) -> i64 {
     ASSERT_TRUE(R.ok());
     EXPECT_EQ(R.ReturnValue.I, P ? 14 : 19);
   }
-  (void)S;
+
+  // A self-referential name can never move. It is rejected before the §5.1
+  // filter, so its uses with no local definition before them are not
+  // counted as drops.
+  S = universeOf(R"(
+func @f(%x:i64, %n:i64) -> i64 {
+^e:
+  %t:i64 = add %x, %n
+  br ^l
+^l:
+  %s:i64 = add %s, %x
+  %c:i64 = cmplt %s, %n
+  cbr %c, ^l, ^x
+^x:
+  ret %s
+}
+)");
+  EXPECT_EQ(S.UniverseSize, 2u); // %t, %c
+  EXPECT_EQ(S.DroppedUnsafe, 0u);
+
+  // A parameter is a variable even when an expression redefines it.
+  S = universeOf(R"(
+func @f(%x:i64, %y:i64) -> i64 {
+^e:
+  %x:i64 = add %y, %y
+  br ^b
+^b:
+  %t:i64 = mul %x, %y
+  ret %t
+}
+)");
+  EXPECT_EQ(S.UniverseSize, 1u); // %t
+  EXPECT_EQ(S.DroppedUnsafe, 0u);
+
+  // A conflicting definition in an unreachable block is never read: %t
+  // stays a §2.2 name.
+  S = universeOf(R"(
+func @f(%x:i64, %y:i64) -> i64 {
+^e:
+  %t:i64 = add %x, %y
+  ret %t
+^dead:
+  %t:i64 = mul %x, %y
+  ret %t
+}
+)");
+  EXPECT_EQ(S.UniverseSize, 1u); // %t
+  EXPECT_EQ(S.DroppedUnsafe, 0u);
 }
 
 TEST(PRE, Sec51FilterDropsCrossBlockNames) {
@@ -228,7 +285,8 @@ func @f(%p:i64, %x:i64) -> i64 {
 )");
   Function &F = *M->Functions[0];
   PREStats S = runPass(F, PREPass()).lastStats();
-  EXPECT_GE(S.DroppedUnsafe, 1u);
+  EXPECT_EQ(S.UniverseSize, 0u);
+  EXPECT_EQ(S.DroppedUnsafe, 1u);
   // The dangerous name must be untouched on both paths.
   MemoryImage Mem(0);
   EXPECT_EQ(
@@ -237,6 +295,28 @@ func @f(%p:i64, %x:i64) -> i64 {
   EXPECT_EQ(
       interpret(F, {RtValue::ofI(1), RtValue::ofI(7)}, Mem).ReturnValue.I,
       200);
+
+  // %t is used before its local definition in ^a and again in ^b: one
+  // dropped name, counted once.
+  S = universeOf(R"(
+func @f(%p:i64, %x:i64) -> i64 {
+^e:
+  %t:i64 = add %x, %x
+  cbr %p, ^a, ^b
+^a:
+  %u:i64 = mul %t, %x
+  %t:i64 = add %x, %x
+  br ^j
+^b:
+  %v:i64 = sub %t, %x
+  %t:i64 = add %x, %x
+  br ^j
+^j:
+  ret %x
+}
+)");
+  EXPECT_EQ(S.UniverseSize, 2u); // %u, %v
+  EXPECT_EQ(S.DroppedUnsafe, 1u);
 }
 
 TEST(PRE, CriticalEdgeInsertionSplits) {
