@@ -13,8 +13,6 @@ const char *analysisName(AnalysisID ID) {
     return "domtree";
   case AnalysisID::LoopAnalysis:
     return "loops";
-  case AnalysisID::RankAnalysis:
-    return "ranks";
   case AnalysisID::ProfileAnalysis:
     return "profile";
   }

@@ -2,8 +2,8 @@
 ///
 /// \file
 /// FunctionAnalysisManager caches the structural analyses every pass used to
-/// recompute from scratch (CFG, dominator tree, loop info, expression ranks),
-/// keyed on the Function's monotonic IR version counter.
+/// recompute from scratch (CFG, dominator tree, loop info, the joined
+/// profile), keyed on the Function's monotonic IR version counter.
 ///
 /// Protocol:
 ///   1. A pass takes `FunctionAnalysisManager &AM` and reads analyses through
@@ -36,7 +36,6 @@
 #include "analysis/LoopInfo.h"
 #include "analysis/ProfileInfo.h"
 #include "ir/Function.h"
-#include "reassoc/Ranks.h"
 
 #include <array>
 #include <cstdint>
@@ -50,14 +49,13 @@ enum class AnalysisID : unsigned {
   CFGAnalysis = 0,
   DomTreeAnalysis,
   LoopAnalysis,
-  RankAnalysis,
   ProfileAnalysis,
 };
-inline constexpr unsigned NumAnalysisIDs = 5;
+inline constexpr unsigned NumAnalysisIDs = 4;
 
 /// The set of analyses a pass left intact. Derived analyses are only
 /// considered preserved when their inputs are too (normalized on use):
-/// DomTree requires CFG, Loops requires DomTree, Ranks requires CFG.
+/// DomTree and the profile join require CFG, Loops requires DomTree.
 class PreservedAnalyses {
 public:
   /// Nothing survives: the pass restructured the CFG (or declared nothing).
@@ -71,8 +69,7 @@ public:
 
   /// The pass kept the block graph intact (no blocks or edges added or
   /// removed) but may have rewritten instructions: the pure graph analyses
-  /// (CFG, dominators, loops) and the label-joined profile mapping survive,
-  /// rank assignments do not.
+  /// (CFG, dominators, loops) and the label-joined profile mapping survive.
   static PreservedAnalyses cfgShape() {
     return none()
         .preserve(AnalysisID::CFGAnalysis)
@@ -98,7 +95,6 @@ public:
     PreservedAnalyses PA = *this;
     if (!PA.isPreserved(AnalysisID::CFGAnalysis)) {
       PA.abandon(AnalysisID::DomTreeAnalysis);
-      PA.abandon(AnalysisID::RankAnalysis);
       PA.abandon(AnalysisID::ProfileAnalysis);
     }
     if (!PA.isPreserved(AnalysisID::DomTreeAnalysis))
@@ -112,7 +108,7 @@ private:
   unsigned Mask;
 };
 
-/// Per-function cache of CFG, DominatorTree, LoopInfo, and RankMap.
+/// Per-function cache of CFG, DominatorTree, LoopInfo, and ProfileInfo.
 class FunctionAnalysisManager {
 public:
   struct Stats {
@@ -172,15 +168,6 @@ public:
     LI.emplace(LoopInfo::compute(F, *G, Dom));
     stamp(AnalysisID::LoopAnalysis);
     return *LI;
-  }
-
-  const RankMap &ranks() {
-    const CFG &Graph = cfg();
-    if (fresh(AnalysisID::RankAnalysis, Ranks.has_value()))
-      return *Ranks;
-    Ranks.emplace(RankMap::compute(F, Graph));
-    stamp(AnalysisID::RankAnalysis);
-    return *Ranks;
   }
 
   /// Attaches the dynamic profile this function's profile-guided passes
@@ -254,11 +241,6 @@ private:
         ++S.Invalidations[unsigned(ID)];
       LI.reset();
       break;
-    case AnalysisID::RankAnalysis:
-      if (Ranks)
-        ++S.Invalidations[unsigned(ID)];
-      Ranks.reset();
-      break;
     case AnalysisID::ProfileAnalysis:
       if (Prof)
         ++S.Invalidations[unsigned(ID)];
@@ -275,10 +257,9 @@ private:
   std::optional<CFG> G;
   std::optional<DominatorTree> DT;
   std::optional<LoopInfo> LI;
-  std::optional<RankMap> Ranks;
   std::optional<ProfileInfo> Prof;
-  std::array<uint64_t, NumAnalysisIDs> Stamp = {
-      StaleStamp, StaleStamp, StaleStamp, StaleStamp, StaleStamp};
+  std::array<uint64_t, NumAnalysisIDs> Stamp = {StaleStamp, StaleStamp,
+                                                StaleStamp, StaleStamp};
   Stats S;
 };
 

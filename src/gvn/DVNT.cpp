@@ -164,8 +164,8 @@ DVNTStats epre::valueNumberDominatorTreeSSA(Function &F) {
   return valueNumberDominatorTreeSSA(F, AM);
 }
 
-PreservedAnalyses epre::DVNTPass::run(Function &F, FunctionAnalysisManager &AM,
-                                      PassContext &Ctx) {
+void epre::DVNTPass::run(Function &F, FunctionAnalysisManager &AM,
+                         PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
   SSAOptions Opts;
   Opts.Pruned = true;
@@ -181,8 +181,5 @@ PreservedAnalyses epre::DVNTPass::run(Function &F, FunctionAnalysisManager &AM,
   Ctx.addStat("redundant_phis", Last.RedundantPhis);
   Ctx.addStat("redundancies_found",
               Last.Redundant + Last.MeaninglessPhis + Last.RedundantPhis);
-  // The SSA sandwich always rewrites the function; AM was settled by the
-  // sub-passes.
-  return PreservedAnalyses::none();
 }
 

@@ -41,8 +41,7 @@ struct DVNTStats {
 class DVNTPass {
 public:
   static constexpr const char *name() { return "dvnt"; }
-  PreservedAnalyses run(Function &F, FunctionAnalysisManager &AM,
-                        PassContext &Ctx);
+  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
 
   /// Stats of the most recent run.
   const DVNTStats &lastStats() const { return Last; }

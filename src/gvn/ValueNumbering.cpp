@@ -291,8 +291,8 @@ GVNStats epre::valueNumberSSA(Function &F) {
   return renameToClassReps(F, P, nullptr);
 }
 
-PreservedAnalyses epre::GVNPass::run(Function &F, FunctionAnalysisManager &AM,
-                                     PassContext &Ctx) {
+void epre::GVNPass::run(Function &F, FunctionAnalysisManager &AM,
+                        PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
   // Keep copies as instructions: they are the definitions of "variable
   // names" (§2.2), and folding them away would let phi inputs reference
@@ -314,7 +314,4 @@ PreservedAnalyses epre::GVNPass::run(Function &F, FunctionAnalysisManager &AM,
   Ctx.addStat("classes", Last.Classes);
   Ctx.addStat("merged_defs", Last.MergedDefs);
   Ctx.addStat("redundancies_found", Last.MergedDefs);
-  // The SSA sandwich always rewrites the function; AM was settled by the
-  // sub-passes.
-  return PreservedAnalyses::none();
 }

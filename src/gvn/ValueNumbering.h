@@ -47,8 +47,7 @@ struct GVNStats {
 class GVNPass {
 public:
   static constexpr const char *name() { return "gvn"; }
-  PreservedAnalyses run(Function &F, FunctionAnalysisManager &AM,
-                        PassContext &Ctx);
+  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
 
   /// Stats of the most recent run.
   const GVNStats &lastStats() const { return Last; }

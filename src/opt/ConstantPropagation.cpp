@@ -341,9 +341,8 @@ public:
 
 } // namespace
 
-PreservedAnalyses epre::SCCPPass::run(Function &F,
-                                      FunctionAnalysisManager &AM,
-                                      PassContext &Ctx) {
+void epre::SCCPPass::run(Function &F, FunctionAnalysisManager &AM,
+                         PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
   SCCP S(F, AM.cfg());
   S.Ctx = &Ctx;
@@ -353,11 +352,9 @@ PreservedAnalyses epre::SCCPPass::run(Function &F,
   Ctx.addStat("branches_folded", S.BranchFolds);
   Ctx.addStat("changed", Changed);
   if (!Changed)
-    return PreservedAnalyses::all();
+    return;
   F.bumpVersion();
-  PreservedAnalyses PA = S.BranchFolded ? PreservedAnalyses::none()
-                                        : PreservedAnalyses::cfgShape();
-  AM.finishPass(PA);
-  return PA;
+  AM.finishPass(S.BranchFolded ? PreservedAnalyses::none()
+                               : PreservedAnalyses::cfgShape());
 }
 

@@ -29,10 +29,9 @@ class SCCPPass {
 public:
   static constexpr const char *name() { return "sccp"; }
 
-  /// Runs the pass, settles \p AM, and returns the net preserved set
-  /// (everything when nothing changed; CFG shape unless a branch folded).
-  PreservedAnalyses run(Function &F, FunctionAnalysisManager &AM,
-                        PassContext &Ctx);
+  /// Runs the pass and settles \p AM (untouched when nothing changed; CFG
+  /// shape kept unless a branch folded).
+  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
 
   /// Deterministic cost of the most recent run: lattice cells loaded or
   /// met, instructions evaluated, and the liveness walk that sized the

@@ -251,13 +251,9 @@ unsigned coalesceCopiesImpl(Function &F, FunctionAnalysisManager &AM,
 
 } // namespace
 
-PreservedAnalyses epre::CopyCoalescingPass::run(Function &F,
-                                                FunctionAnalysisManager &AM,
-                                                PassContext &Ctx) {
+void epre::CopyCoalescingPass::run(Function &F, FunctionAnalysisManager &AM,
+                                   PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
   LastWork = 0;
-  unsigned Removed = coalesceCopiesImpl(F, AM, LastWork);
-  Ctx.addStat("copies_removed", Removed);
-  // The impl already settled AM (cfgShape) when it removed anything.
-  return Removed ? PreservedAnalyses::cfgShape() : PreservedAnalyses::all();
+  Ctx.addStat("copies_removed", coalesceCopiesImpl(F, AM, LastWork));
 }

@@ -26,8 +26,7 @@ namespace epre {
 class CopyCoalescingPass {
 public:
   static constexpr const char *name() { return "coalesce"; }
-  PreservedAnalyses run(Function &F, FunctionAnalysisManager &AM,
-                        PassContext &Ctx);
+  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
 
   /// Deterministic cost of the most recent run, over all rounds: live-set
   /// members scanned, interference inserts, and the liveness walks.

@@ -134,15 +134,13 @@ bool eliminateDeadCodeImpl(Function &F, FunctionAnalysisManager &AM,
 
 } // namespace
 
-PreservedAnalyses epre::DCEPass::run(Function &F, FunctionAnalysisManager &AM,
-                                     PassContext &Ctx) {
+void epre::DCEPass::run(Function &F, FunctionAnalysisManager &AM,
+                        PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
   unsigned Removed = 0;
   LastWork = 0;
   bool Changed = eliminateDeadCodeImpl(F, AM, Removed, LastWork);
   Ctx.addStat("removed", Removed);
   Ctx.addStat("changed", Changed);
-  // The impl already settled AM (cfgShape) when it changed anything.
-  return Changed ? PreservedAnalyses::cfgShape() : PreservedAnalyses::all();
 }
 

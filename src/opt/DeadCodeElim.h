@@ -23,8 +23,7 @@ namespace epre {
 class DCEPass {
 public:
   static constexpr const char *name() { return "dce"; }
-  PreservedAnalyses run(Function &F, FunctionAnalysisManager &AM,
-                        PassContext &Ctx);
+  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
 
   /// Deterministic cost of the most recent run: instructions visited,
   /// live-set updates, and the liveness walks.

@@ -389,19 +389,15 @@ private:
 
 } // namespace
 
-PreservedAnalyses epre::PeepholePass::run(Function &F,
-                                          FunctionAnalysisManager &AM,
-                                          PassContext &Ctx) {
+void epre::PeepholePass::run(Function &F, FunctionAnalysisManager &AM,
+                             PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
   bool Changed = Peephole(F, Opts).run(AM);
   Ctx.addStat("changed", Changed);
   if (!Changed)
-    return PreservedAnalyses::all();
+    return;
   F.bumpVersion();
-  // Never touches terminators, so the block graph is intact; rewritten
-  // expressions invalidate ranks.
-  PreservedAnalyses PA = PreservedAnalyses::cfgShape();
-  AM.finishPass(PA);
-  return PA;
+  // Never touches terminators, so the block graph is intact.
+  AM.finishPass(PreservedAnalyses::cfgShape());
 }
 

@@ -34,8 +34,7 @@ class PeepholePass {
 public:
   static constexpr const char *name() { return "peephole"; }
   explicit PeepholePass(const PeepholeOptions &Opts = {}) : Opts(Opts) {}
-  PreservedAnalyses run(Function &F, FunctionAnalysisManager &AM,
-                        PassContext &Ctx);
+  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
 
 private:
   PeepholeOptions Opts;

@@ -282,23 +282,17 @@ bool simplifyCFGImpl(Function &F, FunctionAnalysisManager &AM) {
 
 } // namespace
 
-PreservedAnalyses epre::SimplifyCFGPass::run(Function &F,
-                                             FunctionAnalysisManager &AM,
-                                             PassContext &Ctx) {
+void epre::SimplifyCFGPass::run(Function &F, FunctionAnalysisManager &AM,
+                                PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
-  // The fixpoint settles AM after every rule application, so the cache is
-  // already fresh on exit; the returned set is informational.
-  bool Changed = simplifyCFGImpl(F, AM);
-  Ctx.addStat("changed", Changed);
-  return Changed ? PreservedAnalyses::none() : PreservedAnalyses::all();
+  Ctx.addStat("changed", simplifyCFGImpl(F, AM));
 }
 
-PreservedAnalyses epre::UnreachableBlockElimPass::run(
-    Function &F, FunctionAnalysisManager &AM, PassContext &Ctx) {
+void epre::UnreachableBlockElimPass::run(Function &F,
+                                         FunctionAnalysisManager &AM,
+                                         PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
-  bool Changed = removeUnreachableBlocksImpl(F, AM);
-  Ctx.addStat("changed", Changed);
-  return Changed ? PreservedAnalyses::none() : PreservedAnalyses::all();
+  Ctx.addStat("changed", removeUnreachableBlocksImpl(F, AM));
 }
 
 bool epre::removeUnreachableBlocks(Function &F, FunctionAnalysisManager &AM) {

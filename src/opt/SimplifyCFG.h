@@ -31,8 +31,7 @@ namespace epre {
 class SimplifyCFGPass {
 public:
   static constexpr const char *name() { return "simplifycfg"; }
-  PreservedAnalyses run(Function &F, FunctionAnalysisManager &AM,
-                        PassContext &Ctx);
+  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
 };
 
 /// Unreachable-block removal only, as its own schedulable pass.
@@ -40,8 +39,7 @@ public:
 class UnreachableBlockElimPass {
 public:
   static constexpr const char *name() { return "unreachable-elim"; }
-  PreservedAnalyses run(Function &F, FunctionAnalysisManager &AM,
-                        PassContext &Ctx);
+  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
 };
 
 /// Erases unreachable blocks only; used by passes that need a clean CFG

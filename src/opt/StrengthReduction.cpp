@@ -303,9 +303,8 @@ SRStats strengthReduceSSAImpl(Function &F, FunctionAnalysisManager &AM) {
 
 } // namespace
 
-PreservedAnalyses epre::StrengthReductionPass::run(Function &F,
-                                                   FunctionAnalysisManager &AM,
-                                                   PassContext &Ctx) {
+void epre::StrengthReductionPass::run(Function &F, FunctionAnalysisManager &AM,
+                                      PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
   SSAOptions Opts;
   Opts.Pruned = true;
@@ -317,8 +316,5 @@ PreservedAnalyses epre::StrengthReductionPass::run(Function &F,
   Ctx.addStat("loops_visited", Last.LoopsVisited);
   Ctx.addStat("basic_ivs", Last.BasicIVs);
   Ctx.addStat("reduced", Last.Reduced);
-  // The SSA sandwich always rewrites the function; the sub-passes settled
-  // AM along the way.
-  return PreservedAnalyses::none();
 }
 

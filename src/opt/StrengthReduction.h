@@ -52,8 +52,7 @@ struct SRStats {
 class StrengthReductionPass {
 public:
   static constexpr const char *name() { return "strengthreduce"; }
-  PreservedAnalyses run(Function &F, FunctionAnalysisManager &AM,
-                        PassContext &Ctx);
+  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
 
   /// Stats of the most recent run (for drivers that branch on them).
   const SRStats &lastStats() const { return Last; }

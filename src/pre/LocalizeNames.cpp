@@ -141,13 +141,9 @@ unsigned localizeExpressionNamesImpl(Function &F,
 
 } // namespace
 
-PreservedAnalyses epre::LocalizeNamesPass::run(Function &F,
-                                               FunctionAnalysisManager &AM,
-                                               PassContext &Ctx) {
+void epre::LocalizeNamesPass::run(Function &F, FunctionAnalysisManager &AM,
+                                  PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
-  unsigned Names = localizeExpressionNamesImpl(F, AM);
-  Ctx.addStat("names", Names);
-  // The impl already settled AM (cfgShape) when it localized anything.
-  return Names ? PreservedAnalyses::cfgShape() : PreservedAnalyses::all();
+  Ctx.addStat("names", localizeExpressionNamesImpl(F, AM));
 }
 

@@ -33,8 +33,7 @@ namespace epre {
 class LocalizeNamesPass {
 public:
   static constexpr const char *name() { return "localize"; }
-  PreservedAnalyses run(Function &F, FunctionAnalysisManager &AM,
-                        PassContext &Ctx);
+  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
 };
 
 } // namespace epre

@@ -3,7 +3,6 @@
 #include "pre/PRE.h"
 
 #include "analysis/AnalysisManager.h"
-#include "analysis/Dataflow.h"
 #include "analysis/EdgeSplitting.h"
 #include "ir/ExprKey.h"
 #include "support/BitVector.h"
@@ -11,7 +10,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 #include <utility>
 #include <vector>
 
@@ -23,6 +21,40 @@ namespace {
 struct ExprInfo {
   Reg Name = NoReg;
   Instruction Proto; ///< a representative definition (all are identical)
+};
+
+/// FIFO ring of block ids with membership flags: queueing a block that is
+/// already queued is a no-op, so the ring never holds more than one entry
+/// per block and is sized once, up front.
+class BlockQueue {
+public:
+  explicit BlockQueue(unsigned NumSlots)
+      : Ring(NumSlots + 1), InQueue(NumSlots, 0) {}
+
+  bool empty() const { return Count == 0; }
+
+  void push(BlockId B) {
+    if (InQueue[B])
+      return;
+    InQueue[B] = 1;
+    Ring[Tail] = B;
+    Tail = (Tail + 1) % Ring.size();
+    ++Count;
+  }
+
+  BlockId pop() {
+    assert(Count != 0 && "pop from empty queue");
+    BlockId B = Ring[Head];
+    Head = (Head + 1) % Ring.size();
+    InQueue[B] = 0;
+    --Count;
+    return B;
+  }
+
+private:
+  std::vector<BlockId> Ring;
+  std::vector<uint8_t> InQueue;
+  size_t Head = 0, Tail = 0, Count = 0;
 };
 
 /// Dinic max-flow over one expression's network (Speculative strategy).
@@ -189,13 +221,7 @@ public:
   /// leaves the function untouched.
   PREDataflow analyze() {
     PREDataflow D;
-    buildUniverse();
-    Stats.UniverseSize = unsigned(Universe.size());
-    if (!Universe.empty()) {
-      computeLocal();
-      solveAvailability();
-      solveAnticipability();
-    }
+    solveDataflow();
     D.Stats = Stats;
     D.ANTLOC = std::move(ANTLOC);
     D.COMP = std::move(COMP);
@@ -209,15 +235,8 @@ public:
   }
 
   PREStats run() {
-    buildUniverse();
-    if (Universe.empty()) {
-      Stats.UniverseSize = 0;
+    if (!solveDataflow())
       return Stats;
-    }
-    Stats.UniverseSize = unsigned(Universe.size());
-    computeLocal();
-    solveAvailability();
-    solveAnticipability();
     collectEdges();
     switch (Strategy) {
     case PREStrategy::LazyCodeMotion:
@@ -363,18 +382,115 @@ private:
   }
 
   // --- Global dataflow ------------------------------------------------------
+  //
+  // AVAIL, ANT and LATERIN are one-direction, all-paths systems solved to
+  // their greatest fixpoints by one worklist routine, solveFixpoint.
+
+  /// Builds the universe and, if it is not empty, the local sets and the
+  /// AVAIL/ANT fixpoints. Returns false when there is nothing to move.
+  bool solveDataflow() {
+    buildUniverse();
+    Stats.UniverseSize = numExprs();
+    if (Universe.empty())
+      return false;
+    Empty = BitVector(numExprs());
+    Words = Empty.numWords();
+    Scratch.setUniverse(numExprs());
+    computeLocal();
+    solveAvailability();
+    solveAnticipability();
+    return true;
+  }
+
+  /// Queues \p Seed in order, then evaluates blocks first in, first out:
+  /// \p Update recomputes a block's flow-side set and reports whether it
+  /// changed, and only then are the blocks that read that set queued again
+  /// (successors when \p Forward, predecessors otherwise). Returns the
+  /// number of evaluations.
+  template <typename UpdateFn>
+  unsigned solveFixpoint(const std::vector<BlockId> &Seed, bool Forward,
+                         UpdateFn Update) {
+    BlockQueue Queue(G.numBlockSlots());
+    for (BlockId B : Seed)
+      Queue.push(B);
+    unsigned Evaluations = 0;
+    while (!Queue.empty()) {
+      BlockId B = Queue.pop();
+      ++Evaluations;
+      if (Update(B))
+        for (BlockId N : Forward ? G.succs(B) : G.preds(B))
+          Queue.push(N);
+    }
+    return Evaluations;
+  }
+
+  /// The meet of \p Flow over \p Nbrs: their intersection, or their union
+  /// when \p Union is set. Returns a set already in storage where one
+  /// serves (the empty set at a boundary or without neighbours, a sole
+  /// neighbour's own set) and otherwise computes the meet into \p S.
+  const BitVector &meet(const std::vector<BlockId> &Nbrs, bool Boundary,
+                        bool Union, const std::vector<BitVector> &Flow,
+                        BitVector &S) {
+    if (Boundary || Nbrs.empty())
+      return Empty;
+    if (Nbrs.size() == 1)
+      return Flow[Nbrs[0]];
+    S.assignFrom(Flow[Nbrs[0]]);
+    for (unsigned I = 1; I < Nbrs.size(); ++I) {
+      if (Union)
+        S.unionWith(Flow[Nbrs[I]]);
+      else
+        S.intersectWith(Flow[Nbrs[I]]);
+    }
+    Stats.Work += Words * Nbrs.size();
+    return S;
+  }
+
+  /// Solves Flow = Meet * TRANSP + Gen, where Meet is the meet of Flow over
+  /// the predecessors (\p Forward) or the successors, forced empty where
+  /// \p Boundary holds. Sets start all-ones, or all-zero for a \p Union
+  /// meet; unreachable blocks keep that value. Each block's meet is stored
+  /// into \p MeetSets once, after convergence. Returns the evaluations.
+  template <typename BoundaryFn>
+  unsigned solveTransparent(bool Forward, bool Union, BoundaryFn Boundary,
+                            const std::vector<BitVector> &Gen,
+                            std::vector<BitVector> &MeetSets,
+                            std::vector<BitVector> &FlowSets) {
+    MeetSets.assign(F.numBlocks(), BitVector(numExprs(), !Union));
+    FlowSets.assign(F.numBlocks(), BitVector(numExprs(), !Union));
+    auto Nbrs = [&](BlockId B) -> const std::vector<BlockId> & {
+      return Forward ? G.preds(B) : G.succs(B);
+    };
+    const std::vector<BlockId> Order = Forward ? G.rpo() : G.postorder();
+    // The meet is read in place and the transfer fused with the
+    // change-detecting store; a self loop's meet may alias FlowSets[B],
+    // which is safe because the kernel reads each word before writing it.
+    BitVector &S = Scratch.raw(0);
+    unsigned Evaluations = solveFixpoint(Order, Forward, [&](BlockId B) {
+      const BitVector &M = meet(Nbrs(B), Boundary(B), Union, FlowSets, S);
+      Stats.Work += Words;
+      return FlowSets[B].assignMeetPreserveGen(M, TRANSP[B], Gen[B]);
+    });
+    for (BlockId B : Order) {
+      const BitVector &M =
+          meet(Nbrs(B), Boundary(B), Union, FlowSets, MeetSets[B]);
+      if (&M != &MeetSets[B]) {
+        MeetSets[B].assignFrom(M);
+        Stats.Work += Words;
+      }
+    }
+    return Evaluations;
+  }
 
   // AVIN = product of predecessors' AVOUT (empty at entry);
-  // AVOUT = COMP + TRANSP*AVIN.
+  // AVOUT = COMP + TRANSP*AVIN. Under the planted fault the product becomes
+  // a sum with no entry boundary.
   void solveAvailability() {
-    BitDataflowProblem P;
-    P.Dir = DataflowDirection::Forward;
-    P.Meet = fault::preDropAvailabilityMeet() ? MeetOp::Union
-                                              : MeetOp::Intersect;
-    P.NumBits = numExprs();
-    P.Gen = &COMP;
-    P.Preserve = &TRANSP;
-    Stats.AvailSolve = solveBitDataflow(G, P, AVIN, AVOUT);
+    const bool Union = fault::preDropAvailabilityMeet();
+    const BlockId Entry = G.rpo().front();
+    Stats.AvailIterations = solveTransparent(
+        /*Forward=*/true, Union,
+        [&](BlockId B) { return !Union && B == Entry; }, COMP, AVIN, AVOUT);
   }
 
   // ANTOUT = product of successors' ANTIN (empty at exits);
@@ -404,14 +520,9 @@ private:
       }
     }
 
-    BitDataflowProblem P;
-    P.Dir = DataflowDirection::Backward;
-    P.Meet = MeetOp::Intersect;
-    P.NumBits = numExprs();
-    P.ExtraBoundary = &AntBoundary;
-    P.Gen = &ANTLOC;
-    P.Preserve = &TRANSP;
-    Stats.AntSolve = solveBitDataflow(G, P, ANTOUT, ANTIN);
+    Stats.AntIterations = solveTransparent(
+        /*Forward=*/false, /*Union=*/false,
+        [&](BlockId B) { return AntBoundary[B] != 0; }, ANTLOC, ANTOUT, ANTIN);
   }
 
   // --- Edge set -------------------------------------------------------------
@@ -461,15 +572,10 @@ private:
     for (const Edge &E : Edges)
       Earliest.push_back(earliest(E));
 
-    // LATERIN as greatest fixpoint, solved with a forward worklist instead
-    // of round-robin sweeps: LATERIN only shrinks, and a shrink at a block
-    // can only shrink its successors, so each block is re-solved once per
-    // incoming change rather than once per global iteration. LATER is
-    // derivable from LATERIN (edge formula below), so it is not stored.
-    // All iteration-local temporaries live in the scratch pool, keeping
-    // the loop allocation-free in steady state.
+    // LATERIN as greatest fixpoint: it only shrinks, and a shrink at a
+    // block can only shrink its successors. LATER is derivable from LATERIN
+    // (edge formula below), so it is not stored.
     LATERIN.assign(NB, BitVector(NE, true));
-    BitVectorScratch Scratch(NE);
     auto laterOf = [&](unsigned EI, BitVector &L) {
       // LATER = EARLIEST + LATERIN(from)*~ANTLOC(from).
       const Edge &E = Edges[EI];
@@ -481,33 +587,19 @@ private:
         L.unionWith(Prop);
       }
     };
-    std::deque<BlockId> WL;
-    std::vector<char> InWL(NB, false);
-    for (BlockId B : G.rpo()) {
-      if (InEdges[B].empty())
-        continue;
-      WL.push_back(B);
-      InWL[B] = true;
-    }
-    while (!WL.empty()) {
-      BlockId B = WL.front();
-      WL.pop_front();
-      InWL[B] = false;
+    solveFixpoint(G.rpo(), /*Forward=*/true, [&](BlockId B) {
       BitVector &In = Scratch.ones(0);
       for (unsigned EI : InEdges[B]) {
         BitVector &L = Scratch.raw(1);
         laterOf(EI, L);
         In.intersectWith(L);
+        // laterOf's passes (one for the entry edge, four otherwise) and
+        // the intersection.
+        Stats.Work += Words * (Edges[EI].From == InvalidBlock ? 2 : 5);
       }
-      if (LATERIN[B].assignFrom(In)) {
-        for (BlockId S : G.succs(B)) {
-          if (!InEdges[S].empty() && !InWL[S]) {
-            WL.push_back(S);
-            InWL[S] = true;
-          }
-        }
-      }
-    }
+      Stats.Work += Words * 2; // the all-ones start and the store
+      return LATERIN[B].assignFrom(In);
+    });
 
     for (unsigned EI = 0; EI < Edges.size(); ++EI) {
       BitVector &L = Scratch.raw(1);
@@ -543,7 +635,6 @@ private:
     // round-robin sweep; the per-block temporaries live in the scratch pool
     // and results are stored with changed-flag kernels, so each iteration
     // is allocation-free.
-    BitVectorScratch Scratch(NE);
     bool Changed = true;
     while (Changed) {
       Changed = false;
@@ -1097,6 +1188,9 @@ private:
   std::vector<uint8_t> AntBoundary;
   std::vector<BitVector> AVIN, AVOUT, ANTIN, ANTOUT;
   std::vector<BitVector> LATERIN, DELETE;
+  BitVector Empty;          ///< the empty set over the universe
+  uint64_t Words = 0;       ///< words per set, for Stats.Work
+  BitVectorScratch Scratch; ///< the fixpoints' per-block temporaries
   /// Block-end insertions (Morel–Renvoise strategy only).
   std::vector<BitVector> BlockInsert;
   std::vector<Edge> Edges;
@@ -1119,8 +1213,8 @@ private:
 
 } // namespace
 
-PreservedAnalyses epre::PREPass::run(Function &F, FunctionAnalysisManager &AM,
-                                     PassContext &Ctx) {
+void epre::PREPass::run(Function &F, FunctionAnalysisManager &AM,
+                        PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
   PREImpl Impl(F, AM, Strategy);
   Impl.Ctx = &Ctx;
@@ -1132,13 +1226,8 @@ PreservedAnalyses epre::PREPass::run(Function &F, FunctionAnalysisManager &AM,
   Ctx.addStat("edges_split", Last.EdgesSplit);
   Ctx.addStat("speculated", Last.Speculated);
   Ctx.addStat("spec_network_arcs", Last.SpecNetworkArcs);
-  Ctx.addStat("avail_iterations", Last.AvailSolve.Iterations);
-  Ctx.addStat("ant_iterations", Last.AntSolve.Iterations);
-  if (!Last.Inserted && !Last.Deleted)
-    return PreservedAnalyses::all();
-  // The impl already settled AM with the matching set.
-  return Last.EdgesSplit ? PreservedAnalyses::none()
-                         : PreservedAnalyses::cfgShape();
+  Ctx.addStat("avail_iterations", Last.AvailIterations);
+  Ctx.addStat("ant_iterations", Last.AntIterations);
 }
 
 PREDataflow epre::analyzePartialRedundancies(Function &F) {

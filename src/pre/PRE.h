@@ -21,7 +21,6 @@
 #define EPRE_PRE_PRE_H
 
 #include "analysis/AnalysisManager.h"
-#include "analysis/Dataflow.h"
 #include "instrument/PassInstrumentation.h"
 #include "ir/Function.h"
 #include "support/BitVector.h"
@@ -65,8 +64,11 @@ struct PREStats {
   /// Arcs built across the per-expression min-cut networks (Speculative
   /// strategy only): the deterministic measure of the placement's work.
   uint64_t SpecNetworkArcs = 0;
-  DataflowStats AvailSolve;    ///< cost of the availability solve
-  DataflowStats AntSolve;      ///< cost of the anticipability solve
+  unsigned AvailIterations = 0; ///< block evaluations of the AVAIL solve
+  unsigned AntIterations = 0;   ///< block evaluations of the ANT solve
+  /// 64-bit words the AVAIL, ANT and LATERIN solves moved through their
+  /// meet and store kernels: the deterministic measure of the dataflow work.
+  uint64_t Work = 0;
 };
 
 /// Partial redundancy elimination behind the unified pass-entry API. Runs
@@ -83,12 +85,15 @@ public:
   static constexpr const char *name() { return "pre"; }
   explicit PREPass(PREStrategy Strategy = PREStrategy::LazyCodeMotion)
       : Strategy(Strategy) {}
-  PreservedAnalyses run(Function &F, FunctionAnalysisManager &AM,
-                        PassContext &Ctx);
+  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
 
   /// Stats of the most recent run; the fixpoint driver reads Inserted /
   /// Deleted to detect convergence.
   const PREStats &lastStats() const { return Last; }
+
+  /// PREStats::Work of the most recent run. Deterministic, so tests can
+  /// bound its growth; it is not a registry counter.
+  uint64_t lastWork() const { return Last.Work; }
 
 private:
   PREStrategy Strategy;
@@ -96,11 +101,10 @@ private:
 };
 
 /// The dataflow half of PRE — universe construction, local properties, and
-/// the AVAIL/ANT fixpoints — with no code motion. Exposed so the solver can
-/// be benchmarked in isolation and checked bit-for-bit against a reference.
+/// the AVAIL/ANT fixpoints — with no code motion. Exposed so the solves can
+/// be benchmarked in isolation and checked bit for bit against a reference.
 /// The local sets and the ANT boundary are exported alongside the solutions
-/// so callers can re-pose the two fixpoint systems to solveBitDataflow
-/// directly (e.g. to time just the solve, with locals precomputed).
+/// so a test can pose the same two systems to its own solver.
 struct PREDataflow {
   PREStats Stats;
   std::vector<BitVector> ANTLOC, COMP, TRANSP;
@@ -117,7 +121,7 @@ namespace fault {
 /// (docs/fuzzing.md): when enabled, PRE's availability solve uses a union
 /// meet instead of the required intersection, i.e. it treats an expression
 /// as available at a join if it reaches on *any* path rather than on every
-/// path. GlobalCSE then deletes computations that are not actually
+/// path (sets start all-zero and the entry block is no boundary). GlobalCSE then deletes computations that are not actually
 /// available, and LCM/Morel-Renvoise misplace insertions — a classic PRE
 /// placement bug. Process-global; never enable outside tests/tools.
 void setPREDropAvailabilityMeet(bool Enable);

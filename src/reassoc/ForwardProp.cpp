@@ -373,9 +373,8 @@ private:
 
 } // namespace
 
-PreservedAnalyses epre::ForwardPropPass::run(Function &F,
-                                             FunctionAnalysisManager &AM,
-                                             PassContext &Ctx) {
+void epre::ForwardPropPass::run(Function &F, FunctionAnalysisManager &AM,
+                                PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
   ForwardProp FP(F, AM, *Ranks);
   Last = FP.run();
@@ -386,9 +385,7 @@ PreservedAnalyses epre::ForwardPropPass::run(Function &F,
   // Phis are gone and every block was rewritten; edge splits may have
   // added forwarding blocks.
   F.bumpVersion();
-  PreservedAnalyses PA = FP.splitEdges() ? PreservedAnalyses::none()
-                                         : PreservedAnalyses::cfgShape();
-  AM.finishPass(PA);
-  return PA;
+  AM.finishPass(FP.splitEdges() ? PreservedAnalyses::none()
+                                : PreservedAnalyses::cfgShape());
 }
 

@@ -53,8 +53,7 @@ class ForwardPropPass {
 public:
   static constexpr const char *name() { return "fwdprop"; }
   explicit ForwardPropPass(RankMap &Ranks) : Ranks(&Ranks) {}
-  PreservedAnalyses run(Function &F, FunctionAnalysisManager &AM,
-                        PassContext &Ctx);
+  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
 
   /// Stats of the most recent run.
   const ForwardPropStats &lastStats() const { return Last; }

@@ -348,34 +348,28 @@ unsigned normalizeNegationImpl(Function &F, RankMap &Ranks,
 
 } // namespace
 
-PreservedAnalyses epre::NegNormPass::run(Function &F,
-                                         FunctionAnalysisManager &AM,
-                                         PassContext &Ctx) {
+void epre::NegNormPass::run(Function &F, FunctionAnalysisManager &AM,
+                            PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
   unsigned Rewritten = normalizeNegationImpl(F, *Ranks, Opts);
   Ctx.addStat("rewritten", Rewritten);
   if (!Rewritten)
-    return PreservedAnalyses::all();
+    return;
   F.bumpVersion();
   // Subtractions became neg+add pairs: instruction content only.
-  PreservedAnalyses PA = PreservedAnalyses::cfgShape();
-  AM.finishPass(PA);
-  return PA;
+  AM.finishPass(PreservedAnalyses::cfgShape());
 }
 
-PreservedAnalyses epre::ReassociatePass::run(Function &F,
-                                             FunctionAnalysisManager &AM,
-                                             PassContext &Ctx) {
+void epre::ReassociatePass::run(Function &F, FunctionAnalysisManager &AM,
+                                PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
   Reassociator R(F, *Ranks, Opts);
   R.Ctx = &Ctx;
   bool Changed = R.run();
   Ctx.addStat("changed", Changed);
   if (!Changed)
-    return PreservedAnalyses::all();
+    return;
   F.bumpVersion();
   // Trees are rebuilt in place; blocks and edges never change.
-  PreservedAnalyses PA = PreservedAnalyses::cfgShape();
-  AM.finishPass(PA);
-  return PA;
+  AM.finishPass(PreservedAnalyses::cfgShape());
 }

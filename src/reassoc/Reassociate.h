@@ -48,8 +48,7 @@ public:
   static constexpr const char *name() { return "negnorm"; }
   NegNormPass(RankMap &Ranks, const ReassociateOptions &Opts)
       : Ranks(&Ranks), Opts(Opts) {}
-  PreservedAnalyses run(Function &F, FunctionAnalysisManager &AM,
-                        PassContext &Ctx);
+  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
 
 private:
   RankMap *Ranks;
@@ -65,8 +64,7 @@ public:
   static constexpr const char *name() { return "reassoc"; }
   ReassociatePass(RankMap &Ranks, const ReassociateOptions &Opts)
       : Ranks(&Ranks), Opts(Opts) {}
-  PreservedAnalyses run(Function &F, FunctionAnalysisManager &AM,
-                        PassContext &Ctx);
+  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
 
 private:
   RankMap *Ranks;

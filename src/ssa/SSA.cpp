@@ -241,9 +241,8 @@ private:
 
 } // namespace
 
-PreservedAnalyses epre::SSABuildPass::run(Function &F,
-                                          FunctionAnalysisManager &AM,
-                                          PassContext &Ctx) {
+void epre::SSABuildPass::run(Function &F, FunctionAnalysisManager &AM,
+                             PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
   SSABuilder B(F, AM, Opts);
   Last = B.run();
@@ -252,9 +251,7 @@ PreservedAnalyses epre::SSABuildPass::run(Function &F,
   F.bumpVersion();
   // Phi insertion and renaming rewrite instructions and registers but never
   // blocks or edges.
-  PreservedAnalyses PA = PreservedAnalyses::cfgShape();
-  AM.finishPass(PA);
-  return PA;
+  AM.finishPass(PreservedAnalyses::cfgShape());
 }
 
 namespace {
@@ -397,11 +394,9 @@ void destroySSAImpl(Function &F, FunctionAnalysisManager &AM) {
 
 } // namespace
 
-PreservedAnalyses epre::SSADestroyPass::run(Function &F,
-                                            FunctionAnalysisManager &AM,
-                                            PassContext &Ctx) {
+void epre::SSADestroyPass::run(Function &F, FunctionAnalysisManager &AM,
+                               PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
   destroySSAImpl(F, AM);
-  return PreservedAnalyses::none();
 }
 

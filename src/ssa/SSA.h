@@ -53,8 +53,7 @@ class SSABuildPass {
 public:
   static constexpr const char *name() { return "ssa.build"; }
   explicit SSABuildPass(const SSAOptions &Opts = {}) : Opts(Opts) {}
-  PreservedAnalyses run(Function &F, FunctionAnalysisManager &AM,
-                        PassContext &Ctx);
+  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
 
   /// Side table of the most recent run.
   const SSAInfo &lastInfo() const { return Last; }
@@ -71,8 +70,7 @@ private:
 class SSADestroyPass {
 public:
   static constexpr const char *name() { return "ssa.destroy"; }
-  PreservedAnalyses run(Function &F, FunctionAnalysisManager &AM,
-                        PassContext &Ctx);
+  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
 };
 
 } // namespace epre

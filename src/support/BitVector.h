@@ -191,21 +191,6 @@ public:
     return Delta != 0;
   }
 
-  /// *this = (M & ~K) | G in a single word pass; returns true if any bit of
-  /// *this changed. The fused Gen/Kill transfer (K = kill mask).
-  bool assignMeetKillGen(const BitVector &M, const BitVector &K,
-                         const BitVector &G) {
-    assert(NumBits == M.NumBits && NumBits == K.NumBits &&
-           NumBits == G.NumBits && "universe mismatch");
-    uint64_t Delta = 0;
-    for (unsigned I = 0, E = unsigned(Words.size()); I != E; ++I) {
-      uint64_t New = (M.Words[I] & ~K.Words[I]) | G.Words[I];
-      Delta |= Words[I] ^ New;
-      Words[I] = New;
-    }
-    return Delta != 0;
-  }
-
   /// Number of 64-bit words backing the vector (for solver statistics).
   unsigned numWords() const { return unsigned(Words.size()); }
 

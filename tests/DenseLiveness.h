@@ -16,7 +16,8 @@
 #ifndef EPRE_TESTS_DENSELIVENESS_H
 #define EPRE_TESTS_DENSELIVENESS_H
 
-#include "analysis/Dataflow.h"
+#include "SweepDataflow.h"
+
 #include "analysis/Liveness.h"
 #include "ir/Function.h"
 
@@ -54,10 +55,10 @@ struct DenseLiveness {
   }
 
   /// The backward union problem; the phi uses enter as the meet seed.
-  BitDataflowProblem problem() const {
-    BitDataflowProblem P;
-    P.Dir = DataflowDirection::Backward;
-    P.Meet = MeetOp::Union;
+  SweepProblem problem() const {
+    SweepProblem P;
+    P.Forward = false;
+    P.Union = true;
     P.NumBits = NumRegs;
     P.MeetSeed = &PhiUse;
     P.Gen = &UEVar;

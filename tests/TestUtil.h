@@ -17,6 +17,7 @@
 #include "ir/IRPrinter.h"
 #include "ir/Verifier.h"
 #include "pipeline/Pipeline.h"
+#include "support/StringUtil.h"
 
 #include <gtest/gtest.h>
 
@@ -27,6 +28,21 @@ namespace epre::test {
 /// reassociation levels build their own naming and take naive input.
 inline NamingMode namingFor(OptLevel L) {
   return L == OptLevel::Partial ? NamingMode::Hashed : NamingMode::Naive;
+}
+
+/// A routine of \p NumLoops sequential loop nests with shared invariant
+/// subexpressions and array addressing, shaped like the bench generator.
+inline std::string loopNestSource(unsigned NumLoops) {
+  std::string S = "function gen(a, b, n)\n  integer n\n  real w(64)\n";
+  S += "  s = 0.0\n";
+  for (unsigned L = 0; L < NumLoops; ++L) {
+    S += strprintf("  do i%u = 1, n\n", L);
+    S += strprintf("    w(i%u) = (a + b) * i%u + a * %u.0\n", L, L, L + 1);
+    S += strprintf("    s = s + w(i%u) + (a + b + %u.0)\n", L, L);
+    S += "  end do\n";
+  }
+  S += "  return s\nend\n";
+  return S;
 }
 
 /// Runs a pass class on \p F with a fresh analysis manager and a quiet

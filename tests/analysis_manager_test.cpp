@@ -99,19 +99,6 @@ TEST(AnalysisManager, FinishPassNoneDropsEverything) {
   EXPECT_EQ(AM.stats().computes(AnalysisID::DomTreeAnalysis), 2u);
 }
 
-TEST(AnalysisManager, CfgShapeDoesNotPreserveRanks) {
-  auto M = parse(Diamond);
-  Function &F = *M->Functions[0];
-  FunctionAnalysisManager AM(F, /*Disabled=*/false);
-
-  AM.ranks();
-  F.bumpVersion();
-  AM.finishPass(PreservedAnalyses::cfgShape());
-  AM.ranks();
-  EXPECT_EQ(AM.stats().computes(AnalysisID::RankAnalysis), 2u)
-      << "instruction rewrites change rank assignments";
-}
-
 TEST(AnalysisManager, NormalizationDropsDerivedAnalyses) {
   // Claiming DomTree without CFG is contradictory; normalization drops the
   // derived analysis rather than serving one built on a dead input.

@@ -1,29 +1,37 @@
-//===- tests/dataflow_test.cpp - Worklist solver vs a reference sweep -----===//
+//===- tests/dataflow_test.cpp - PRE's fixpoints vs a reference sweep -----===//
 ///
-/// The worklist dataflow engine must compute exactly the fixpoints of a
-/// plain reference solver kept here: sweep every block until a full pass
-/// changes nothing, applying the transfer in two passes. Checked on
-/// AVAIL/ANT (re-posed from the local sets analyzePartialRedundancies
-/// exports) and on liveness (posed test-side, with and without SSA phis,
-/// which exercise MeetSeed), over the paper's running example and generated loop-nest
-/// inputs of increasing size (the bench corpus).
+/// PRE solves AVAIL, ANT and LATERIN on one worklist routine of its own.
+/// Its AVAIL and ANT sets must be exactly the fixpoints that the reference
+/// sweep of SweepDataflow.h computes for the same systems, posed from the
+/// local sets analyzePartialRedundancies exports, bit for bit. Checked on
+/// the paper's running example, generated loop nests of increasing size
+/// (the bench corpus), tests/corpus (irreducible flow included), the 50
+/// suite routines at the input of PRE's first round, 540 generated
+/// programs, and under the planted availability fault. The dense liveness
+/// posing is solved by the same sweep and checked against the sparse walk,
+/// with and without SSA phis (which exercise MeetSeed).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "DenseLiveness.h"
+#include "SweepDataflow.h"
 #include "TestUtil.h"
 
 #include "analysis/CFG.h"
+#include "fuzz/FuzzGen.h"
 #include "pre/PRE.h"
 #include "ssa/SSA.h"
-#include "support/StringUtil.h"
+#include "suite/Suite.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 using namespace epre;
-using epre::test::DenseLiveness;
-using epre::test::runPass;
-using epre::test::toBits;
+using namespace epre::test;
 
 namespace {
 
@@ -38,124 +46,123 @@ function foo(y, z)
 end
 )";
 
-/// Same shape as the bench generator: sequential loop nests with shared
-/// invariant subexpressions and array addressing.
-std::string loopNestSource(unsigned NumLoops) {
-  std::string S = "function gen(a, b, n)\n  integer n\n  real w(64)\n";
-  S += "  s = 0.0\n";
-  for (unsigned L = 0; L < NumLoops; ++L) {
-    S += strprintf("  do i%u = 1, n\n", L);
-    S += strprintf("    w(i%u) = (a + b) * i%u + a * %u.0\n", L, L, L + 1);
-    S += strprintf("    s = s + w(i%u) + (a + b + %u.0)\n", L, L);
-    S += "  end do\n";
-  }
-  S += "  return s\nend\n";
-  return S;
-}
-
 std::unique_ptr<Module> compile(const std::string &Src, NamingMode NM) {
   LowerResult LR = compileMiniFortran(Src, NM);
   EXPECT_TRUE(LR.ok()) << LR.Error;
   return std::move(LR.M);
 }
 
-/// The reference solver: sweeps the reachable blocks in (reverse) postorder
-/// until a full pass changes no set, recomputing each block's meet from
-/// scratch and applying the transfer in two passes (mask by Preserve or
-/// ~Kill, then add Gen). Same boundary rules and initial values as
-/// solveBitDataflow; Iterations counts sweeps x blocks.
-DataflowStats solveBySweeping(const CFG &G, const BitDataflowProblem &P,
-                              std::vector<BitVector> &MeetSets,
-                              std::vector<BitVector> &FlowSets) {
-  const bool Forward = P.Dir == DataflowDirection::Forward;
-  const bool Intersect = P.Meet == MeetOp::Intersect;
-  MeetSets.assign(G.numBlockSlots(), BitVector(P.NumBits, Intersect));
-  FlowSets = MeetSets;
-  const std::vector<BlockId> Order = Forward ? G.rpo() : G.postorder();
-  DataflowStats Stats;
-  Stats.BlocksVisited = unsigned(Order.size());
-  for (bool Changed = true; Changed;) {
-    Changed = false;
-    for (BlockId B : Order) {
-      ++Stats.Iterations;
-      const std::vector<BlockId> &Nbrs = Forward ? G.preds(B) : G.succs(B);
-      bool Boundary = Intersect &&
-                      (Nbrs.empty() || (Forward && B == G.rpo().front()) ||
-                       (P.ExtraBoundary && (*P.ExtraBoundary)[B]));
-      BitVector Meet(P.NumBits, Intersect && !Boundary);
-      if (!Boundary) {
-        if (!Intersect && P.MeetSeed)
-          Meet.unionWith((*P.MeetSeed)[B]);
-        for (BlockId N : Nbrs) {
-          if (Intersect)
-            Meet.intersectWith(FlowSets[N]);
-          else
-            Meet.unionWith(FlowSets[N]);
-        }
-      }
-      BitVector Flow = Meet;
-      if (P.Preserve)
-        Flow.intersectWith((*P.Preserve)[B]);
-      else
-        Flow.intersectWithComplement((*P.Kill)[B]);
-      Flow.unionWith((*P.Gen)[B]);
-      if (Meet != MeetSets[B] || Flow != FlowSets[B]) {
-        MeetSets[B] = std::move(Meet);
-        FlowSets[B] = std::move(Flow);
-        Changed = true;
-      }
-    }
-  }
-  return Stats;
+std::unique_ptr<Module> parseText(const std::string &Text) {
+  ParseResult PR = parseModule(Text);
+  EXPECT_TRUE(PR.ok()) << PR.Error;
+  return std::move(PR.M);
 }
 
 void expectSetsEqual(const std::vector<BitVector> &A,
-                     const std::vector<BitVector> &B, const char *What) {
+                     const std::vector<BitVector> &B, const std::string &What) {
   ASSERT_EQ(A.size(), B.size()) << What;
   for (unsigned I = 0; I < A.size(); ++I)
     EXPECT_EQ(A[I], B[I]) << What << " differs at block " << I;
 }
 
-/// AVAIL/ANT as PRE solved them must match the reference solve of the same
-/// systems, posed from the exported local sets, bit for bit.
-void checkPREDataflowEquivalence(const std::string &Src,
-                                 const std::string &Fn) {
-  auto M = compile(Src, NamingMode::Hashed);
-  ASSERT_TRUE(M);
-  Function &F = *M->find(Fn);
-  PREDataflow W = analyzePartialRedundancies(F);
-  CFG G = CFG::compute(F);
+/// Block evaluations of one function's AVAIL and ANT solves, by PRE and by
+/// the sweep (all zero: empty universe).
+struct Evaluations {
+  unsigned Avail = 0, Ant = 0, SweepAvail = 0, SweepAnt = 0;
+};
 
-  BitDataflowProblem Avail;
-  Avail.Dir = DataflowDirection::Forward;
-  Avail.Meet = MeetOp::Intersect;
+/// AVAIL/ANT as PRE solved them on \p F must match the sweep of the same
+/// systems, bit for bit. Under the planted fault AVAIL is posed as PRE
+/// poses it then: a union problem with no entry boundary.
+Evaluations expectPRESetsMatchSweep(Function &F, const std::string &What) {
+  PREDataflow W = analyzePartialRedundancies(F);
+  if (W.Stats.UniverseSize == 0)
+    return {};
+  CFG G = CFG::compute(F);
+  Evaluations R;
+  R.Avail = W.Stats.AvailIterations;
+  R.Ant = W.Stats.AntIterations;
+
+  SweepProblem Avail;
+  Avail.Union = fault::preDropAvailabilityMeet();
   Avail.NumBits = W.Stats.UniverseSize;
   Avail.Gen = &W.COMP;
   Avail.Preserve = &W.TRANSP;
   std::vector<BitVector> AVIN, AVOUT;
-  DataflowStats RA = solveBySweeping(G, Avail, AVIN, AVOUT);
+  R.SweepAvail = solveBySweeping(G, Avail, AVIN, AVOUT);
 
-  BitDataflowProblem Ant = Avail;
-  Ant.Dir = DataflowDirection::Backward;
+  SweepProblem Ant;
+  Ant.Forward = false;
+  Ant.NumBits = W.Stats.UniverseSize;
   Ant.ExtraBoundary = &W.AntBoundary;
   Ant.Gen = &W.ANTLOC;
+  Ant.Preserve = &W.TRANSP;
   std::vector<BitVector> ANTIN, ANTOUT;
-  DataflowStats RN = solveBySweeping(G, Ant, ANTOUT, ANTIN);
+  R.SweepAnt = solveBySweeping(G, Ant, ANTOUT, ANTIN);
 
-  expectSetsEqual(W.AVIN, AVIN, "AVIN");
-  expectSetsEqual(W.AVOUT, AVOUT, "AVOUT");
-  expectSetsEqual(W.ANTIN, ANTIN, "ANTIN");
-  expectSetsEqual(W.ANTOUT, ANTOUT, "ANTOUT");
-  // The worklist solve must not be doing more transfer evaluations than the
-  // dense sweep — that is the whole point.
-  EXPECT_LE(W.Stats.AvailSolve.Iterations, RA.Iterations);
-  EXPECT_LE(W.Stats.AntSolve.Iterations, RN.Iterations);
+  expectSetsEqual(W.AVIN, AVIN, What + ": AVIN");
+  expectSetsEqual(W.AVOUT, AVOUT, What + ": AVOUT");
+  expectSetsEqual(W.ANTIN, ANTIN, What + ": ANTIN");
+  expectSetsEqual(W.ANTOUT, ANTOUT, What + ": ANTOUT");
+  return R;
 }
 
-/// Liveness posed densely (DenseLiveness.h) must solve to the same sets on
-/// the worklist engine as on the reference sweep, and both must match the
-/// sparse Liveness::compute, bit for bit. In SSA form the phi uses along
-/// each edge enter as the MeetSeed.
+/// The check on a lowered routine; the worklist must also not do more
+/// transfer evaluations than the dense sweep.
+void checkPREDataflowEquivalence(const std::string &Src,
+                                 const std::string &Fn) {
+  auto M = compile(Src, NamingMode::Hashed);
+  ASSERT_TRUE(M);
+  Evaluations R = expectPRESetsMatchSweep(*M->find(Fn), Fn);
+  ASSERT_GT(R.Avail, 0u) << "empty universe";
+  EXPECT_LE(R.Avail, R.SweepAvail);
+  EXPECT_LE(R.Ant, R.SweepAnt);
+}
+
+/// Brings a fresh copy from \p Make to the input of its function
+/// \p Index's first PRE round under \p PO. Null when no round runs.
+template <typename MakeFn>
+std::unique_ptr<Module> atFirstPRERound(MakeFn Make, unsigned Index,
+                                        const PipelineOptions &PO) {
+  auto Traced = Make();
+  PassPrefixResult Full =
+      optimizeFunctionPrefix(*Traced->Functions[Index], PO, ~0u);
+  auto It = std::find(Full.Trace.begin(), Full.Trace.end(), "pre");
+  if (It == Full.Trace.end())
+    return nullptr;
+  auto M = Make();
+  optimizeFunctionPrefix(*M->Functions[Index], PO,
+                         unsigned(It - Full.Trace.begin()));
+  return M;
+}
+
+/// Checks every function of the ILOC module \p Text as parsed and at the
+/// input of its first PRE round at the distribution level. Returns how
+/// many of those functions had a nonempty universe.
+unsigned expectModulePRESetsMatch(const std::string &Text,
+                                  const std::string &What) {
+  auto M = parseText(Text);
+  if (!M)
+    return 0;
+  PipelineOptions PO;
+  PO.Level = OptLevel::Distribution;
+  PO.Naming = InputNaming::Naive;
+  unsigned Checked = 0;
+  for (unsigned I = 0; I < M->Functions.size(); ++I) {
+    Function &F = *M->Functions[I];
+    Checked += expectPRESetsMatchSweep(F, What + "/" + F.name()).Avail != 0;
+    auto AtPRE = atFirstPRERound([&] { return parseText(Text); }, I, PO);
+    if (AtPRE)
+      Checked += expectPRESetsMatchSweep(*AtPRE->Functions[I],
+                                         What + "/" + F.name() + "@pre")
+                     .Avail != 0;
+  }
+  return Checked;
+}
+
+/// Liveness posed densely (DenseLiveness.h) and solved by the sweep must
+/// match the sparse Liveness::compute, bit for bit. In SSA form the phi
+/// uses along each edge enter as the MeetSeed.
 void checkLivenessEquivalence(const std::string &Src, const std::string &Fn,
                               bool SSAForm) {
   auto M = compile(Src, NamingMode::Naive);
@@ -172,23 +179,19 @@ void checkLivenessEquivalence(const std::string &Src, const std::string &Fn,
     EXPECT_TRUE(AnyPhiUse) << "the SSA case must exercise MeetSeed";
   }
 
-  std::vector<BitVector> WOut, WIn, LiveOut, LiveIn;
-  DataflowStats W = solveBitDataflow(G, Dense.problem(), WOut, WIn);
-  DataflowStats R = solveBySweeping(G, Dense.problem(), LiveOut, LiveIn);
+  std::vector<BitVector> LiveOut, LiveIn;
+  solveBySweeping(G, Dense.problem(), LiveOut, LiveIn);
   Liveness Sparse = Liveness::compute(F, G);
 
   unsigned NR = F.numRegs();
   for (unsigned B = 0; B < F.numBlocks(); ++B) {
     if (!F.block(B))
       continue;
-    EXPECT_EQ(WIn[B], LiveIn[B]) << "LiveIn differs at block " << B;
-    EXPECT_EQ(WOut[B], LiveOut[B]) << "LiveOut differs at block " << B;
     EXPECT_EQ(toBits(Sparse.liveIn(B), NR), LiveIn[B])
         << "sparse LiveIn differs at block " << B;
     EXPECT_EQ(toBits(Sparse.liveOut(B), NR), LiveOut[B])
         << "sparse LiveOut differs at block " << B;
   }
-  EXPECT_LE(W.Iterations, R.Iterations);
 }
 
 TEST(DataflowEquivalence, PaperExamplePRESets) {
@@ -198,6 +201,106 @@ TEST(DataflowEquivalence, PaperExamplePRESets) {
 TEST(DataflowEquivalence, PaperExampleLiveness) {
   checkLivenessEquivalence(FooSource, "foo", /*SSAForm=*/false);
   checkLivenessEquivalence(FooSource, "foo", /*SSAForm=*/true);
+}
+
+TEST(DataflowEquivalence, CorpusPRESets) {
+  std::vector<std::string> Files;
+  for (const auto &E : std::filesystem::directory_iterator(EPRE_CORPUS_DIR))
+    if (E.path().extension() == ".iloc")
+      Files.push_back(E.path().string());
+  std::sort(Files.begin(), Files.end());
+  ASSERT_TRUE(std::any_of(Files.begin(), Files.end(), [](const auto &P) {
+    return P.find("irreducible") != std::string::npos;
+  }));
+  unsigned Checked = 0;
+  for (const std::string &Path : Files) {
+    std::ifstream In(Path);
+    std::stringstream SS;
+    SS << In.rdbuf();
+    Checked += expectModulePRESetsMatch(SS.str(), Path);
+  }
+  EXPECT_GT(Checked, 0u);
+}
+
+/// The 50 routines as PRE's first round sees them at the partial level
+/// (hashed names straight from the front end) and at the distribution
+/// level (after reassociation and value numbering).
+TEST(DataflowEquivalence, SuiteRoutinesAtFirstPRERound) {
+  unsigned Checked = 0;
+  for (const Routine &R : benchmarkSuite()) {
+    for (OptLevel L : {OptLevel::Partial, OptLevel::Distribution}) {
+      PipelineOptions PO;
+      PO.Level = L;
+      PO.Naming = L == OptLevel::Partial ? InputNaming::Hashed
+                                         : InputNaming::Naive;
+      auto M = atFirstPRERound(
+          [&] { return compile(R.Source, namingFor(L)); }, 0, PO);
+      ASSERT_TRUE(M) << R.Name << " runs no PRE round";
+      Checked += expectPRESetsMatchSweep(*M->Functions[0],
+                                         R.Name + "@" + optLevelName(L))
+                     .Avail != 0;
+    }
+  }
+  EXPECT_EQ(Checked, 100u);
+}
+
+TEST(DataflowEquivalence, GeneratedProgramsPRESets) {
+  unsigned Programs = 0, Checked = 0;
+  for (const std::string &Shape : fuzz::generatorShapeNames()) {
+    fuzz::GeneratorOptions GO;
+    ASSERT_TRUE(fuzz::shapeOptions(Shape, GO));
+    for (uint64_t Seed = 1; Seed <= 90; ++Seed, ++Programs) {
+      fuzz::FuzzProgram P = fuzz::generateProgram(Seed, GO, Shape);
+      Checked +=
+          expectModulePRESetsMatch(P.Text, Shape + "/" + std::to_string(Seed));
+    }
+  }
+  EXPECT_GE(Programs, 500u);
+  EXPECT_GT(Checked, Programs);
+}
+
+/// The back edge targets the entry block, which makes x+y and the
+/// comparison available along it: the entry's AVIN must still be empty.
+TEST(DataflowEquivalence, BackEdgeIntoEntryPRESets) {
+  auto M = parseText(R"(
+func @f(%n:i64, %x:i64, %y:i64) -> i64 {
+^entry:
+  %t:i64 = add %x, %y
+  %i:i64 = add %i, %t
+  %c:i64 = cmplt %i, %n
+  cbr %c, ^entry, ^exit
+^exit:
+  ret %i
+}
+)");
+  ASSERT_TRUE(M);
+  Function &F = *M->Functions[0];
+  ASSERT_FALSE(CFG::compute(F).preds(0).empty());
+  EXPECT_GT(expectPRESetsMatchSweep(F, "entry-loop").Avail, 0u);
+  PREDataflow W = analyzePartialRedundancies(F);
+  EXPECT_EQ(W.Stats.UniverseSize, 2u);
+  EXPECT_TRUE(W.AVIN[0].none());
+  EXPECT_EQ(W.AVOUT[0].count(), 2u);
+}
+
+/// Under fault::setPREDropAvailabilityMeet, AVAIL must be exactly the
+/// union problem from all-zero sets with no entry boundary, and differ
+/// from the true AVAIL somewhere, or the fuzzer's drill would test nothing.
+TEST(DataflowEquivalence, PlantedFaultPosesAvailabilityAsUnion) {
+  struct FaultOn {
+    FaultOn() { fault::setPREDropAvailabilityMeet(true); }
+    ~FaultOn() { fault::setPREDropAvailabilityMeet(false); }
+  };
+  for (unsigned Loops : {1u, 16u}) {
+    auto M = compile(loopNestSource(Loops), NamingMode::Hashed);
+    ASSERT_TRUE(M);
+    Function &F = *M->find("gen");
+    PREDataflow Right = analyzePartialRedundancies(F);
+    FaultOn Guard;
+    PREDataflow Wrong = analyzePartialRedundancies(F);
+    EXPECT_NE(Right.AVIN, Wrong.AVIN) << Loops << " loops";
+    EXPECT_GT(expectPRESetsMatchSweep(F, "faulted gen").Avail, 0u);
+  }
 }
 
 class DataflowEquivalenceLoopNests : public testing::TestWithParam<unsigned> {

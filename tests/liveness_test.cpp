@@ -2,8 +2,8 @@
 ///
 /// Liveness::compute walks each register backward from its uses. The
 /// dense bit-vector formulation it replaced survives here as the oracle
-/// (DenseLiveness.h, solved on solveBitDataflow): every live-in and
-/// live-out set must match bit for bit on every block. Checked on the
+/// (DenseLiveness.h, solved by the sweep in SweepDataflow.h): every live-in
+/// and live-out set must match bit for bit on every block. Checked on the
 /// corpus (irreducible flow included), the 50 suite routines at every level
 /// with phis present and after the pipeline, generated programs of every
 /// shape, and a loop whose back edge targets the entry block.
@@ -33,7 +33,7 @@ void expectMatchesDense(const Function &F, const std::string &What) {
   Liveness Sparse = Liveness::compute(F, G);
   DenseLiveness Dense(F);
   std::vector<BitVector> LiveOut, LiveIn;
-  solveBitDataflow(G, Dense.problem(), LiveOut, LiveIn);
+  solveBySweeping(G, Dense.problem(), LiveOut, LiveIn);
   unsigned NR = F.numRegs();
   for (BlockId B = 0; B < F.numBlocks(); ++B) {
     if (!F.block(B))

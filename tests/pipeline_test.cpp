@@ -299,6 +299,39 @@ TEST(Complexity, GVNWorkGrowsNearLinearly) {
       << "gvn work: " << Small << " at 32 loops, " << Large << " at 128";
 }
 
+/// The same ratchet for PRE: words the AVAIL, ANT and LATERIN solves touch
+/// in one PREPass run on the input to the pipeline's first pre round. The
+/// solves are dense over blocks x expressions, both of which grow with the
+/// chain: 51,832 words at 32 loops and 771,784 at 128, a ratio of 14.89.
+/// The bound is that ratio rounded up to the next 0.5; solving each
+/// expression over its own region (ROADMAP, per-expression PRE) lowers it
+/// to 4.5.
+TEST(Complexity, PREWorkGrowth) {
+  auto preWork = [](unsigned Loops) {
+    auto lower = [Loops] {
+      LowerResult LR = compileMiniFortran(loopChain(Loops), NamingMode::Naive);
+      EXPECT_TRUE(LR.ok()) << LR.Error;
+      return std::move(LR.M);
+    };
+    PipelineOptions PO;
+    PO.Level = OptLevel::Distribution;
+    PO.Naming = InputNaming::Naive;
+    auto Traced = lower();
+    PassPrefixResult Full =
+        optimizeFunctionPrefix(*Traced->find("chain"), PO, ~0u);
+    auto PRE = std::find(Full.Trace.begin(), Full.Trace.end(), "pre");
+    EXPECT_NE(PRE, Full.Trace.end());
+    auto M = lower();
+    Function &F = *M->find("chain");
+    optimizeFunctionPrefix(F, PO, unsigned(PRE - Full.Trace.begin()));
+    return runPass(F, PREPass()).lastWork();
+  };
+  uint64_t Small = preWork(32), Large = preWork(128);
+  ASSERT_GT(Small, 0u);
+  EXPECT_LE(double(Large) / double(Small), 15.0)
+      << "pre work: " << Small << " at 32 loops, " << Large << " at 128";
+}
+
 TEST(Pipeline, InvertedComparisonNormalized) {
   // .not. (i .lt. n) must become i .ge. n (one op, not cmp+xor).
   const char *Src = R"(

@@ -219,36 +219,9 @@ TEST_P(BitVectorKernels, AssignMeetPreserveGenFusesAndOr) {
   // Re-applying with the same operands is a fixpoint.
   EXPECT_FALSE(V.assignMeetPreserveGen(M, P, G));
   // Aliasing the meet operand with the destination (self-loop blocks in the
-  // dataflow engine) must behave like an in-place transfer.
+  // PRE fixpoints) must behave like an in-place transfer.
   BitVector W = M;
   W.assignMeetPreserveGen(W, P, G);
-  EXPECT_EQ(W, Ref);
-}
-
-TEST_P(BitVectorKernels, AssignMeetKillGenFusesAndNotOr) {
-  unsigned N = GetParam();
-  BitVector M(N), K(N), G(N);
-  for (unsigned I = 0; I < N; I += 2)
-    M.set(I);
-  for (unsigned I = 0; I < N; I += 3)
-    K.set(I);
-  for (unsigned I = 0; I < N; I += 7)
-    G.set(I);
-  BitVector Ref = M;
-  Ref.andNot(K);
-  Ref |= G;
-  BitVector V(N);
-  bool Changed = V.assignMeetKillGen(M, K, G);
-  EXPECT_EQ(V, Ref);
-  EXPECT_EQ(Changed, N > 0); // bit 0 is killed but regenerated
-  EXPECT_FALSE(V.assignMeetKillGen(M, K, G));
-  // ~K must not leak bits beyond the universe into the padding words.
-  BitVector Empty(N);
-  BitVector U(N);
-  U.assignMeetKillGen(Empty, Empty, Empty);
-  EXPECT_TRUE(U.none());
-  BitVector W = M;
-  W.assignMeetKillGen(W, K, G);
   EXPECT_EQ(W, Ref);
 }
 
