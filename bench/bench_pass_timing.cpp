@@ -28,13 +28,12 @@ using namespace epre;
 
 namespace {
 
-/// Runs a pass class on \p F with a fresh analysis manager and a quiet
-/// context, returning the pass object (for lastStats()).
+/// Runs a pass class on \p F with a quiet context, returning the pass
+/// object (for lastStats()).
 template <typename PassT> PassT runPass(Function &F, PassT P = PassT()) {
-  FunctionAnalysisManager AM(F);
   StatsRegistry SR;
   PassContext Ctx(&SR);
-  P.run(F, AM, Ctx);
+  P.run(F, Ctx);
   return P;
 }
 
@@ -232,9 +231,8 @@ BENCHMARK(BM_PipelineParallel)->Arg(8)->Arg(16)->UseRealTime();
 //
 // The headline compile-time number: everything the optimizer does on one
 // function of Arg loop nests at the highest level (Distribution), without
-// the debug verifier — i.e. the production configuration. This is the
-// benchmark the cached analysis manager and the inline-storage IR target;
-// the PR-over-PR trajectory is recorded in EXPERIMENTS.md.
+// the debug verifier — i.e. the production configuration. The PR-over-PR
+// trajectory is recorded in EXPERIMENTS.md.
 
 void BM_PipelineEndToEnd(benchmark::State &State) {
   for (auto _ : State) {

@@ -29,23 +29,21 @@ using namespace epre;
 
 namespace {
 
-/// Runs a pass class on \p F with a fresh analysis manager and a quiet
-/// context, returning the pass object (for lastStats()).
+/// Runs a pass class on \p F with a quiet context, returning the pass
+/// object (for lastStats()).
 template <typename PassT> PassT runPass(Function &F, PassT P = PassT()) {
-  FunctionAnalysisManager AM(F);
   StatsRegistry SR;
   PassContext Ctx(&SR);
-  P.run(F, AM, Ctx);
+  P.run(F, Ctx);
   return P;
 }
 
 /// Same, returning one of the pass's counters.
 template <typename PassT>
 uint64_t runPassStat(Function &F, const char *Counter, PassT P = PassT()) {
-  FunctionAnalysisManager AM(F);
   StatsRegistry SR;
   PassContext Ctx(&SR);
-  P.run(F, AM, Ctx);
+  P.run(F, Ctx);
   return SR.get(PassT::name(), Counter);
 }
 

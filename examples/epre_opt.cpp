@@ -99,34 +99,46 @@ std::vector<std::string> splitList(const std::string &S) {
 /// fwdprop/negnorm/reassoc/distribute.
 struct PassDriver {
   Function &F;
-  FunctionAnalysisManager AM;
   PassContext Ctx;
+  /// This function's entry of -profile-in, if any (pre-spec reads it).
+  const FunctionProfile *Profile = nullptr;
   RankMap Ranks;
   bool HaveRanks = false;
+  /// The input cannot take the pass at all (not a pass failure): exit 2.
+  bool Rejected = false;
 
   PassDriver(Function &F, StatsRegistry &SR, PassInstrumentation *PI,
-             const ProfileDoc *Profile = nullptr)
-      : F(F), AM(F), Ctx(&SR, PI) {
-    if (Profile)
-      AM.setProfileSource(Profile->find(F.name()));
+             const ProfileDoc *ProfileIn = nullptr)
+      : F(F), Ctx(&SR, PI) {
+    if (ProfileIn)
+      Profile = ProfileIn->find(F.name());
   }
 
   bool run(const std::string &Name) {
+    if ((Name == "ssa" || Name == "osr" || Name == "dvnt" || Name == "gvn") &&
+        F.hasPhi()) {
+      std::fprintf(stderr,
+                   "error: pass '%s' builds SSA form and needs phi-free "
+                   "input; run 'destroyssa' first\n",
+                   Name.c_str());
+      Rejected = true;
+      return false;
+    }
     if (Name == "ssa") {
-      SSABuildPass().run(F, AM, Ctx);
-      Ranks = RankMap::compute(F, AM.cfg());
+      SSABuildPass().run(F, Ctx);
+      Ranks = RankMap::compute(F, CFG::compute(F));
       HaveRanks = true;
       return true;
     }
     if (Name == "destroyssa") {
-      SSADestroyPass().run(F, AM, Ctx);
+      SSADestroyPass().run(F, Ctx);
       return true;
     }
     if (Name == "fwdprop") {
       if (!ensureRanks())
         return false;
       ForwardPropPass FP(Ranks);
-      FP.run(F, AM, Ctx);
+      FP.run(F, Ctx);
       const ForwardPropStats &S = FP.lastStats();
       std::fprintf(stderr, "fwdprop: %u -> %u static ops (x%.3f)\n",
                    S.OpsBefore, S.OpsAfter, S.expansion());
@@ -138,14 +150,14 @@ struct PassDriver {
       ReassociateOptions RO;
       RO.Distribute = Name == "distribute";
       if (Name == "negnorm")
-        NegNormPass(Ranks, RO).run(F, AM, Ctx);
+        NegNormPass(Ranks, RO).run(F, Ctx);
       else
-        ReassociatePass(Ranks, RO).run(F, AM, Ctx);
+        ReassociatePass(Ranks, RO).run(F, Ctx);
       return true;
     }
     if (Name == "osr") {
       StrengthReductionPass P;
-      P.run(F, AM, Ctx);
+      P.run(F, Ctx);
       const SRStats &S = P.lastStats();
       std::fprintf(stderr, "osr: %u loops, %u basic IVs, %u reduced\n",
                    S.LoopsVisited, S.BasicIVs, S.Reduced);
@@ -153,7 +165,7 @@ struct PassDriver {
     }
     if (Name == "dvnt") {
       DVNTPass P;
-      P.run(F, AM, Ctx);
+      P.run(F, Ctx);
       const DVNTStats &S = P.lastStats();
       std::fprintf(stderr, "dvnt: %u redundant, %u meaningless phis, "
                    "%u duplicate phis\n",
@@ -162,7 +174,7 @@ struct PassDriver {
     }
     if (Name == "gvn") {
       GVNPass P;
-      P.run(F, AM, Ctx);
+      P.run(F, Ctx);
       const GVNStats &S = P.lastStats();
       std::fprintf(stderr, "gvn: %u regs in %u classes, %u merged\n",
                    S.Registers, S.Classes, S.MergedDefs);
@@ -174,14 +186,14 @@ struct PassDriver {
                           : Name == "pre-mr" ? PREStrategy::MorelRenvoise
                           : Name == "pre-spec" ? PREStrategy::Speculative
                                                : PREStrategy::GlobalCSE;
-      if (Strat == PREStrategy::Speculative && !AM.profileSource()) {
+      if (Strat == PREStrategy::Speculative && !Profile) {
         std::fprintf(stderr,
                      "error: pre-spec needs a dynamic profile for this "
                      "function; pass -profile-in=FILE\n");
         return false;
       }
-      PREPass P(Strat);
-      P.run(F, AM, Ctx);
+      PREPass P(Strat, Profile);
+      P.run(F, Ctx);
       const PREStats &S = P.lastStats();
       std::fprintf(stderr, "%s: universe %u, +%u/-%u (%u speculated)\n",
                    Name.c_str(), S.UniverseSize, S.Inserted, S.Deleted,
@@ -189,14 +201,14 @@ struct PassDriver {
       return true;
     }
     if (Name == "constprop")
-      return SCCPPass().run(F, AM, Ctx), true;
+      return SCCPPass().run(F, Ctx), true;
     if (Name == "peephole")
-      return PeepholePass().run(F, AM, Ctx), true;
+      return PeepholePass().run(F, Ctx), true;
     if (Name == "dce")
-      return DCEPass().run(F, AM, Ctx), true;
+      return DCEPass().run(F, Ctx), true;
     if (Name == "coalesce") {
       uint64_t Before = Ctx.stats()->get("coalesce", "copies_removed");
-      CopyCoalescingPass().run(F, AM, Ctx);
+      CopyCoalescingPass().run(F, Ctx);
       std::fprintf(stderr, "coalesce: removed %llu copies\n",
                    (unsigned long long)(Ctx.stats()->get("coalesce",
                                                          "copies_removed") -
@@ -204,7 +216,7 @@ struct PassDriver {
       return true;
     }
     if (Name == "simplifycfg")
-      return SimplifyCFGPass().run(F, AM, Ctx), true;
+      return SimplifyCFGPass().run(F, Ctx), true;
     if (Name == "verify") {
       std::vector<std::string> E = verifyFunction(F, SSAMode::Relaxed);
       for (const std::string &Msg : E)
@@ -425,7 +437,7 @@ int main(int argc, char **argv) {
       PassDriver Driver(*F, FR, &PI, PO.ProfileIn);
       for (const std::string &P : splitList(PassList))
         if (!Driver.run(P))
-          return 1;
+          return Driver.Rejected ? 2 : 1;
       PI.stats().merge(FR);
     }
   }

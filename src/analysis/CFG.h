@@ -3,7 +3,11 @@
 /// \file
 /// A derived view of a function's control flow: predecessor/successor lists
 /// and a reverse-postorder numbering of the reachable blocks. Recompute after
-/// any pass that changes control flow.
+/// any change to the block graph.
+///
+/// The edge lists are flat: one array of successors and one of
+/// predecessors, each indexed by a per-block offset array, so computing the
+/// view costs a handful of allocations whatever the block count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -12,6 +16,7 @@
 
 #include "ir/Function.h"
 
+#include <span>
 #include <vector>
 
 namespace epre {
@@ -21,8 +26,16 @@ class CFG {
 public:
   static CFG compute(const Function &F);
 
-  const std::vector<BlockId> &preds(BlockId B) const { return Preds[B]; }
-  const std::vector<BlockId> &succs(BlockId B) const { return Succs[B]; }
+  /// Reachable predecessors of \p B, in block-id order (a block branching
+  /// to \p B along both arms of a cbr appears twice).
+  std::span<const BlockId> preds(BlockId B) const {
+    return edges(PredEdges, PredBegin, B);
+  }
+
+  /// Successors of \p B in terminator order (also for unreachable blocks).
+  std::span<const BlockId> succs(BlockId B) const {
+    return edges(SuccEdges, SuccBegin, B);
+  }
 
   /// Reachable blocks in reverse postorder (entry first).
   const std::vector<BlockId> &rpo() const { return RPO; }
@@ -37,11 +50,18 @@ public:
 
   bool isReachable(BlockId B) const { return RPONumber[B] != ~0u; }
 
-  unsigned numBlockSlots() const { return unsigned(Preds.size()); }
+  unsigned numBlockSlots() const { return unsigned(RPONumber.size()); }
 
 private:
-  std::vector<std::vector<BlockId>> Preds;
-  std::vector<std::vector<BlockId>> Succs;
+  static std::span<const BlockId> edges(const std::vector<BlockId> &Edges,
+                                        const std::vector<unsigned> &Begin,
+                                        BlockId B) {
+    return {Edges.data() + Begin[B], Begin[B + 1] - Begin[B]};
+  }
+
+  /// Block B's edges are Edges[Begin[B]] .. Edges[Begin[B + 1] - 1].
+  std::vector<unsigned> PredBegin, SuccBegin;
+  std::vector<BlockId> PredEdges, SuccEdges;
   std::vector<BlockId> RPO;
   std::vector<unsigned> RPONumber;
 };

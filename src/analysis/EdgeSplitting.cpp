@@ -3,7 +3,6 @@
 #include "analysis/EdgeSplitting.h"
 
 #include "analysis/CFG.h"
-#include "analysis/Dominators.h"
 
 #include <cassert>
 
@@ -57,4 +56,29 @@ unsigned epre::splitCriticalEdges(Function &F) {
   for (auto [From, To] : Critical)
     splitEdge(F, From, To);
   return unsigned(Critical.size());
+}
+
+bool epre::removeUnreachableBlocks(Function &F, const CFG &G) {
+  std::vector<BlockId> Dead;
+  F.forEachBlock([&](BasicBlock &B) {
+    if (!G.isReachable(B.id()))
+      Dead.push_back(B.id());
+  });
+  if (Dead.empty())
+    return false;
+  for (BlockId D : Dead)
+    F.eraseBlock(D);
+  F.forEachBlock([&](BasicBlock &B) {
+    for (Instruction &I : B.Insts) {
+      if (!I.isPhi())
+        break;
+      for (int J = int(I.Operands.size()) - 1; J >= 0; --J) {
+        if (G.isReachable(I.PhiBlocks[J]))
+          continue;
+        I.Operands.erase(I.Operands.begin() + J);
+        I.PhiBlocks.erase(I.PhiBlocks.begin() + J);
+      }
+    }
+  });
+  return true;
 }

@@ -1,7 +1,7 @@
 //===- analysis/ProfileInfo.h - Profile mapped onto the CFG ------*- C++ -*-===//
 ///
 /// \file
-/// The cached analysis that turns an externally supplied dynamic profile
+/// The analysis that turns an externally supplied dynamic profile
 /// (a label-keyed FunctionProfile collected by the interpreter, possibly
 /// from a *different* compilation of the same source) into id-keyed block
 /// and edge weights for the function as it looks right now.
@@ -13,9 +13,9 @@
 /// after collection) get weight 0 — consumers must treat unknown as cold,
 /// never as an error.
 ///
-/// Like CFG/DomTree/Loops, the mapping is version-stamped in the
-/// FunctionAnalysisManager and recomputed from the attached source after
-/// any pass that changes the block graph (docs/speculative-pre.md).
+/// Speculative PRE computes the join on every application, from the
+/// profile handed to PREPass, so each round sees the blocks earlier rounds
+/// created as unknown (docs/speculative-pre.md).
 ///
 //===----------------------------------------------------------------------===//
 

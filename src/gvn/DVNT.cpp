@@ -2,7 +2,7 @@
 
 #include "gvn/DVNT.h"
 
-#include "analysis/AnalysisManager.h"
+#include "analysis/CFG.h"
 #include "analysis/Dominators.h"
 #include "ir/ExprKey.h"
 #include "pre/LocalizeNames.h"
@@ -20,10 +20,10 @@ class DVNT {
 public:
   explicit DVNT(Function &F) : F(F) {}
 
-  DVNTStats run(FunctionAnalysisManager &AM) {
-    G = &AM.cfg();
-    DT = &AM.domTree();
-    walk(G->rpo().front());
+  DVNTStats run() {
+    G = CFG::compute(F);
+    DT = DominatorTree::compute(F, G);
+    walk(G.rpo().front());
     return Stats;
   }
 
@@ -123,7 +123,7 @@ private:
     // Adjust successor phi inputs for the edges leaving this block: the
     // value numbers of everything flowing out of B are final here, and a
     // deleted definition must not remain referenced.
-    for (BlockId S : G->succs(B)) {
+    for (BlockId S : G.succs(B)) {
       BasicBlock *SB = F.block(S);
       for (Instruction &Phi : SB->Insts) {
         if (!Phi.isPhi())
@@ -134,14 +134,14 @@ private:
       }
     }
 
-    for (BlockId C : DT->children(B))
+    for (BlockId C : DT.children(B))
       walk(C);
     Scopes.pop_back();
   }
 
   Function &F;
-  const CFG *G = nullptr;
-  const DominatorTree *DT = nullptr;
+  CFG G;
+  DominatorTree DT;
   DVNTStats Stats;
   std::map<Reg, Reg> VN;
   std::vector<std::unordered_map<ExprKey, Reg, ExprKeyHash>> Scopes;
@@ -149,33 +149,25 @@ private:
 
 } // namespace
 
-DVNTStats epre::valueNumberDominatorTreeSSA(Function &F,
-                                            FunctionAnalysisManager &AM) {
-  DVNTStats Stats = DVNT(F).run(AM);
+DVNTStats epre::valueNumberDominatorTreeSSA(Function &F) {
+  DVNTStats Stats = DVNT(F).run();
   // Uses are rewritten to value-number representatives even when nothing is
   // deleted: treat every run as a change.
   F.bumpVersion();
-  AM.finishPass(PreservedAnalyses::cfgShape());
   return Stats;
 }
 
-DVNTStats epre::valueNumberDominatorTreeSSA(Function &F) {
-  FunctionAnalysisManager AM(F);
-  return valueNumberDominatorTreeSSA(F, AM);
-}
-
-void epre::DVNTPass::run(Function &F, FunctionAnalysisManager &AM,
-                         PassContext &Ctx) {
+void epre::DVNTPass::run(Function &F, PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
   SSAOptions Opts;
   Opts.Pruned = true;
   Opts.FoldCopies = false; // copies are the variable-name definers
-  SSABuildPass(Opts).run(F, AM, Ctx);
-  Last = valueNumberDominatorTreeSSA(F, AM);
-  SSADestroyPass().run(F, AM, Ctx);
+  SSABuildPass(Opts).run(F, Ctx);
+  Last = valueNumberDominatorTreeSSA(F);
+  SSADestroyPass().run(F, Ctx);
   // Deleting dominated redundancies can leave an expression name live
   // across a block boundary; restore the §5.1 discipline for PRE.
-  LocalizeNamesPass().run(F, AM, Ctx);
+  LocalizeNamesPass().run(F, Ctx);
   Ctx.addStat("redundant", Last.Redundant);
   Ctx.addStat("meaningless_phis", Last.MeaninglessPhis);
   Ctx.addStat("redundant_phis", Last.RedundantPhis);

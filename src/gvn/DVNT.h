@@ -19,7 +19,6 @@
 #define EPRE_GVN_DVNT_H
 
 #include "gvn/ValueNumbering.h"
-#include "analysis/AnalysisManager.h"
 #include "instrument/PassInstrumentation.h"
 #include "ir/Function.h"
 
@@ -41,7 +40,7 @@ struct DVNTStats {
 class DVNTPass {
 public:
   static constexpr const char *name() { return "dvnt"; }
-  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
+  void run(Function &F, PassContext &Ctx);
 
   /// Stats of the most recent run.
   const DVNTStats &lastStats() const { return Last; }
@@ -52,8 +51,6 @@ private:
 
 /// The core: value-numbers a function in SSA form, deleting dominated
 /// redundancies. Copies are treated as variable-name barriers (kept).
-DVNTStats valueNumberDominatorTreeSSA(Function &F,
-                                      FunctionAnalysisManager &AM);
 DVNTStats valueNumberDominatorTreeSSA(Function &F);
 
 } // namespace epre

@@ -2,8 +2,6 @@
 
 #include "gvn/ValueNumbering.h"
 
-#include "analysis/AnalysisManager.h"
-
 #include "analysis/CFG.h"
 #include "analysis/EdgeSplitting.h"
 #include "ssa/SSA.h"
@@ -291,8 +289,7 @@ GVNStats epre::valueNumberSSA(Function &F) {
   return renameToClassReps(F, P, nullptr);
 }
 
-void epre::GVNPass::run(Function &F, FunctionAnalysisManager &AM,
-                        PassContext &Ctx) {
+void epre::GVNPass::run(Function &F, PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
   // Keep copies as instructions: they are the definitions of "variable
   // names" (§2.2), and folding them away would let phi inputs reference
@@ -301,15 +298,13 @@ void epre::GVNPass::run(Function &F, FunctionAnalysisManager &AM,
   SSAOptions Opts;
   Opts.Pruned = true;
   Opts.FoldCopies = false;
-  SSABuildPass(Opts).run(F, AM, Ctx);
+  SSABuildPass(Opts).run(F, Ctx);
   CongruencePartition P = computeCongruencePartition(F);
   Last = renameToClassReps(F, P, &Ctx);
   LastWork = P.Work;
-  // AWZ rewrites uses to class representatives; instructions changed but
-  // the graph did not.
+  // AWZ rewrites uses to class representatives.
   F.bumpVersion();
-  AM.finishPass(PreservedAnalyses::cfgShape());
-  SSADestroyPass().run(F, AM, Ctx);
+  SSADestroyPass().run(F, Ctx);
   Ctx.addStat("registers", Last.Registers);
   Ctx.addStat("classes", Last.Classes);
   Ctx.addStat("merged_defs", Last.MergedDefs);

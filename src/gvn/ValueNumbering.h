@@ -22,7 +22,6 @@
 #ifndef EPRE_GVN_VALUENUMBERING_H
 #define EPRE_GVN_VALUENUMBERING_H
 
-#include "analysis/AnalysisManager.h"
 #include "instrument/PassInstrumentation.h"
 #include "ir/Function.h"
 
@@ -47,7 +46,7 @@ struct GVNStats {
 class GVNPass {
 public:
   static constexpr const char *name() { return "gvn"; }
-  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
+  void run(Function &F, PassContext &Ctx);
 
   /// Stats of the most recent run.
   const GVNStats &lastStats() const { return Last; }

@@ -192,9 +192,8 @@ private:
 /// RAII pass-execution scope: announces the pass to the instrumentation
 /// (callbacks, timer slice, IR snapshot) and names the stats/remark
 /// attribution for everything the pass does while the scope is alive.
-/// Every unified `run(Function&, FunctionAnalysisManager&, PassContext&)`
-/// entry point opens one of these first; sub-passes invoked through their
-/// own run() nest naturally.
+/// Every unified `run(Function&, PassContext&)` entry point opens one of
+/// these first; sub-passes invoked through their own run() nest naturally.
 class PassScope {
 public:
   PassScope(PassContext &Ctx, std::string_view Name, const Function &F)

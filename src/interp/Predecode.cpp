@@ -10,25 +10,11 @@
 
 using namespace epre;
 
-#if !defined(EPRE_NO_COMPUTED_GOTO) && (defined(__GNUC__) || defined(__clang__))
-#define EPRE_COMPUTED_GOTO 1
-#else
-#define EPRE_COMPUTED_GOTO 0
-#endif
-
-#if defined(__GNUC__) || defined(__clang__)
+// The build is GCC/Clang only, so the dispatch loop always uses computed
+// goto and the branch hint below is always available.
 #define EPRE_UNLIKELY(X) __builtin_expect(!!(X), 0)
-#else
-#define EPRE_UNLIKELY(X) (X)
-#endif
 
-const char *epre::interpDispatchMode() {
-#if EPRE_COMPUTED_GOTO
-  return "computed-goto";
-#else
-  return "switch";
-#endif
-}
+const char *epre::interpDispatchMode() { return "computed-goto"; }
 
 //===----------------------------------------------------------------------===//
 // Predecoder
@@ -656,7 +642,6 @@ void execute(const RunState &S, int64_t Residual, const PInst *p) {
         return fuelTrap(p);                                                    \
   } while (0)
 
-#if EPRE_COMPUTED_GOTO
 #define VM_CASE(N) Lbl_##N:
 #define VM_NEXT()                                                              \
   do {                                                                         \
@@ -669,13 +654,6 @@ void execute(const RunState &S, int64_t Residual, const PInst *p) {
 #undef EPRE_POP_LABEL
   };
   VM_NEXT();
-#else
-#define VM_CASE(N) case POp::N:
-#define VM_NEXT() continue
-  for (;;) {
-    VM_FUEL_CHECK();
-    switch (p->Op) {
-#endif
 
   VM_CASE(BlockEntry) {
     if constexpr (Careful) {
@@ -1094,10 +1072,6 @@ void execute(const RunState &S, int64_t Residual, const PInst *p) {
     VM_NEXT();
   }
 
-#if !EPRE_COMPUTED_GOTO
-    }
-  }
-#endif
 #undef VM_CASE
 #undef VM_NEXT
 #undef VM_FUEL_CHECK

@@ -174,8 +174,7 @@ ExecResult executeBytecode(const BytecodeFunction &BF,
                            const ExecLimits &Limits, ProfileCollector *Prof,
                            Arena &Scratch);
 
-/// "computed-goto" or "switch": which dispatch loop this build selected
-/// (EPRE_NO_COMPUTED_GOTO forces the portable switch loop).
+/// The dispatch loop's name, "computed-goto", for benchmark records.
 const char *interpDispatchMode();
 
 } // namespace epre

@@ -187,14 +187,19 @@ public:
   /// every structural mutation routed through Function (block creation and
   /// removal, register allocation) and, explicitly via \ref bumpVersion, by
   /// passes that edit instructions in place (terminator rewrites, operand
-  /// renaming). Cached analyses (see analysis/AnalysisManager.h) are keyed
-  /// on this value: a cache entry stamped with an older version is stale
-  /// unless the mutating pass declared the analysis preserved.
+  /// renaming). Predecoded bytecode records the version it was built from
+  /// and asserts it still matches when run (interp/Predecode.h).
   uint64_t version() const { return Version; }
 
-  /// Records that the IR changed. Cheap and safe to over-call: spurious
-  /// bumps only cost a recompute, never a stale result.
+  /// Records that the IR changed. Cheap and safe to over-call.
   void bumpVersion() { ++Version; }
+
+  /// True when some live block starts with a phi.
+  bool hasPhi() const {
+    bool Found = false;
+    forEachBlock([&](const BasicBlock &B) { Found |= B.firstNonPhi() != 0; });
+    return Found;
+  }
 
   /// Counts all instructions in live blocks (the paper's static size metric).
   unsigned staticOperationCount() const {

@@ -18,7 +18,7 @@
 
 #include "opt/ConstantPropagation.h"
 
-#include "analysis/AnalysisManager.h"
+#include "analysis/CFG.h"
 #include "analysis/Liveness.h"
 #include "ir/Eval.h"
 #include "support/StringUtil.h"
@@ -252,7 +252,6 @@ private:
 
   bool rewrite() {
     bool Changed = false;
-    BranchFolded = false;
     F.forEachBlock([&](BasicBlock &B) {
       if (!BlockExec[B.id()])
         return; // unreachable under the analysis; SimplifyCFG will erase
@@ -302,7 +301,6 @@ private:
                                     F.block(Taken)->label().c_str()));
             I = Instruction::makeBr(Taken);
             F.bumpVersion(); // terminator rewrite: CFG edge removed
-            BranchFolded = true;
             ++BranchFolds;
             Changed = true;
           }
@@ -331,8 +329,6 @@ private:
   std::vector<BlockId> Worklist;    ///< FIFO: consumed from the front
 
 public:
-  /// Set by rewrite() when a cbr was folded to br (a CFG edge died).
-  bool BranchFolded = false;
   /// Optional remark emitter (instrumented runs only).
   PassContext *Ctx = nullptr;
   unsigned Folds = 0;
@@ -341,20 +337,17 @@ public:
 
 } // namespace
 
-void epre::SCCPPass::run(Function &F, FunctionAnalysisManager &AM,
-                         PassContext &Ctx) {
+void epre::SCCPPass::run(Function &F, PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
-  SCCP S(F, AM.cfg());
+  CFG G = CFG::compute(F);
+  SCCP S(F, G);
   S.Ctx = &Ctx;
   bool Changed = S.run();
   LastWork = S.Work;
   Ctx.addStat("folds", S.Folds);
   Ctx.addStat("branches_folded", S.BranchFolds);
   Ctx.addStat("changed", Changed);
-  if (!Changed)
-    return;
-  F.bumpVersion();
-  AM.finishPass(S.BranchFolded ? PreservedAnalyses::none()
-                               : PreservedAnalyses::cfgShape());
+  if (Changed)
+    F.bumpVersion();
 }
 

@@ -12,7 +12,6 @@
 #ifndef EPRE_OPT_CONSTANTPROPAGATION_H
 #define EPRE_OPT_CONSTANTPROPAGATION_H
 
-#include "analysis/AnalysisManager.h"
 #include "instrument/PassInstrumentation.h"
 #include "ir/Function.h"
 
@@ -29,9 +28,7 @@ class SCCPPass {
 public:
   static constexpr const char *name() { return "sccp"; }
 
-  /// Runs the pass and settles \p AM (untouched when nothing changed; CFG
-  /// shape kept unless a branch folded).
-  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
+  void run(Function &F, PassContext &Ctx);
 
   /// Deterministic cost of the most recent run: lattice cells loaded or
   /// met, instructions evaluated, and the liveness walk that sized the

@@ -11,7 +11,6 @@
 
 #include "opt/CopyCoalescing.h"
 
-#include "analysis/AnalysisManager.h"
 #include "analysis/Liveness.h"
 #include "support/SparseSet.h"
 
@@ -143,13 +142,12 @@ void buildInterference(const Function &F, const CFG &G, const Liveness &Live,
   });
 }
 
-unsigned coalesceCopiesImpl(Function &F, FunctionAnalysisManager &AM,
-                            uint64_t &Work) {
+unsigned coalesceCopiesImpl(Function &F, uint64_t &Work) {
   unsigned Removed = 0;
   // Coalescing renames registers and deletes self-copies; the block graph
   // and the register universe never change, so one CFG, one live set and
   // one interference store serve every round.
-  const CFG &G = AM.cfg();
+  CFG G = CFG::compute(F);
   unsigned NR = F.numRegs();
   std::vector<Instruction> Kept; // reused across blocks to recycle capacity
   std::vector<uint8_t> CopyRelated;
@@ -242,18 +240,15 @@ unsigned coalesceCopiesImpl(Function &F, FunctionAnalysisManager &AM,
     if (!Changed)
       break;
   }
-  if (Removed) {
+  if (Removed)
     F.bumpVersion();
-    AM.finishPass(PreservedAnalyses::cfgShape());
-  }
   return Removed;
 }
 
 } // namespace
 
-void epre::CopyCoalescingPass::run(Function &F, FunctionAnalysisManager &AM,
-                                   PassContext &Ctx) {
+void epre::CopyCoalescingPass::run(Function &F, PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
   LastWork = 0;
-  Ctx.addStat("copies_removed", coalesceCopiesImpl(F, AM, LastWork));
+  Ctx.addStat("copies_removed", coalesceCopiesImpl(F, LastWork));
 }

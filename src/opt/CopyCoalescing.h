@@ -12,7 +12,6 @@
 #ifndef EPRE_OPT_COPYCOALESCING_H
 #define EPRE_OPT_COPYCOALESCING_H
 
-#include "analysis/AnalysisManager.h"
 #include "instrument/PassInstrumentation.h"
 #include "ir/Function.h"
 
@@ -26,7 +25,7 @@ namespace epre {
 class CopyCoalescingPass {
 public:
   static constexpr const char *name() { return "coalesce"; }
-  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
+  void run(Function &F, PassContext &Ctx);
 
   /// Deterministic cost of the most recent run, over all rounds: live-set
   /// members scanned, interference inserts, and the liveness walks.

@@ -2,7 +2,6 @@
 
 #include "opt/DeadCodeElim.h"
 
-#include "analysis/AnalysisManager.h"
 #include "analysis/Liveness.h"
 #include "support/BitVector.h"
 #include "support/SparseSet.h"
@@ -78,12 +77,11 @@ bool sweepUnobservableRegisters(Function &F, unsigned &Removed,
   return Changed;
 }
 
-bool eliminateDeadCodeImpl(Function &F, FunctionAnalysisManager &AM,
-                           unsigned &Removed, uint64_t &Work) {
+bool eliminateDeadCodeImpl(Function &F, unsigned &Removed, uint64_t &Work) {
   bool EverChanged = sweepUnobservableRegisters(F, Removed, Work);
   // Only instructions are removed below, never blocks or edges: one CFG
   // serves every liveness round, and the register universe stays fixed.
-  const CFG &G = AM.cfg();
+  CFG G = CFG::compute(F);
   std::vector<Instruction> Kept; // reused across blocks to recycle capacity
   SparseSet LiveNow(F.numRegs());
   bool Changed = true;
@@ -125,21 +123,18 @@ bool eliminateDeadCodeImpl(Function &F, FunctionAnalysisManager &AM,
     });
     EverChanged |= Changed;
   }
-  if (EverChanged) {
+  if (EverChanged)
     F.bumpVersion();
-    AM.finishPass(PreservedAnalyses::cfgShape());
-  }
   return EverChanged;
 }
 
 } // namespace
 
-void epre::DCEPass::run(Function &F, FunctionAnalysisManager &AM,
-                        PassContext &Ctx) {
+void epre::DCEPass::run(Function &F, PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
   unsigned Removed = 0;
   LastWork = 0;
-  bool Changed = eliminateDeadCodeImpl(F, AM, Removed, LastWork);
+  bool Changed = eliminateDeadCodeImpl(F, Removed, LastWork);
   Ctx.addStat("removed", Removed);
   Ctx.addStat("changed", Changed);
 }

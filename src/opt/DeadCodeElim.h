@@ -10,7 +10,6 @@
 #ifndef EPRE_OPT_DEADCODEELIM_H
 #define EPRE_OPT_DEADCODEELIM_H
 
-#include "analysis/AnalysisManager.h"
 #include "instrument/PassInstrumentation.h"
 #include "ir/Function.h"
 
@@ -23,7 +22,7 @@ namespace epre {
 class DCEPass {
 public:
   static constexpr const char *name() { return "dce"; }
-  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
+  void run(Function &F, PassContext &Ctx);
 
   /// Deterministic cost of the most recent run: instructions visited,
   /// live-set updates, and the liveness walks.

@@ -8,7 +8,8 @@
 
 #include "opt/Peephole.h"
 
-#include "analysis/AnalysisManager.h"
+#include "analysis/CFG.h"
+#include "analysis/Dominators.h"
 #include "ir/Eval.h"
 
 #include <cassert>
@@ -23,8 +24,8 @@ class Peephole {
 public:
   Peephole(Function &F, const PeepholeOptions &Opts) : F(F), Opts(Opts) {}
 
-  bool run(FunctionAnalysisManager &AM) {
-    DT = &AM.domTree();
+  bool run() {
+    DT = DominatorTree::compute(F, CFG::compute(F));
     collectUniqueDefs();
     bool Changed = false;
     F.forEachBlock([&](BasicBlock &B) { Changed |= runOnBlock(B); });
@@ -57,7 +58,7 @@ private:
     auto It = UniqueDef.find(R);
     if (It == UniqueDef.end())
       return nullptr;
-    if (!DT->strictlyDominates(It->second.second, CurBlock))
+    if (!DT.strictlyDominates(It->second.second, CurBlock))
       return nullptr;
     return &It->second.first;
   }
@@ -376,7 +377,7 @@ private:
 
   Function &F;
   PeepholeOptions Opts;
-  const DominatorTree *DT = nullptr;
+  DominatorTree DT;
   BlockId CurBlock = 0;
   std::map<Reg, std::pair<Instruction, BlockId>> UniqueDef;
   std::map<Reg, unsigned> AllDefs;
@@ -389,15 +390,11 @@ private:
 
 } // namespace
 
-void epre::PeepholePass::run(Function &F, FunctionAnalysisManager &AM,
-                             PassContext &Ctx) {
+void epre::PeepholePass::run(Function &F, PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
-  bool Changed = Peephole(F, Opts).run(AM);
+  bool Changed = Peephole(F, Opts).run();
   Ctx.addStat("changed", Changed);
-  if (!Changed)
-    return;
-  F.bumpVersion();
-  // Never touches terminators, so the block graph is intact.
-  AM.finishPass(PreservedAnalyses::cfgShape());
+  if (Changed)
+    F.bumpVersion();
 }
 

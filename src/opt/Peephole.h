@@ -14,7 +14,6 @@
 #ifndef EPRE_OPT_PEEPHOLE_H
 #define EPRE_OPT_PEEPHOLE_H
 
-#include "analysis/AnalysisManager.h"
 #include "instrument/PassInstrumentation.h"
 #include "ir/Function.h"
 
@@ -34,7 +33,7 @@ class PeepholePass {
 public:
   static constexpr const char *name() { return "peephole"; }
   explicit PeepholePass(const PeepholeOptions &Opts = {}) : Opts(Opts) {}
-  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
+  void run(Function &F, PassContext &Ctx);
 
 private:
   PeepholeOptions Opts;

@@ -2,48 +2,16 @@
 
 #include "opt/SimplifyCFG.h"
 
-#include "analysis/AnalysisManager.h"
 #include "analysis/CFG.h"
+#include "analysis/EdgeSplitting.h"
 #include "ssa/ParallelCopy.h"
 
-#include <algorithm>
 #include <cassert>
-#include <map>
+#include <span>
 
 using namespace epre;
 
 namespace {
-
-bool removeUnreachableBlocksImpl(Function &F, FunctionAnalysisManager &AM) {
-  const CFG &G = AM.cfg();
-  std::vector<BlockId> Dead;
-  F.forEachBlock([&](BasicBlock &B) {
-    if (!G.isReachable(B.id()))
-      Dead.push_back(B.id());
-  });
-  if (Dead.empty())
-    return false;
-  // G stays safe to read while erasing: the cached object is only replaced
-  // by a later accessor call or finishPass, neither of which happens before
-  // the phi cleanup below finishes with it.
-  for (BlockId D : Dead)
-    F.eraseBlock(D);
-  // Drop phi inputs that arrived from erased blocks.
-  F.forEachBlock([&](BasicBlock &B) {
-    for (Instruction &I : B.Insts) {
-      if (!I.isPhi())
-        break;
-      for (int J = int(I.Operands.size()) - 1; J >= 0; --J) {
-        if (G.isReachable(I.PhiBlocks[J]))
-          continue;
-        I.Operands.erase(I.Operands.begin() + J);
-        I.PhiBlocks.erase(I.PhiBlocks.begin() + J);
-      }
-    }
-  });
-  AM.finishPass(PreservedAnalyses::none());
-  return true;
-}
 
 /// Rewrites `cbr` with equal targets or a locally-constant condition to
 /// `br`. Returns true on change.
@@ -158,9 +126,15 @@ bool collapseSingleInputPhis(Function &F) {
   return Changed;
 }
 
-/// Bypasses blocks that contain only `br ^t`.
-bool threadForwardingBlocks(Function &F, FunctionAnalysisManager &AM) {
-  const CFG &G = AM.cfg();
+/// Bypasses blocks that contain only `br ^t`. \p G is the graph before the
+/// sweep, and every retarget makes it staler. Without phis in the target a
+/// stale predecessor list is harmless: it can only name a block the sweep
+/// already bypassed, which is dead. With phis it is not, because the
+/// target's phi entries move to the listed predecessors; such a block
+/// waits for the next round when its predecessors, or their successors,
+/// changed earlier in this sweep.
+bool threadForwardingBlocks(Function &F, const CFG &G) {
+  std::vector<uint8_t> Moved(G.numBlockSlots(), 0); // edges changed
   bool Changed = false;
   F.forEachBlock([&](BasicBlock &B) {
     if (B.id() == 0 || B.Insts.size() != 1 ||
@@ -171,23 +145,30 @@ bool threadForwardingBlocks(Function &F, FunctionAnalysisManager &AM) {
       return; // self loop
     BasicBlock *TB = F.block(T);
     bool TargetHasPhis = TB->firstNonPhi() != 0;
-    const std::vector<BlockId> &Preds = G.preds(B.id());
+    std::span<const BlockId> Preds = G.preds(B.id());
     if (Preds.empty())
       return; // unreachable; another rule removes it
-    // With phis in the target, avoid creating parallel edges whose phi
-    // entries we cannot attribute.
     if (TargetHasPhis) {
-      for (BlockId P : Preds)
+      if (Moved[B.id()])
+        return;
+      for (BlockId P : Preds) {
+        if (Moved[P])
+          return;
+        // Avoid creating parallel edges whose phi entries we cannot
+        // attribute.
         for (BlockId S : G.succs(P))
           if (S == T)
             return;
+      }
     }
     // Retarget each predecessor.
     for (BlockId P : Preds) {
       for (BlockId &S : F.block(P)->terminator().Succs)
         if (S == B.id())
           S = T;
+      Moved[P] = 1;
     }
+    Moved[T] = 1;
     F.bumpVersion(); // terminator edits: CFG edges moved
     // Re-attribute phi entries from B to the predecessors.
     for (Instruction &I : TB->Insts) {
@@ -207,21 +188,16 @@ bool threadForwardingBlocks(Function &F, FunctionAnalysisManager &AM) {
     }
     Changed = true;
   });
-  if (Changed) {
-    AM.finishPass(PreservedAnalyses::none());
-    removeUnreachableBlocksImpl(F, AM);
-  }
   return Changed;
 }
 
-/// Merges a block into its unique successor when it is that successor's
-/// unique predecessor.
-bool mergeStraightLine(Function &F, FunctionAnalysisManager &AM) {
-  const CFG &G = AM.cfg();
+/// Merges one block into its unique successor when it is that successor's
+/// unique predecessor; \p G is stale after a merge.
+bool mergeStraightLine(Function &F, const CFG &G) {
   bool Changed = false;
   F.forEachBlock([&](BasicBlock &B) {
     if (Changed)
-      return; // one merge per round; CFG view is stale after a merge
+      return;
     if (!F.block(B.id()) || B.terminator().Op != Opcode::Br)
       return;
     BlockId S = B.terminator().Succs[0];
@@ -248,32 +224,33 @@ bool mergeStraightLine(Function &F, FunctionAnalysisManager &AM) {
     F.eraseBlock(S);
     Changed = true;
   });
-  if (Changed)
-    AM.finishPass(PreservedAnalyses::none());
   return Changed;
 }
 
-bool simplifyCFGImpl(Function &F, FunctionAnalysisManager &AM) {
+bool simplifyCFGImpl(Function &F) {
+  CFG G = CFG::compute(F);
+  // Passes a sub-step's result through, recomputing G when the step
+  // changed the block graph.
+  auto Refresh = [&](bool GraphChanged) {
+    if (GraphChanged)
+      G = CFG::compute(F);
+    return GraphChanged;
+  };
   bool EverChanged = false;
   bool Changed = true;
   while (Changed) {
-    Changed = false;
     // Unreachable blocks go first: they may hold branches to blocks that a
     // previous pass or iteration erased.
-    Changed |= removeUnreachableBlocksImpl(F, AM);
-    if (foldBranches(F)) {
-      AM.finishPass(PreservedAnalyses::none());
+    Changed = Refresh(removeUnreachableBlocks(F, G));
+    Changed |= Refresh(foldBranches(F));
+    Changed |= Refresh(removeUnreachableBlocks(F, G));
+    // Phis become copies; no block or edge changes.
+    Changed |= collapseSingleInputPhis(F);
+    if (Refresh(threadForwardingBlocks(F, G))) {
+      Refresh(removeUnreachableBlocks(F, G));
       Changed = true;
     }
-    Changed |= removeUnreachableBlocksImpl(F, AM);
-    if (collapseSingleInputPhis(F)) {
-      // Phis became copies: no block or edge changed, but expression
-      // content did.
-      AM.finishPass(PreservedAnalyses::cfgShape());
-      Changed = true;
-    }
-    Changed |= threadForwardingBlocks(F, AM);
-    while (mergeStraightLine(F, AM))
+    while (Refresh(mergeStraightLine(F, G)))
       Changed = true;
     EverChanged |= Changed;
   }
@@ -282,27 +259,12 @@ bool simplifyCFGImpl(Function &F, FunctionAnalysisManager &AM) {
 
 } // namespace
 
-void epre::SimplifyCFGPass::run(Function &F, FunctionAnalysisManager &AM,
-                                PassContext &Ctx) {
+void epre::SimplifyCFGPass::run(Function &F, PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
-  Ctx.addStat("changed", simplifyCFGImpl(F, AM));
+  Ctx.addStat("changed", simplifyCFGImpl(F));
 }
 
-void epre::UnreachableBlockElimPass::run(Function &F,
-                                         FunctionAnalysisManager &AM,
-                                         PassContext &Ctx) {
+void epre::UnreachableBlockElimPass::run(Function &F, PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
-  Ctx.addStat("changed", removeUnreachableBlocksImpl(F, AM));
-}
-
-bool epre::removeUnreachableBlocks(Function &F, FunctionAnalysisManager &AM) {
-  StatsRegistry SR;
-  PassContext Ctx(&SR);
-  UnreachableBlockElimPass().run(F, AM, Ctx);
-  return SR.get("unreachable-elim", "changed") != 0;
-}
-
-bool epre::removeUnreachableBlocks(Function &F) {
-  FunctionAnalysisManager AM(F);
-  return removeUnreachableBlocks(F, AM);
+  Ctx.addStat("changed", removeUnreachableBlocks(F, CFG::compute(F)));
 }

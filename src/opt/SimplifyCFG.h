@@ -11,7 +11,6 @@
 #ifndef EPRE_OPT_SIMPLIFYCFG_H
 #define EPRE_OPT_SIMPLIFYCFG_H
 
-#include "analysis/AnalysisManager.h"
 #include "instrument/PassInstrumentation.h"
 #include "ir/Function.h"
 
@@ -26,12 +25,11 @@ namespace epre {
 ///  - a block containing only `br ^t` is bypassed when target phis permit;
 ///  - a block whose single successor has it as its single predecessor is
 ///    merged with that successor.
-/// Invalidates everything when it changes the graph.
 /// Counters: simplifycfg.changed.
 class SimplifyCFGPass {
 public:
   static constexpr const char *name() { return "simplifycfg"; }
-  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
+  void run(Function &F, PassContext &Ctx);
 };
 
 /// Unreachable-block removal only, as its own schedulable pass.
@@ -39,13 +37,8 @@ public:
 class UnreachableBlockElimPass {
 public:
   static constexpr const char *name() { return "unreachable-elim"; }
-  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
+  void run(Function &F, PassContext &Ctx);
 };
-
-/// Erases unreachable blocks only; used by passes that need a clean CFG
-/// without wanting full simplification. Returns true if blocks were erased.
-bool removeUnreachableBlocks(Function &F, FunctionAnalysisManager &AM);
-bool removeUnreachableBlocks(Function &F);
 
 } // namespace epre
 

@@ -2,7 +2,6 @@
 
 #include "opt/StrengthReduction.h"
 
-#include "analysis/AnalysisManager.h"
 #include "analysis/CFG.h"
 #include "analysis/Dominators.h"
 #include "analysis/EdgeSplitting.h"
@@ -34,8 +33,9 @@ struct BasicIV {
 
 class StrengthReducer {
 public:
-  StrengthReducer(Function &F, FunctionAnalysisManager &AM)
-      : F(F), G(AM.cfg()), LI(AM.loopInfo()) {}
+  explicit StrengthReducer(Function &F)
+      : F(F), G(CFG::compute(F)),
+        LI(LoopInfo::compute(F, G, DominatorTree::compute(F, G))) {}
 
   SRStats run() {
     // Innermost loops first (deeper loops have higher Depth).
@@ -110,7 +110,7 @@ private:
 
     // Shape requirement: header with exactly two predecessors, one from
     // inside (latch) and one from outside (entry edge).
-    const std::vector<BlockId> &Preds = G.preds(L.Header);
+    std::span<const BlockId> Preds = G.preds(L.Header);
     if (Preds.size() != 2)
       return;
     BlockId Entry = InvalidBlock, Latch = InvalidBlock;
@@ -278,10 +278,9 @@ private:
   }
 
   Function &F;
-  // Cached analyses: valid for the whole run — no AM accessor is called
-  // while the reducer mutates the function.
-  const CFG &G;
-  const LoopInfo &LI;
+  // The reducer never changes the block graph, so these stay valid.
+  const CFG G;
+  const LoopInfo LI;
   SRStats Stats;
   std::map<Reg, std::pair<Instruction *, BlockId>> Defs;
 };
@@ -290,29 +289,24 @@ private:
 
 namespace {
 
-SRStats strengthReduceSSAImpl(Function &F, FunctionAnalysisManager &AM) {
-  SRStats Stats = StrengthReducer(F, AM).run();
-  if (Stats.Reduced) {
-    // New phis, preheader computations, and copy rewrites: instruction
-    // content changed, the block graph did not.
-    F.bumpVersion();
-    AM.finishPass(PreservedAnalyses::cfgShape());
-  }
+SRStats strengthReduceSSAImpl(Function &F) {
+  SRStats Stats = StrengthReducer(F).run();
+  if (Stats.Reduced)
+    F.bumpVersion(); // new phis, preheader computations, copy rewrites
   return Stats;
 }
 
 } // namespace
 
-void epre::StrengthReductionPass::run(Function &F, FunctionAnalysisManager &AM,
-                                      PassContext &Ctx) {
+void epre::StrengthReductionPass::run(Function &F, PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
   SSAOptions Opts;
   Opts.Pruned = true;
   Opts.FoldCopies = false;
-  SSABuildPass(Opts).run(F, AM, Ctx);
-  Last = strengthReduceSSAImpl(F, AM);
-  SSADestroyPass().run(F, AM, Ctx);
-  LocalizeNamesPass().run(F, AM, Ctx);
+  SSABuildPass(Opts).run(F, Ctx);
+  Last = strengthReduceSSAImpl(F);
+  SSADestroyPass().run(F, Ctx);
+  LocalizeNamesPass().run(F, Ctx);
   Ctx.addStat("loops_visited", Last.LoopsVisited);
   Ctx.addStat("basic_ivs", Last.BasicIVs);
   Ctx.addStat("reduced", Last.Reduced);

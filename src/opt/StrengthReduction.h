@@ -31,7 +31,6 @@
 #ifndef EPRE_OPT_STRENGTHREDUCTION_H
 #define EPRE_OPT_STRENGTHREDUCTION_H
 
-#include "analysis/AnalysisManager.h"
 #include "instrument/PassInstrumentation.h"
 #include "ir/Function.h"
 
@@ -52,7 +51,7 @@ struct SRStats {
 class StrengthReductionPass {
 public:
   static constexpr const char *name() { return "strengthreduce"; }
-  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
+  void run(Function &F, PassContext &Ctx);
 
   /// Stats of the most recent run (for drivers that branch on them).
   const SRStats &lastStats() const { return Last; }

@@ -2,7 +2,6 @@
 
 #include "pipeline/Pipeline.h"
 
-#include "analysis/AnalysisManager.h"
 #include "analysis/CFG.h"
 #include "instrument/Profile.h"
 #include "ir/Verifier.h"
@@ -193,22 +192,21 @@ void verifyStage(const Function &F, const PipelineOptions &Opts,
 }
 
 /// The paper's baseline sequence; every level ends with it.
-void runBaselineTail(Function &F, FunctionAnalysisManager &AM,
-                     const PipelineOptions &Opts, PassContext &Ctx,
-                     PassGate &Gate) {
+void runBaselineTail(Function &F, const PipelineOptions &Opts,
+                     PassContext &Ctx, PassGate &Gate) {
   if (Gate.admit("sccp")) {
-    SCCPPass().run(F, AM, Ctx);
+    SCCPPass().run(F, Ctx);
     verifyStage(F, Opts, SSAMode::Relaxed, "constant propagation");
   }
   if (Gate.admit("simplifycfg")) {
-    SimplifyCFGPass().run(F, AM, Ctx);
+    SimplifyCFGPass().run(F, Ctx);
     verifyStage(F, Opts, SSAMode::Relaxed, "cfg simplification");
   }
 
   PeepholeOptions PO;
   PO.StrengthReduceMul = Opts.StrengthReduceMul;
   if (Gate.admit("peephole")) {
-    PeepholePass(PO).run(F, AM, Ctx);
+    PeepholePass(PO).run(F, Ctx);
     verifyStage(F, Opts, SSAMode::Relaxed, "peephole");
   }
 
@@ -216,37 +214,36 @@ void runBaselineTail(Function &F, FunctionAnalysisManager &AM,
   // matches the paper's "sequence of passes" spirit without iterating to
   // an unbounded fixpoint.
   if (Gate.admit("sccp"))
-    SCCPPass().run(F, AM, Ctx);
+    SCCPPass().run(F, Ctx);
   if (Gate.admit("simplifycfg"))
-    SimplifyCFGPass().run(F, AM, Ctx);
+    SimplifyCFGPass().run(F, Ctx);
   if (Gate.admit("peephole")) {
-    PeepholePass(PO).run(F, AM, Ctx);
+    PeepholePass(PO).run(F, Ctx);
     verifyStage(F, Opts, SSAMode::Relaxed, "second peephole");
   }
 
   if (Gate.admit("dce")) {
-    DCEPass().run(F, AM, Ctx);
+    DCEPass().run(F, Ctx);
     verifyStage(F, Opts, SSAMode::Relaxed, "dead code elimination");
   }
 
   if (Gate.admit("coalesce")) {
-    CopyCoalescingPass().run(F, AM, Ctx);
+    CopyCoalescingPass().run(F, Ctx);
     verifyStage(F, Opts, SSAMode::Relaxed, "coalescing");
   }
 
   if (Gate.admit("dce"))
-    DCEPass().run(F, AM, Ctx);
+    DCEPass().run(F, Ctx);
   if (Gate.admit("simplifycfg")) {
-    SimplifyCFGPass().run(F, AM, Ctx);
+    SimplifyCFGPass().run(F, Ctx);
     verifyStage(F, Opts, SSAMode::Relaxed, "final cleanup");
   }
 }
 
-void runReassociationPhase(Function &F, FunctionAnalysisManager &AM,
-                           const PipelineOptions &Opts, PassContext &Ctx,
-                           PassGate &Gate) {
+void runReassociationPhase(Function &F, const PipelineOptions &Opts,
+                           PassContext &Ctx, PassGate &Gate) {
   if (Gate.admit("ssa.build")) {
-    SSABuildPass().run(F, AM, Ctx);
+    SSABuildPass().run(F, Ctx);
     verifyStage(F, Opts, SSAMode::SSA, "SSA construction");
   }
   // A prefix cut here leaves the function in SSA form, which the verifier
@@ -255,12 +252,11 @@ void runReassociationPhase(Function &F, FunctionAnalysisManager &AM,
     return;
 
   // The reassociation passes extend this map in place as they create
-  // registers, so it lives outside the manager (the cached slot would be a
-  // stale snapshot after the first setRank).
-  RankMap Ranks = RankMap::compute(F, AM.cfg());
+  // registers.
+  RankMap Ranks = RankMap::compute(F, CFG::compute(F));
 
   if (Gate.admit("fwdprop")) {
-    ForwardPropPass(Ranks).run(F, AM, Ctx);
+    ForwardPropPass(Ranks).run(F, Ctx);
     verifyStage(F, Opts, SSAMode::NoSSA, "forward propagation");
   }
 
@@ -269,22 +265,22 @@ void runReassociationPhase(Function &F, FunctionAnalysisManager &AM,
   RO.Distribute = Opts.Level == OptLevel::Distribution;
 
   if (Gate.admit("negnorm")) {
-    NegNormPass(Ranks, RO).run(F, AM, Ctx);
+    NegNormPass(Ranks, RO).run(F, Ctx);
     verifyStage(F, Opts, SSAMode::NoSSA, "negation normalization");
   }
 
   if (Gate.admit("reassoc")) {
-    ReassociatePass(Ranks, RO).run(F, AM, Ctx);
+    ReassociatePass(Ranks, RO).run(F, Ctx);
     verifyStage(F, Opts, SSAMode::NoSSA, "reassociation");
   }
 
   if (Opts.Engine == GVNEngine::AWZ) {
     if (Gate.admit("gvn")) {
-      GVNPass().run(F, AM, Ctx);
+      GVNPass().run(F, Ctx);
       verifyStage(F, Opts, SSAMode::NoSSA, "global value numbering");
     }
   } else if (Gate.admit("dvnt")) {
-    DVNTPass().run(F, AM, Ctx);
+    DVNTPass().run(F, Ctx);
     verifyStage(F, Opts, SSAMode::NoSSA, "global value numbering");
   }
 }
@@ -296,16 +292,16 @@ void runReassociationPhase(Function &F, FunctionAnalysisManager &AM,
 /// Each round is one gated pass application, so bisection can land between
 /// rounds. Publishes pre.rounds and pre.round_cap_hit (the round cap, not
 /// convergence, ended the loop).
-void runPREToFixpoint(Function &F, FunctionAnalysisManager &AM,
-                      const PipelineOptions &Opts, PassContext &Ctx,
-                      PassGate &Gate) {
+void runPREToFixpoint(Function &F, const PipelineOptions &Opts,
+                      PassContext &Ctx, PassGate &Gate) {
   constexpr unsigned RoundCap = 16;
-  PREPass P(Opts.Strategy);
+  PREPass P(Opts.Strategy,
+            Opts.ProfileIn ? Opts.ProfileIn->find(F.name()) : nullptr);
   unsigned Rounds = 0;
   bool Converged = false;
   while (Rounds < RoundCap && Gate.admit("pre")) {
     ++Rounds;
-    P.run(F, AM, Ctx);
+    P.run(F, Ctx);
     verifyStage(F, Opts, SSAMode::NoSSA, "PRE");
     if (P.lastStats().Inserted == 0 && P.lastStats().Deleted == 0) {
       Converged = true;
@@ -317,23 +313,6 @@ void runPREToFixpoint(Function &F, FunctionAnalysisManager &AM,
       R->counter("pre", "rounds") += Rounds;
     if (Rounds == RoundCap && !Converged)
       R->counter("pre", "round_cap_hit") += 1;
-  }
-}
-
-/// Surfaces the analysis manager's cache counters as analysis.<name>.*
-/// so the observability layer reports cache behaviour next to pass work.
-void publishAnalysisStats(const FunctionAnalysisManager &AM,
-                          StatsRegistry &R) {
-  const FunctionAnalysisManager::Stats &S = AM.stats();
-  for (unsigned I = 0; I < NumAnalysisIDs; ++I) {
-    AnalysisID ID = AnalysisID(I);
-    std::string Pass = std::string("analysis.") + analysisName(ID);
-    if (uint64_t V = S.hits(ID))
-      R.counter(Pass, "hits") += V;
-    if (uint64_t V = S.computes(ID))
-      R.counter(Pass, "computes") += V;
-    if (uint64_t V = S.invalidations(ID))
-      R.counter(Pass, "invalidations") += V;
   }
 }
 
@@ -351,15 +330,15 @@ PipelineStats optimizeFunctionGated(Function &F, const PipelineOptions &Opts,
     Ctx.addStat("ops_before", F.staticOperationCount());
 
     if (Opts.Level != OptLevel::None) {
-      // One analysis manager per function: every pass below reads its
-      // analyses from here and declares what it preserved, so rounds that
-      // change nothing stop paying for full re-analysis.
-      FunctionAnalysisManager AM(F, Opts.DisableAnalysisCache);
-      if (Opts.ProfileIn)
-        AM.setProfileSource(Opts.ProfileIn->find(F.name()));
+      // Relaxed input may arrive with phis, which SSA construction and the
+      // passes after it do not take: leave SSA form first.
+      if (F.hasPhi() && Gate.admit("ssa.destroy")) {
+        SSADestroyPass().run(F, Ctx);
+        verifyStage(F, Opts, SSAMode::NoSSA, "SSA destruction");
+      }
 
       if (Gate.admit("unreachable-elim"))
-        UnreachableBlockElimPass().run(F, AM, Ctx);
+        UnreachableBlockElimPass().run(F, Ctx);
 
       switch (Opts.Level) {
       case OptLevel::None:
@@ -370,29 +349,28 @@ PipelineStats optimizeFunctionGated(Function &F, const PipelineOptions &Opts,
         // the front end left live across a block boundary, so PRE's
         // universe never has to drop an expression.
         if (Gate.admit("localize")) {
-          LocalizeNamesPass().run(F, AM, Ctx);
+          LocalizeNamesPass().run(F, Ctx);
           verifyStage(F, Opts, SSAMode::NoSSA, "name localization");
         }
-        runPREToFixpoint(F, AM, Opts, Ctx, Gate);
+        runPREToFixpoint(F, Opts, Ctx, Gate);
         break;
       case OptLevel::Reassociation:
       case OptLevel::Distribution:
-        runReassociationPhase(F, AM, Opts, Ctx, Gate);
-        runPREToFixpoint(F, AM, Opts, Ctx, Gate);
+        runReassociationPhase(F, Opts, Ctx, Gate);
+        runPREToFixpoint(F, Opts, Ctx, Gate);
         break;
       }
 
       if (Opts.EnableStrengthReduction) {
         if (Gate.admit("strengthreduce")) {
-          StrengthReductionPass().run(F, AM, Ctx);
+          StrengthReductionPass().run(F, Ctx);
           verifyStage(F, Opts, SSAMode::NoSSA, "strength reduction");
         }
         if (Opts.Level != OptLevel::Baseline)
-          runPREToFixpoint(F, AM, Opts, Ctx, Gate);
+          runPREToFixpoint(F, Opts, Ctx, Gate);
       }
 
-      runBaselineTail(F, AM, Opts, Ctx, Gate);
-      publishAnalysisStats(AM, Stats.Registry);
+      runBaselineTail(F, Opts, Ctx, Gate);
     }
 
     Ctx.addStat("ops_after", F.staticOperationCount());

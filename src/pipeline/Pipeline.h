@@ -14,18 +14,17 @@
 ///  - \c Distribution: Reassociation plus distribution of multiplication
 ///    over addition.
 ///
-/// Every pass is invoked through the unified
-/// `run(Function&, FunctionAnalysisManager&, PassContext&)` entry point, so
-/// attaching a PassInstrumentation to PipelineOptions::Instr observes the
-/// whole pipeline (timers, counters, remarks, IR snapshots) without any
-/// per-pass wiring.
+/// Every pass is invoked through the unified `run(Function&, PassContext&)`
+/// entry point and computes the analyses it reads itself, so attaching a
+/// PassInstrumentation to PipelineOptions::Instr observes the whole
+/// pipeline (timers, counters, remarks, IR snapshots) without any per-pass
+/// wiring.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef EPRE_PIPELINE_PIPELINE_H
 #define EPRE_PIPELINE_PIPELINE_H
 
-#include "analysis/AnalysisManager.h"
 #include "instrument/PassInstrumentation.h"
 #include "pre/PRE.h"
 
@@ -103,16 +102,11 @@ struct PipelineOptions {
   bool EnableStrengthReduction = false;
   /// Run the IR verifier after every pass (aborts on breakage).
   bool Verify = true;
-  /// Force every analysis lookup to recompute (differential testing of the
-  /// cached FunctionAnalysisManager). Defaults to the compiled-in value,
-  /// which -DEPRE_DISABLE_ANALYSIS_CACHE flips.
-  bool DisableAnalysisCache = FunctionAnalysisManager::defaultDisabled();
   /// Dynamic profile the pipeline may consume (profile-guided input, the
-  /// other direction from Instr's profile *output*): each function's entry
-  /// is attached to its analysis manager as the ProfileInfo source, keyed
-  /// by function name. Not owned; must outlive the pipeline run. Required
-  /// by PREStrategy::Speculative (validate() rejects the combination
-  /// without it); other strategies ignore it.
+  /// other direction from Instr's profile *output*): each function's entry,
+  /// keyed by function name, is handed to PRE. Not owned; must outlive the
+  /// pipeline run. Required by PREStrategy::Speculative (validate() rejects
+  /// the combination without it); other strategies ignore it.
   const ProfileDoc *ProfileIn = nullptr;
   /// Optional observability sink: timers, counters, remarks, IR snapshots.
   /// Not owned. Must only be fed from one thread at a time; the parallel

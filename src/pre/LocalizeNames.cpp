@@ -2,7 +2,6 @@
 
 #include "pre/LocalizeNames.h"
 
-#include "analysis/AnalysisManager.h"
 #include "analysis/Liveness.h"
 
 #include <cassert>
@@ -14,8 +13,7 @@ using namespace epre;
 
 namespace {
 
-unsigned localizeExpressionNamesImpl(Function &F,
-                                     FunctionAnalysisManager &AM) {
+unsigned localizeExpressionNamesImpl(Function &F) {
   // Registers with at least one expression definition (candidates for the
   // §2.2 "expression name" role).
   std::set<Reg> ExprNames;
@@ -60,8 +58,7 @@ unsigned localizeExpressionNamesImpl(Function &F,
   // state to a use without passing a definition), the shadow must be
   // seeded at entry; such a name is itself beyond PRE's reach, but its
   // behaviour is preserved. Names always defined before use need no seed.
-  const CFG &G = AM.cfg();
-  Liveness Live = Liveness::compute(F, G);
+  Liveness Live = Liveness::compute(F, CFG::compute(F));
   std::map<Reg, Reg> ShadowOf;
   std::vector<Instruction> EntrySeeds;
   for (Reg R : Unsafe) {
@@ -133,17 +130,13 @@ unsigned localizeExpressionNamesImpl(Function &F,
                       std::make_move_iterator(EntrySeeds.begin()),
                       std::make_move_iterator(EntrySeeds.end()));
   F.bumpVersion();
-  // Shadow copies change instruction content only; blocks and edges are
-  // untouched.
-  AM.finishPass(PreservedAnalyses::cfgShape());
   return unsigned(Unsafe.size());
 }
 
 } // namespace
 
-void epre::LocalizeNamesPass::run(Function &F, FunctionAnalysisManager &AM,
-                                  PassContext &Ctx) {
+void epre::LocalizeNamesPass::run(Function &F, PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
-  Ctx.addStat("names", localizeExpressionNamesImpl(F, AM));
+  Ctx.addStat("names", localizeExpressionNamesImpl(F));
 }
 

@@ -21,7 +21,6 @@
 #ifndef EPRE_PRE_LOCALIZENAMES_H
 #define EPRE_PRE_LOCALIZENAMES_H
 
-#include "analysis/AnalysisManager.h"
 #include "instrument/PassInstrumentation.h"
 #include "ir/Function.h"
 
@@ -33,7 +32,7 @@ namespace epre {
 class LocalizeNamesPass {
 public:
   static constexpr const char *name() { return "localize"; }
-  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
+  void run(Function &F, PassContext &Ctx);
 };
 
 } // namespace epre

@@ -2,14 +2,16 @@
 
 #include "pre/PRE.h"
 
-#include "analysis/AnalysisManager.h"
+#include "analysis/CFG.h"
 #include "analysis/EdgeSplitting.h"
+#include "analysis/ProfileInfo.h"
 #include "ir/ExprKey.h"
 #include "support/BitVector.h"
 #include "support/StringUtil.h"
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -211,8 +213,8 @@ bool speculationSafe(const Instruction &I) {
 
 class PREImpl {
 public:
-  PREImpl(Function &F, FunctionAnalysisManager &AM, PREStrategy Strategy)
-      : F(F), AM(AM), G(AM.cfg()), Strategy(Strategy) {}
+  PREImpl(Function &F, PREStrategy Strategy, const FunctionProfile *Profile)
+      : F(F), G(CFG::compute(F)), Strategy(Strategy), Profile(Profile) {}
 
   /// Optional remark emitter (instrumented runs only).
   PassContext *Ctx = nullptr;
@@ -254,13 +256,8 @@ public:
     }
     applyDeletions();
     applyInsertions();
-    if (Stats.Inserted || Stats.Deleted) {
+    if (Stats.Inserted || Stats.Deleted)
       F.bumpVersion();
-      // Deletions and in-block insertions keep the graph; a split edge adds
-      // a block and reroutes an edge.
-      AM.finishPass(Stats.EdgesSplit ? PreservedAnalyses::none()
-                                     : PreservedAnalyses::cfgShape());
-    }
     return Stats;
   }
 
@@ -428,7 +425,7 @@ private:
   /// when \p Union is set. Returns a set already in storage where one
   /// serves (the empty set at a boundary or without neighbours, a sole
   /// neighbour's own set) and otherwise computes the meet into \p S.
-  const BitVector &meet(const std::vector<BlockId> &Nbrs, bool Boundary,
+  const BitVector &meet(std::span<const BlockId> Nbrs, bool Boundary,
                         bool Union, const std::vector<BitVector> &Flow,
                         BitVector &S) {
     if (Boundary || Nbrs.empty())
@@ -458,9 +455,7 @@ private:
                             std::vector<BitVector> &FlowSets) {
     MeetSets.assign(F.numBlocks(), BitVector(numExprs(), !Union));
     FlowSets.assign(F.numBlocks(), BitVector(numExprs(), !Union));
-    auto Nbrs = [&](BlockId B) -> const std::vector<BlockId> & {
-      return Forward ? G.preds(B) : G.succs(B);
-    };
+    auto Nbrs = [&](BlockId B) { return Forward ? G.preds(B) : G.succs(B); };
     const std::vector<BlockId> Order = Forward ? G.rpo() : G.postorder();
     // The meet is read in place and the transfer fused with the
     // change-detecting store; a self loop's meet may alias FlowSets[B],
@@ -764,7 +759,7 @@ private:
   /// expression where it is.
   void placeSpeculative() {
     placeLazyCodeMotion();
-    const ProfileInfo &PI = AM.profileInfo();
+    ProfileInfo PI = ProfileInfo::compute(F, G, Profile);
     if (!PI.attached())
       return;
 
@@ -1173,11 +1168,10 @@ private:
   }
 
   Function &F;
-  FunctionAnalysisManager &AM;
-  /// Cached in AM; valid for the whole run (mutations happen strictly after
-  /// the last analysis read, and no AM accessor is called in between).
-  const CFG &G;
+  /// Valid for the whole run: mutations happen strictly after the last read.
+  const CFG G;
   PREStrategy Strategy;
+  const FunctionProfile *Profile; ///< Speculative placement's weights
   PREStats Stats;
   static constexpr unsigned NoExpr = ~0u;
   std::vector<ExprInfo> Universe;
@@ -1213,10 +1207,9 @@ private:
 
 } // namespace
 
-void epre::PREPass::run(Function &F, FunctionAnalysisManager &AM,
-                        PassContext &Ctx) {
+void epre::PREPass::run(Function &F, PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
-  PREImpl Impl(F, AM, Strategy);
+  PREImpl Impl(F, Strategy, Profile);
   Impl.Ctx = &Ctx;
   Last = Impl.run();
   Ctx.addStat("universe", Last.UniverseSize);
@@ -1231,8 +1224,7 @@ void epre::PREPass::run(Function &F, FunctionAnalysisManager &AM,
 }
 
 PREDataflow epre::analyzePartialRedundancies(Function &F) {
-  FunctionAnalysisManager AM(F);
-  return PREImpl(F, AM, PREStrategy::LazyCodeMotion).analyze();
+  return PREImpl(F, PREStrategy::LazyCodeMotion, nullptr).analyze();
 }
 
 namespace {

@@ -20,7 +20,6 @@
 #ifndef EPRE_PRE_PRE_H
 #define EPRE_PRE_PRE_H
 
-#include "analysis/AnalysisManager.h"
 #include "instrument/PassInstrumentation.h"
 #include "ir/Function.h"
 #include "support/BitVector.h"
@@ -28,6 +27,8 @@
 #include <vector>
 
 namespace epre {
+
+struct FunctionProfile;
 
 enum class PREStrategy {
   /// Drechsler–Stadel lazy code motion (computationally optimal placement,
@@ -44,9 +45,9 @@ enum class PREStrategy {
   /// a min cut of a flow network capacitated by profiled edge weights
   /// picks the cheapest set of insertion edges, allowing evaluation on
   /// paths where the expression is not anticipated when the profile says
-  /// total weighted evaluations shrink. Requires a profile attached via
-  /// FunctionAnalysisManager::setProfileSource; expressions (or whole
-  /// functions) without profile coverage fall back to lazy code motion.
+  /// total weighted evaluations shrink. Requires the function's profile,
+  /// handed to PREPass; expressions (or whole functions) without profile
+  /// coverage fall back to lazy code motion.
   /// Only non-trapping expressions are speculated
   /// (docs/speculative-pre.md).
   Speculative,
@@ -83,9 +84,12 @@ struct PREStats {
 class PREPass {
 public:
   static constexpr const char *name() { return "pre"; }
-  explicit PREPass(PREStrategy Strategy = PREStrategy::LazyCodeMotion)
-      : Strategy(Strategy) {}
-  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
+  /// \p Profile (not owned, may be null) weights Speculative placement;
+  /// the other strategies ignore it.
+  explicit PREPass(PREStrategy Strategy = PREStrategy::LazyCodeMotion,
+                   const FunctionProfile *Profile = nullptr)
+      : Strategy(Strategy), Profile(Profile) {}
+  void run(Function &F, PassContext &Ctx);
 
   /// Stats of the most recent run; the fixpoint driver reads Inserted /
   /// Deleted to detect convergence.
@@ -97,6 +101,7 @@ public:
 
 private:
   PREStrategy Strategy;
+  const FunctionProfile *Profile;
   PREStats Last;
 };
 

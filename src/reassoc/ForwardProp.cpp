@@ -2,7 +2,6 @@
 
 #include "reassoc/ForwardProp.h"
 
-#include "analysis/AnalysisManager.h"
 #include "analysis/CFG.h"
 #include "analysis/Dominators.h"
 #include "analysis/EdgeSplitting.h"
@@ -31,10 +30,7 @@ struct EdgeExports {
 
 class ForwardProp {
 public:
-  ForwardProp(Function &F, FunctionAnalysisManager &AM, RankMap &Ranks)
-      : F(F), AM(AM), Ranks(Ranks) {}
-
-  bool splitEdges() const { return !NewBlocks.empty(); }
+  ForwardProp(Function &F, RankMap &Ranks) : F(F), Ranks(Ranks) {}
 
   ForwardPropStats run() {
     Stats.OpsBefore = F.staticOperationCount();
@@ -67,10 +63,10 @@ private:
   /// The input *trees* are always evaluated at the predecessor, before any
   /// of its copies, so every tree reads pre-copy values.
   void capturePhis() {
-    // Refs stay valid through the scan: the mutation (splitEdge) happens
-    // only after the last read, and no AM accessor runs in between.
-    const CFG &G = AM.cfg();
-    const DominatorTree &DT = AM.domTree();
+    // Valid through the scan: the mutation (splitEdge) happens only after
+    // the last read.
+    CFG G = CFG::compute(F);
+    DominatorTree DT = DominatorTree::compute(F, G);
     Liveness Live = Liveness::compute(F, G);
 
     struct PendingSplit {
@@ -362,7 +358,6 @@ private:
   }
 
   Function &F;
-  FunctionAnalysisManager &AM;
   RankMap &Ranks;
   ForwardPropStats Stats;
   std::vector<Instruction> OutScratch;
@@ -373,19 +368,14 @@ private:
 
 } // namespace
 
-void epre::ForwardPropPass::run(Function &F, FunctionAnalysisManager &AM,
-                                PassContext &Ctx) {
+void epre::ForwardPropPass::run(Function &F, PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
-  ForwardProp FP(F, AM, *Ranks);
+  ForwardProp FP(F, *Ranks);
   Last = FP.run();
   Ctx.addStat("ops_before", Last.OpsBefore);
   Ctx.addStat("ops_after", Last.OpsAfter);
   Ctx.addStat("phis_removed", Last.PhisRemoved);
   Ctx.addStat("trees_cloned", Last.TreesCloned);
-  // Phis are gone and every block was rewritten; edge splits may have
-  // added forwarding blocks.
-  F.bumpVersion();
-  AM.finishPass(FP.splitEdges() ? PreservedAnalyses::none()
-                                : PreservedAnalyses::cfgShape());
+  F.bumpVersion(); // phis are gone and every block was rewritten
 }
 

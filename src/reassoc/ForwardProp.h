@@ -24,7 +24,6 @@
 #ifndef EPRE_REASSOC_FORWARDPROP_H
 #define EPRE_REASSOC_FORWARDPROP_H
 
-#include "analysis/AnalysisManager.h"
 #include "instrument/PassInstrumentation.h"
 #include "ir/Function.h"
 #include "reassoc/Ranks.h"
@@ -53,7 +52,7 @@ class ForwardPropPass {
 public:
   static constexpr const char *name() { return "fwdprop"; }
   explicit ForwardPropPass(RankMap &Ranks) : Ranks(&Ranks) {}
-  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
+  void run(Function &F, PassContext &Ctx);
 
   /// Stats of the most recent run.
   const ForwardPropStats &lastStats() const { return Last; }

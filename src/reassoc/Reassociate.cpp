@@ -348,28 +348,20 @@ unsigned normalizeNegationImpl(Function &F, RankMap &Ranks,
 
 } // namespace
 
-void epre::NegNormPass::run(Function &F, FunctionAnalysisManager &AM,
-                            PassContext &Ctx) {
+void epre::NegNormPass::run(Function &F, PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
   unsigned Rewritten = normalizeNegationImpl(F, *Ranks, Opts);
   Ctx.addStat("rewritten", Rewritten);
-  if (!Rewritten)
-    return;
-  F.bumpVersion();
-  // Subtractions became neg+add pairs: instruction content only.
-  AM.finishPass(PreservedAnalyses::cfgShape());
+  if (Rewritten)
+    F.bumpVersion();
 }
 
-void epre::ReassociatePass::run(Function &F, FunctionAnalysisManager &AM,
-                                PassContext &Ctx) {
+void epre::ReassociatePass::run(Function &F, PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
   Reassociator R(F, *Ranks, Opts);
   R.Ctx = &Ctx;
   bool Changed = R.run();
   Ctx.addStat("changed", Changed);
-  if (!Changed)
-    return;
-  F.bumpVersion();
-  // Trees are rebuilt in place; blocks and edges never change.
-  AM.finishPass(PreservedAnalyses::cfgShape());
+  if (Changed)
+    F.bumpVersion();
 }

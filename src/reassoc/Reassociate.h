@@ -22,7 +22,6 @@
 #ifndef EPRE_REASSOC_REASSOCIATE_H
 #define EPRE_REASSOC_REASSOCIATE_H
 
-#include "analysis/AnalysisManager.h"
 #include "instrument/PassInstrumentation.h"
 #include "ir/Function.h"
 #include "reassoc/Ranks.h"
@@ -48,7 +47,7 @@ public:
   static constexpr const char *name() { return "negnorm"; }
   NegNormPass(RankMap &Ranks, const ReassociateOptions &Opts)
       : Ranks(&Ranks), Opts(Opts) {}
-  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
+  void run(Function &F, PassContext &Ctx);
 
 private:
   RankMap *Ranks;
@@ -64,7 +63,7 @@ public:
   static constexpr const char *name() { return "reassoc"; }
   ReassociatePass(RankMap &Ranks, const ReassociateOptions &Opts)
       : Ranks(&Ranks), Opts(Opts) {}
-  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
+  void run(Function &F, PassContext &Ctx);
 
 private:
   RankMap *Ranks;

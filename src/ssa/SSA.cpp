@@ -2,7 +2,8 @@
 
 #include "ssa/SSA.h"
 
-#include "analysis/AnalysisManager.h"
+#include "analysis/CFG.h"
+#include "analysis/Dominators.h"
 #include "analysis/EdgeSplitting.h"
 #include "analysis/Liveness.h"
 #include "ssa/ParallelCopy.h"
@@ -15,39 +16,9 @@ using namespace epre;
 
 namespace {
 
-/// Erases blocks unreachable from entry and drops phi operands arriving
-/// from erased blocks. SSA construction requires a reachable-only CFG.
-void removeUnreachable(Function &F, FunctionAnalysisManager &AM) {
-  const CFG &G = AM.cfg();
-  std::vector<BlockId> Dead;
-  F.forEachBlock([&](BasicBlock &B) {
-    if (!G.isReachable(B.id()))
-      Dead.push_back(B.id());
-  });
-  if (Dead.empty())
-    return;
-  for (BlockId D : Dead)
-    F.eraseBlock(D);
-  F.forEachBlock([&](BasicBlock &B) {
-    for (Instruction &I : B.Insts) {
-      if (!I.isPhi())
-        break;
-      for (int J = int(I.Operands.size()) - 1; J >= 0; --J) {
-        if (G.isReachable(I.PhiBlocks[J]))
-          continue;
-        I.Operands.erase(I.Operands.begin() + J);
-        I.PhiBlocks.erase(I.PhiBlocks.begin() + J);
-      }
-    }
-  });
-  AM.finishPass(PreservedAnalyses::none());
-}
-
 class SSABuilder {
 public:
-  SSABuilder(Function &F, FunctionAnalysisManager &AM,
-             const SSAOptions &Opts)
-      : F(F), AM(AM), Opts(Opts) {}
+  SSABuilder(Function &F, const SSAOptions &Opts) : F(F), Opts(Opts) {}
 
   SSAInfo run() {
 #ifndef NDEBUG
@@ -56,12 +27,13 @@ public:
              "SSA construction requires phi-free input; destroy SSA first");
     });
 #endif
-    removeUnreachable(F, AM);
-    // Pointers stay valid through the mutations below: no AM accessor runs
-    // again until finishPass at the end of buildSSA.
-    G = &AM.cfg();
-    DT = &AM.domTree();
-    DF = DominanceFrontier::compute(F, *G, *DT);
+    // Construction requires a reachable-only CFG. Nothing below changes
+    // the block graph, so G and DT stay valid to the end.
+    G = CFG::compute(F);
+    if (removeUnreachableBlocks(F, G))
+      G = CFG::compute(F);
+    DT = DominatorTree::compute(F, G);
+    DF = DominanceFrontier::compute(F, G, DT);
 
     insertEntryInits();
     collectDefSites();
@@ -79,7 +51,7 @@ private:
   /// so renaming always finds a reaching definition, and leaves \c Live
   /// describing the function with the inits in place.
   void insertEntryInits() {
-    Live = Liveness::compute(F, *G);
+    Live = Liveness::compute(F, G);
     std::vector<Reg> InitRegs;
     std::vector<Instruction> Inits;
     for (Reg R : Live.liveIn(0)) {
@@ -96,10 +68,10 @@ private:
     // The inits kill their registers at the top of the entry block. With no
     // edge into the entry nothing else changes; a loop back to the entry
     // carries the change around the loop, so solve again.
-    if (G->preds(0).empty())
+    if (G.preds(0).empty())
       Live.defineAtEntry(InitRegs);
     else if (!InitRegs.empty())
-      Live = Liveness::compute(F, *G);
+      Live = Liveness::compute(F, G);
   }
 
   void collectDefSites() {
@@ -163,7 +135,7 @@ private:
     for (Reg P : F.params())
       Stacks[P].push_back(P);
 
-    renameBlock(G->rpo()[0]);
+    renameBlock(G.rpo()[0]);
 
     for (Reg P : F.params()) {
       assert(Stacks[P].size() == 1 && "unbalanced rename stack");
@@ -210,7 +182,7 @@ private:
 
     // Fill phi operands of successors with the names current at the end
     // of this block.
-    for (BlockId S : G->succs(B)) {
+    for (BlockId S : G.succs(B)) {
       const BasicBlock *SB = F.block(S);
       for (unsigned I = 0; I < SB->Insts.size() && SB->Insts[I].isPhi(); ++I) {
         Reg V = PhiVar.at({S, I});
@@ -218,7 +190,7 @@ private:
       }
     }
 
-    for (BlockId C : DT->children(B))
+    for (BlockId C : DT.children(B))
       renameBlock(C);
 
     for (auto It = PopLog.rbegin(); It != PopLog.rend(); ++It)
@@ -226,10 +198,9 @@ private:
   }
 
   Function &F;
-  FunctionAnalysisManager &AM;
   SSAOptions Opts;
-  const CFG *G = nullptr;
-  const DominatorTree *DT = nullptr;
+  CFG G;
+  DominatorTree DT;
   DominanceFrontier DF;
   Liveness Live;
   SSAInfo Info;
@@ -241,30 +212,26 @@ private:
 
 } // namespace
 
-void epre::SSABuildPass::run(Function &F, FunctionAnalysisManager &AM,
-                             PassContext &Ctx) {
+void epre::SSABuildPass::run(Function &F, PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
-  SSABuilder B(F, AM, Opts);
+  SSABuilder B(F, Opts);
   Last = B.run();
   Ctx.addStat("phis", Last.NumPhis);
   Ctx.addStat("copies_folded", Last.NumCopiesFolded);
   F.bumpVersion();
-  // Phi insertion and renaming rewrite instructions and registers but never
-  // blocks or edges.
-  AM.finishPass(PreservedAnalyses::cfgShape());
 }
 
 namespace {
 
-void destroySSAImpl(Function &F, FunctionAnalysisManager &AM) {
+void destroySSAImpl(Function &F) {
   // Copies for single-successor predecessors and loop back edges are
   // placed inline at the end of the predecessor (keeping loop bodies in
   // one block, the paper's Figure 5 shape); other critical entering edges
   // get forwarding blocks. A forwarding-block copy whose source is about
   // to be clobbered by the predecessor's inline group reads a temporary
   // captured in parallel with the clobber.
-  const CFG &G = AM.cfg();
-  const DominatorTree &DT = AM.domTree();
+  CFG G = CFG::compute(F);
+  DominatorTree DT = DominatorTree::compute(F, G);
   Liveness Live = Liveness::compute(F, G);
 
   struct EdgeGroup {
@@ -387,16 +354,12 @@ void destroySSAImpl(Function &F, FunctionAnalysisManager &AM) {
     }
   }
   F.bumpVersion();
-  // Forwarding blocks reroute edges; even without them, phi removal and
-  // copy insertion rewrite instructions everywhere.
-  AM.finishPass(PreservedAnalyses::none());
 }
 
 } // namespace
 
-void epre::SSADestroyPass::run(Function &F, FunctionAnalysisManager &AM,
-                               PassContext &Ctx) {
+void epre::SSADestroyPass::run(Function &F, PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
-  destroySSAImpl(F, AM);
+  destroySSAImpl(F);
 }
 

@@ -14,7 +14,6 @@
 #ifndef EPRE_SSA_SSA_H
 #define EPRE_SSA_SSA_H
 
-#include "analysis/AnalysisManager.h"
 #include "instrument/PassInstrumentation.h"
 #include "ir/Function.h"
 
@@ -53,7 +52,7 @@ class SSABuildPass {
 public:
   static constexpr const char *name() { return "ssa.build"; }
   explicit SSABuildPass(const SSAOptions &Opts = {}) : Opts(Opts) {}
-  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
+  void run(Function &F, PassContext &Ctx);
 
   /// Side table of the most recent run.
   const SSAInfo &lastInfo() const { return Last; }
@@ -70,7 +69,7 @@ private:
 class SSADestroyPass {
 public:
   static constexpr const char *name() { return "ssa.destroy"; }
-  void run(Function &F, FunctionAnalysisManager &AM, PassContext &Ctx);
+  void run(Function &F, PassContext &Ctx);
 };
 
 } // namespace epre

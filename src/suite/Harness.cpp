@@ -149,11 +149,10 @@ ForwardPropStats epre::measureForwardPropExpansion(const Routine &R) {
   Function *F = LR.M->find(R.Name);
   if (!F)
     return S;
-  FunctionAnalysisManager AM(*F);
   PassContext Ctx;
-  SSABuildPass().run(*F, AM, Ctx);
-  RankMap Ranks = RankMap::compute(*F, AM.cfg());
+  SSABuildPass().run(*F, Ctx);
+  RankMap Ranks = RankMap::compute(*F, CFG::compute(*F));
   ForwardPropPass FP(Ranks);
-  FP.run(*F, AM, Ctx);
+  FP.run(*F, Ctx);
   return FP.lastStats();
 }

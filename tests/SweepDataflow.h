@@ -60,7 +60,7 @@ inline unsigned solveBySweeping(const CFG &G, const SweepProblem &P,
     Changed = false;
     for (BlockId B : Order) {
       ++Evaluations;
-      const std::vector<BlockId> &Nbrs = P.Forward ? G.preds(B) : G.succs(B);
+      std::span<const BlockId> Nbrs = P.Forward ? G.preds(B) : G.succs(B);
       bool Boundary = Intersect &&
                       (Nbrs.empty() || (P.Forward && B == G.rpo().front()) ||
                        (P.ExtraBoundary && (*P.ExtraBoundary)[B]));

@@ -9,7 +9,6 @@
 #ifndef EPRE_TESTS_TESTUTIL_H
 #define EPRE_TESTS_TESTUTIL_H
 
-#include "analysis/AnalysisManager.h"
 #include "frontend/Lower.h"
 #include "instrument/PassInstrumentation.h"
 #include "interp/Interpreter.h"
@@ -45,13 +44,62 @@ inline std::string loopNestSource(unsigned NumLoops) {
   return S;
 }
 
-/// Runs a pass class on \p F with a fresh analysis manager and a quiet
-/// context, returning the pass object so callers can read lastStats().
+/// A loop chain shaped like the benchmark's big functions: every loop has
+/// array addressing, invariant subexpressions shared with its neighbours
+/// and a guarded store whose value needs an invariant product only the
+/// guarded path computes.
+inline std::string loopChain(unsigned Loops) {
+  std::string S =
+      "function chain(a, b, n, m)\n  real w(64), v(64)\n  s = 0.0\n";
+  for (unsigned L = 0; L < Loops; ++L) {
+    std::string I = "i" + std::to_string(L);
+    std::string C = std::to_string(1 + 3 * L);
+    S += "  do " + I + " = 1, n\n";
+    S += "    w(" + I + ") = (a + b) * " + I + " + a * " + C + ".25\n";
+    S += "    t = w(" + I + ") * (a + b + " + C + ".5)\n";
+    S += "    s = s + t\n";
+    S += "    if (" + I + " .gt. m) then\n";
+    S += "      v(" + I + ") = t - a * " + C + ".75\n";
+    S += "    end if\n  end do\n";
+  }
+  return S + "  return s + v(n)\nend\n";
+}
+
+/// A chain of two forwarding blocks into a phi: threading ^b1 retargets the
+/// entry to ^b2, so ^b2's predecessors change in mid-sweep. Returns 1 when
+/// %r1 is nonzero, else 2.
+inline const char *ForwardingChainIntoPhi = R"(
+func @f(%r1:i64) -> i64 {
+^entry:
+  %r2:i64 = loadi 1
+  cbr %r1, ^b1, ^q
+^b1:
+  br ^b2
+^b2:
+  br ^t
+^q:
+  %r3:i64 = loadi 2
+  br ^t
+^t:
+  %r4:i64 = phi [%r2, ^b2], [%r3, ^q]
+  ret %r4
+}
+)";
+
+/// Interprets the integer function \p F on the single argument \p Arg.
+inline int64_t runOn(const Function &F, int64_t Arg) {
+  MemoryImage Mem(0);
+  ExecResult R = interpret(F, {RtValue::ofI(Arg)}, Mem);
+  EXPECT_TRUE(R.ok()) << R.TrapReason;
+  return R.ReturnValue.I;
+}
+
+/// Runs a pass class on \p F with a quiet context, returning the pass
+/// object so callers can read lastStats().
 template <typename PassT> PassT runPass(Function &F, PassT P = PassT()) {
-  FunctionAnalysisManager AM(F);
   StatsRegistry SR;
   PassContext Ctx(&SR);
-  P.run(F, AM, Ctx);
+  P.run(F, Ctx);
   return P;
 }
 
@@ -60,10 +108,9 @@ template <typename PassT> PassT runPass(Function &F, PassT P = PassT()) {
 /// (e.g. runPassStat<DCEPass>(F, "changed")).
 template <typename PassT>
 uint64_t runPassStat(Function &F, const char *Counter, PassT P = PassT()) {
-  FunctionAnalysisManager AM(F);
   StatsRegistry SR;
   PassContext Ctx(&SR);
-  P.run(F, AM, Ctx);
+  P.run(F, Ctx);
   return SR.get(PassT::name(), Counter);
 }
 

@@ -5,12 +5,15 @@
 #include "analysis/EdgeSplitting.h"
 #include "analysis/Liveness.h"
 #include "analysis/LoopInfo.h"
+#include "analysis/ProfileInfo.h"
+#include "instrument/Profile.h"
 #include "ir/IRParser.h"
 #include "ir/Verifier.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string_view>
 
 using namespace epre;
 
@@ -216,6 +219,101 @@ func @f(%p:i64, %x:i64) -> i64 {
   // The incoming block for %x is now the split block.
   ASSERT_EQ(Phi.PhiBlocks.size(), 2u);
   EXPECT_EQ(Phi.PhiBlocks[0], Mid->id());
+}
+
+BlockId byLabel(const Function &F, std::string_view L) {
+  BlockId Out = InvalidBlock;
+  F.forEachBlock([&](const BasicBlock &B) {
+    if (B.label() == L)
+      Out = B.id();
+  });
+  EXPECT_NE(Out, InvalidBlock) << "no block labeled " << L;
+  return Out;
+}
+
+const char *Diamond = R"(
+func @f(%p:i64) {
+^e:
+  cbr %p, ^a, ^b
+^a:
+  br ^j
+^b:
+  br ^j
+^j:
+  ret
+}
+)";
+
+FunctionProfile diamondProfile(const char *FnName) {
+  FunctionProfile FP;
+  FP.Function = FnName;
+  auto Add = [&](const char *L, uint64_t C,
+                 std::vector<BlockProfile::Edge> Edges = {}) {
+    BlockProfile B;
+    B.Label = L;
+    B.Count = C;
+    B.Edges = std::move(Edges);
+    FP.Blocks.push_back(std::move(B));
+  };
+  Add("e", 10, {{"a", 7}, {"b", 3}});
+  Add("a", 7);
+  Add("b", 3);
+  Add("j", 10);
+  Add("gone", 99); // stale label from before a CFG cleanup: must be ignored
+  return FP;
+}
+
+TEST(ProfileInfo, JoinsByLabel) {
+  auto M = parse(Diamond);
+  Function &F = *M->Functions[0];
+  FunctionProfile FP = diamondProfile(F.name().c_str());
+  CFG G = CFG::compute(F);
+
+  ProfileInfo PI = ProfileInfo::compute(F, G, &FP);
+  BlockId E = byLabel(F, "e"), A = byLabel(F, "a"), B = byLabel(F, "b"),
+          J = byLabel(F, "j");
+  EXPECT_TRUE(PI.attached());
+  EXPECT_EQ(PI.entryWeight(), 10u);
+  EXPECT_EQ(PI.blockWeight(A), 7u);
+  EXPECT_EQ(PI.blockWeight(B), 3u);
+  EXPECT_EQ(PI.edgeWeight(E, A), 7u);
+  EXPECT_EQ(PI.edgeWeight(E, B), 3u);
+  // a -> j has no recorded count, but a has a single successor: the
+  // fallthrough inherits the block weight.
+  EXPECT_EQ(PI.edgeWeight(A, J), 7u);
+  EXPECT_TRUE(PI.blockKnown(E));
+  EXPECT_TRUE(PI.edgeKnown(E, A));
+  EXPECT_TRUE(PI.edgeKnown(A, J));
+
+  // Without a source the analysis is detached and uniformly zero.
+  ProfileInfo None = ProfileInfo::compute(F, G, nullptr);
+  EXPECT_FALSE(None.attached());
+  EXPECT_EQ(None.blockWeight(A), 0u);
+}
+
+TEST(ProfileInfo, RemapsAfterCfgMutation) {
+  auto M = parse(Diamond);
+  Function &F = *M->Functions[0];
+  FunctionProfile FP = diamondProfile(F.name().c_str());
+
+  BlockId E = byLabel(F, "e"), A = byLabel(F, "a");
+  EXPECT_EQ(ProfileInfo::compute(F, CFG::compute(F), &FP).edgeWeight(E, A),
+            7u);
+
+  // After a CFG mutation (edge splitting, as PRE does) the join, computed
+  // again, still weights the surviving labels and treats the new block as
+  // unknown.
+  BasicBlock *Mid = splitEdge(F, E, A);
+  ProfileInfo PI = ProfileInfo::compute(F, CFG::compute(F), &FP);
+  EXPECT_TRUE(PI.attached());
+  EXPECT_EQ(PI.blockWeight(A), 7u);
+  EXPECT_FALSE(PI.blockKnown(Mid->id()));
+  EXPECT_EQ(PI.blockWeight(Mid->id()), 0u);
+  // The old e -> a edge no longer exists, so its recorded count must not
+  // leak onto e -> mid (unknown) or mid -> a (fallthrough of an unknown
+  // block).
+  EXPECT_FALSE(PI.edgeKnown(E, Mid->id()));
+  EXPECT_FALSE(PI.edgeKnown(Mid->id(), A));
 }
 
 } // namespace

@@ -255,11 +255,10 @@ end
 
   StatsRegistry SR;
   PassContext Ctx(&SR, &PI);
-  FunctionAnalysisManager AM(F);
-  SCCPPass().run(F, AM, Ctx);
+  SCCPPass().run(F, Ctx);
   ASSERT_EQ(Dumps.size(), 1u);
   EXPECT_NE(Dumps[0].find("IR after sccp"), std::string::npos);
-  SCCPPass().run(F, AM, Ctx);
+  SCCPPass().run(F, Ctx);
   EXPECT_EQ(Dumps.size(), 1u) << "unchanged pass must not dump";
 }
 

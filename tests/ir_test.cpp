@@ -63,6 +63,13 @@ TEST(Function, RegisterAllocation) {
   EXPECT_EQ(F.numRegs(), 3u); // slot 0 is reserved
 }
 
+TEST(Function, MakeRegBumpsVersion) {
+  Function F("f");
+  uint64_t V = F.version();
+  F.makeReg(Type::I64);
+  EXPECT_GT(F.version(), V);
+}
+
 TEST(Function, ParamsAndBlocks) {
   Function F("f");
   Reg P = F.addParam(Type::F64);

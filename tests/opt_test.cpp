@@ -17,6 +17,8 @@
 #include <cmath>
 
 using namespace epre;
+using epre::test::ForwardingChainIntoPhi;
+using epre::test::runOn;
 using epre::test::runPass;
 using epre::test::runPassStat;
 
@@ -459,6 +461,45 @@ func @f() -> i64 {
   EXPECT_EQ(countOp(F, Opcode::Cbr), 0u);
   MemoryImage Mem(0);
   EXPECT_EQ(interpret(F, {}, Mem).ReturnValue.I, 10);
+}
+
+TEST(SimplifyCFG, ThreadsChainIntoPhiWithoutStalePredecessors) {
+  // Threading ^b2 from the graph read before the sweep would move the phi
+  // entry onto ^b1, which the sweep has already bypassed and left dead.
+  auto M = parse(ForwardingChainIntoPhi);
+  Function &F = *M->Functions[0];
+  EXPECT_EQ(runOn(F, 0), 2);
+  EXPECT_EQ(runOn(F, 7), 1);
+  EXPECT_TRUE(runPassStat<SimplifyCFGPass>(F, "changed"));
+  EXPECT_TRUE(verifyFunction(F, SSAMode::Relaxed).empty()) << printFunction(F);
+  EXPECT_EQ(runOn(F, 0), 2) << printFunction(F);
+  EXPECT_EQ(runOn(F, 7), 1) << printFunction(F);
+}
+
+TEST(SimplifyCFG, NeverMergesPhiEntriesOntoOneEdge) {
+  // Threading ^x retargets ^e, so ^e's successors read before the sweep no
+  // longer show that ^e already reaches ^t; threading ^y as well would
+  // leave one cbr edge pair carrying two different phi values.
+  auto M = parse(R"(
+func @f(%c:i64) -> i64 {
+^e:
+  %a:i64 = loadi 1
+  %b:i64 = loadi 2
+  cbr %c, ^x, ^y
+^x:
+  br ^t
+^y:
+  br ^t
+^t:
+  %r:i64 = phi [%a, ^x], [%b, ^y]
+  ret %r
+}
+)");
+  Function &F = *M->Functions[0];
+  EXPECT_TRUE(runPassStat<SimplifyCFGPass>(F, "changed"));
+  EXPECT_TRUE(verifyFunction(F, SSAMode::Relaxed).empty()) << printFunction(F);
+  EXPECT_EQ(runOn(F, 0), 2) << printFunction(F);
+  EXPECT_EQ(runOn(F, 7), 1) << printFunction(F);
 }
 
 TEST(SimplifyCFG, CbrSameTargetsBecomesBr) {

@@ -25,6 +25,9 @@
 #include <array>
 
 using namespace epre;
+using epre::test::ForwardingChainIntoPhi;
+using epre::test::loopChain;
+using epre::test::runOn;
 using epre::test::runPass;
 
 namespace {
@@ -166,6 +169,25 @@ TEST(Pipeline, Idempotent) {
   EXPECT_FALSE(E.Trapped) << E.TrapReason;
 }
 
+TEST(Pipeline, PhiInputLeavesSSAFirstAtEveryLevel) {
+  // Relaxed input may carry phis; SSA construction asserts phi-free input,
+  // so every level above none destroys SSA before anything else runs.
+  for (OptLevel L : {OptLevel::Baseline, OptLevel::Partial,
+                     OptLevel::Reassociation, OptLevel::Distribution}) {
+    ParseResult R = parseModule(ForwardingChainIntoPhi);
+    ASSERT_TRUE(R.ok()) << R.Error;
+    Function &F = *R.M->Functions[0];
+    PipelineOptions PO;
+    PO.Level = L;
+    PassPrefixResult P = optimizeFunctionPrefix(F, PO, ~0u);
+    ASSERT_FALSE(P.Trace.empty());
+    EXPECT_EQ(P.Trace.front(), "ssa.destroy") << optLevelName(L);
+    EXPECT_FALSE(F.hasPhi()) << optLevelName(L);
+    EXPECT_EQ(runOn(F, 0), 2) << optLevelName(L) << "\n" << printFunction(F);
+    EXPECT_EQ(runOn(F, 7), 1) << optLevelName(L) << "\n" << printFunction(F);
+  }
+}
+
 TEST(Pipeline, StatsArePopulated) {
   LowerResult LR = compileMiniFortran(Workload, NamingMode::Naive);
   ASSERT_TRUE(LR.ok());
@@ -179,26 +201,6 @@ TEST(Pipeline, StatsArePopulated) {
   EXPECT_GT(S.gvnClasses(), 0u);
   EXPECT_GT(S.preUniverse(), 0u);
   EXPECT_GT(S.preDeleted(), 0u);
-}
-
-/// A loop chain shaped like the benchmark's big functions: every loop has
-/// array addressing, invariant subexpressions shared with its neighbours
-/// and a guarded store whose value needs an invariant product only the
-/// guarded path computes.
-std::string loopChain(unsigned Loops) {
-  std::string S = "function chain(a, b, n, m)\n  real w(64), v(64)\n  s = 0.0\n";
-  for (unsigned L = 0; L < Loops; ++L) {
-    std::string I = "i" + std::to_string(L);
-    std::string C = std::to_string(1 + 3 * L);
-    S += "  do " + I + " = 1, n\n";
-    S += "    w(" + I + ") = (a + b) * " + I + " + a * " + C + ".25\n";
-    S += "    t = w(" + I + ") * (a + b + " + C + ".5)\n";
-    S += "    s = s + t\n";
-    S += "    if (" + I + " .gt. m) then\n";
-    S += "      v(" + I + ") = t - a * " + C + ".75\n";
-    S += "    end if\n  end do\n";
-  }
-  return S + "  return s + v(n)\nend\n";
 }
 
 /// Compiles loopChain(Loops) at the distribution level with speculative

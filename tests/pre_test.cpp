@@ -510,12 +510,10 @@ FunctionProfile hotArmProfile() {
 
 PREStats runWithProfile(Function &F, PREStrategy Strategy,
                         const FunctionProfile &FP) {
-  FunctionAnalysisManager AM(F);
-  AM.setProfileSource(&FP);
   StatsRegistry SR;
   PassContext Ctx(&SR);
-  PREPass P(Strategy);
-  P.run(F, AM, Ctx);
+  PREPass P(Strategy, &FP);
+  P.run(F, Ctx);
   return P.lastStats();
 }
 

@@ -720,12 +720,7 @@ TEST(Predecode, AcceptsEveryVerifierCleanFunction) {
 }
 
 TEST(Predecode, DispatchModeIsExposed) {
-  std::string Mode = interpDispatchMode();
-#if defined(EPRE_NO_COMPUTED_GOTO)
-  EXPECT_EQ(Mode, "switch");
-#else
-  EXPECT_TRUE(Mode == "computed-goto" || Mode == "switch") << Mode;
-#endif
+  EXPECT_STREQ(interpDispatchMode(), "computed-goto");
 }
 
 TEST(Predecode, ArenaIsReusedAcrossRuns) {

@@ -249,41 +249,4 @@ TEST_P(RandomPrograms, AllLevelsAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPrograms, testing::Range(0u, 60u));
 
-/// Optimizes one copy of the program with the analysis cache enabled and
-/// one with every lookup forced to recompute. The manager must be purely
-/// a cache: the printed IR has to match byte for byte.
-std::string optimizeAndPrint(const std::string &Src, OptLevel L,
-                             bool DisableCache) {
-  NamingMode NM =
-      L == OptLevel::Partial ? NamingMode::Hashed : NamingMode::Naive;
-  LowerResult LR = compileMiniFortran(Src, NM);
-  if (!LR.ok())
-    return "compile error: " + LR.Error;
-  Function *F = LR.M->find("rnd");
-  if (!F)
-    return "missing function";
-  PipelineOptions PO;
-  PO.Level = L;
-  PO.DisableAnalysisCache = DisableCache;
-  optimizeFunction(*F, PO);
-  return printFunction(*F);
-}
-
-class CachedAnalyses : public testing::TestWithParam<unsigned> {};
-
-TEST_P(CachedAnalyses, CachedMatchesFresh) {
-  ProgramGenerator Gen(GetParam());
-  std::string Src = Gen.generate();
-  SCOPED_TRACE(Src);
-
-  for (OptLevel L : {OptLevel::Baseline, OptLevel::Partial,
-                     OptLevel::Reassociation, OptLevel::Distribution}) {
-    std::string Cached = optimizeAndPrint(Src, L, /*DisableCache=*/false);
-    std::string Fresh = optimizeAndPrint(Src, L, /*DisableCache=*/true);
-    EXPECT_EQ(Cached, Fresh) << optLevelName(L);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CachedAnalyses, testing::Range(0u, 30u));
-
 } // namespace

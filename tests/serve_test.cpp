@@ -13,6 +13,8 @@
 #include "serve/Service.h"
 #include "serve/Trace.h"
 
+#include "TestUtil.h"
+
 #include "instrument/JSONReader.h"
 #include "instrument/Profile.h"
 #include "ir/IRParser.h"
@@ -218,9 +220,6 @@ TEST(OptionsFingerprint, IgnoresObservabilityPlumbing) {
   PipelineOptions Base = serveDefaultOptions();
   PipelineOptions O = Base;
   O.Verify = !O.Verify;
-  EXPECT_EQ(optionsFingerprint(O), optionsFingerprint(Base));
-  O = Base;
-  O.DisableAnalysisCache = !O.DisableAnalysisCache;
   EXPECT_EQ(optionsFingerprint(O), optionsFingerprint(Base));
 }
 
@@ -771,6 +770,38 @@ TEST(Daemon, ConcurrentClientsGetDeterministicResults) {
   ASSERT_TRUE(Counters);
   EXPECT_GT(Counters->getU64("cache.hits"), 0u);
   std::remove(StatsPath.c_str());
+}
+
+TEST(Daemon, PhiInputAtReassociationKeepsTheDaemonUp) {
+  // The daemon admits Relaxed input, phis included; the reassociation
+  // levels build SSA, which must never see them.
+  std::string Path =
+      "/tmp/epre_serve_phi_" + std::to_string(::getpid()) + ".sock";
+  ServerConfig SC;
+  SC.SocketPath = Path;
+  SC.Service.Workers = 1;
+  ServeDaemon D(SC);
+  std::string Err;
+  ASSERT_TRUE(D.start(&Err)) << Err;
+  std::thread Server([&] { D.run(); });
+
+  int Fd = connectTo(Path);
+  ASSERT_GE(Fd, 0);
+  JSONValue R = parsed(roundTrip(
+      Fd, compileDoc({epre::test::ForwardingChainIntoPhi},
+                     "{\"level\":\"reassociation\"}")));
+  const JSONValue *F = firstFunction(R);
+  ASSERT_TRUE(F);
+  ParseResult Out = parseModule(F->getString("iloc"));
+  ASSERT_TRUE(Out.ok()) << Out.Error;
+  EXPECT_EQ(epre::test::runOn(*Out.M->Functions[0], 0), 2);
+  EXPECT_EQ(epre::test::runOn(*Out.M->Functions[0], 7), 1);
+
+  JSONValue Pong = parsed(roundTrip(Fd, "{\"v\":1,\"cmd\":\"ping\"}"));
+  EXPECT_TRUE(Pong.get("pong") && Pong.get("pong")->B);
+  roundTrip(Fd, "{\"cmd\":\"shutdown\"}");
+  ::close(Fd);
+  Server.join();
 }
 
 TEST(Daemon, RequestStopFromAnotherThreadIsClean) {
