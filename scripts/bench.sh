@@ -189,25 +189,6 @@ echo "serve warm-replay speedup: ${SERVE_SPEEDUP}x (warm items/sec / cold items/
 awk -v s="$SERVE_SPEEDUP" 'BEGIN { exit !(s + 0 >= 5.0) }' ||
   refuse "warm-cache replay is only ${SERVE_SPEEDUP}x cold throughput (gate: >= 5x)"
 
-# Telemetry overhead on the all-hit fast path (docs/observability.md
-# budgets it at <= 3%; recorded in EXPERIMENTS.md). Informational — the
-# number is printed so a regeneration that blows the budget is visible in
-# the log, but single-run noise on a sub-microsecond path is too large to
-# gate publication on.
-TEL_OVERHEAD=$(awk '
-  /"name": "BM_ServeWarmReplay"/            { want = 1 }
-  /"name": "BM_ServeWarmReplayNoTelemetry"/ { want = 2 }
-  /"items_per_second":/ && want {
-    gsub(/[^0-9.eE+-]/, "", $2)
-    if (want == 1) on = $2; else off = $2
-    want = 0
-  }
-  END {
-    if (on == "" || off == "" || on + 0 == 0) { print "nan"; exit }
-    printf "%.2f", (off / on - 1) * 100
-  }' "$TMP_SERVE")
-echo "serve telemetry overhead on warm replay: ${TEL_OVERHEAD}% (budget: <= 3%)"
-
 mv "$TMP_SERVE" "$SERVE_OUT"
 trap - EXIT
 echo "wrote $SERVE_OUT"

@@ -13,7 +13,6 @@ LoopInfo LoopInfo::compute(const Function &F, const CFG &G,
   LoopInfo LI;
   unsigned N = F.numBlocks();
   LI.Depth.assign(N, 0);
-  LI.Innermost.assign(N, -1);
 
   // Find back edges (tail -> header where header dominates tail) and flood
   // the loop body backwards from each tail; merge loops sharing a header.
@@ -76,15 +75,9 @@ LoopInfo LoopInfo::compute(const Function &F, const CFG &G,
       LI.Loops[LI.Loops[I].Parent].SubLoops.push_back(I);
   }
 
-  // Per-block depth and innermost loop.
-  for (unsigned I = 0; I < NumLoops; ++I) {
-    const Loop &L = LI.Loops[I];
-    for (BlockId B : L.Blocks) {
-      if (L.Depth > LI.Depth[B]) {
-        LI.Depth[B] = L.Depth;
-        LI.Innermost[B] = int(I);
-      }
-    }
-  }
+  // Per-block depth: that of the innermost loop containing the block.
+  for (const Loop &L : LI.Loops)
+    for (BlockId B : L.Blocks)
+      LI.Depth[B] = std::max(LI.Depth[B], L.Depth);
   return LI;
 }

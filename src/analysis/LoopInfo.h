@@ -39,15 +39,9 @@ public:
     return B < Depth.size() ? Depth[B] : 0;
   }
 
-  /// Index of the innermost loop containing \p B, or -1.
-  int innermostLoop(BlockId B) const {
-    return B < Innermost.size() ? Innermost[B] : -1;
-  }
-
 private:
   std::vector<Loop> Loops;
   std::vector<unsigned> Depth;
-  std::vector<int> Innermost;
 };
 
 } // namespace epre

@@ -61,6 +61,11 @@ struct Expr {
   // Children: Binary has 2; Unary has 1; ArrayRef has 1-2 subscripts;
   // Call has its arguments.
   std::vector<ExprPtr> Children;
+
+  /// Nesting levels inside this expression as written: one per operator,
+  /// argument list and pair of parentheses on the deepest path. The parser
+  /// sets it and caps it (MaxSourceNesting).
+  unsigned Height = 0;
 };
 
 struct Stmt;

@@ -4,6 +4,7 @@
 
 #include "support/StringUtil.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <optional>
@@ -260,6 +261,45 @@ private:
       Err = strprintf("line %u: %s", Tok.Line, Msg.c_str());
   }
 
+  /// Fails unless \p Levels more levels fit under MaxSourceNesting.
+  bool fits(unsigned Levels) {
+    if (Depth + Levels <= MaxSourceNesting)
+      return true;
+    fail(strprintf("nesting deeper than %u levels", MaxSourceNesting));
+    return false;
+  }
+
+  /// Opens one nesting level, or fails past the cap; leave() closes it.
+  bool enter() {
+    if (!fits(1))
+      return false;
+    ++Depth;
+    return true;
+  }
+  void leave() { --Depth; }
+
+  /// Sets \p E's height from its children's.
+  static void measure(Expr &E) {
+    E.Height = 1;
+    for (const ExprPtr &C : E.Children)
+      if (C)
+        E.Height = std::max(E.Height, C->Height + 1);
+  }
+
+  /// Parses statements into \p Body, one level deeper, until \p Done.
+  template <typename DoneFn>
+  void parseBody(std::vector<StmtPtr> &Body, DoneFn Done) {
+    if (!enter())
+      return;
+    skipEols();
+    while (!Done() && Tok.K != Tk::Eof && Err.empty()) {
+      if (StmtPtr T = parseStatement())
+        Body.push_back(std::move(T));
+      skipEols();
+    }
+    leave();
+  }
+
   bool expect(Tk K, const char *What) {
     if (Tok.K != K) {
       fail(std::string("expected ") + What);
@@ -439,22 +479,11 @@ private:
       fail("expected 'then'");
       return nullptr;
     }
-    skipEols();
-    while (!isIdent("else") && !isIdent("endif") && !isIdent("end") &&
-           Tok.K != Tk::Eof && Err.empty()) {
-      if (StmtPtr T = parseStatement())
-        S->Then.push_back(std::move(T));
-      skipEols();
-    }
-    if (eatIdent("else")) {
-      skipEols();
-      while (!isIdent("endif") && !isIdent("end") && Tok.K != Tk::Eof &&
-             Err.empty()) {
-        if (StmtPtr T = parseStatement())
-          S->Else.push_back(std::move(T));
-        skipEols();
-      }
-    }
+    parseBody(S->Then, [&] {
+      return isIdent("else") || isIdent("endif") || isIdent("end");
+    });
+    if (eatIdent("else"))
+      parseBody(S->Else, [&] { return isIdent("endif") || isIdent("end"); });
     if (!eatEnd("if"))
       fail("expected 'end if'");
     return S;
@@ -493,13 +522,7 @@ private:
     }
     if (!expect(Tk::Eol, "end of line"))
       return nullptr;
-    skipEols();
-    while (!isIdent("enddo") && !isIdent("end") && Tok.K != Tk::Eof &&
-           Err.empty()) {
-      if (StmtPtr T = parseStatement())
-        S->Then.push_back(std::move(T));
-      skipEols();
-    }
+    parseBody(S->Then, [&] { return isIdent("enddo") || isIdent("end"); });
     if (!eatEnd("do"))
       fail("expected 'end do'");
     return S;
@@ -515,13 +538,7 @@ private:
     S->Cond = parseExpr();
     if (!expect(Tk::RParen, "')'"))
       return nullptr;
-    skipEols();
-    while (!isIdent("endwhile") && !isIdent("end") && Tok.K != Tk::Eof &&
-           Err.empty()) {
-      if (StmtPtr T = parseStatement())
-        S->Then.push_back(std::move(T));
-      skipEols();
-    }
+    parseBody(S->Then, [&] { return isIdent("endwhile") || isIdent("end"); });
     if (!eatEnd("while"))
       fail("expected 'end while'");
     return S;
@@ -531,6 +548,8 @@ private:
   //   .or. | .and. | .not. | comparisons | add/sub | mul/div | ** | unary
   ExprPtr parseExpr() { return parseOr(); }
 
+  /// The operands were parsed at this depth, so the node is checked
+  /// against the cap: null past it, which ends the operator chain.
   ExprPtr makeBin(BinOp Op, ExprPtr L, ExprPtr R, unsigned Line) {
     auto E = std::make_unique<Expr>();
     E->K = Expr::Kind::Binary;
@@ -538,6 +557,23 @@ private:
     E->Line = Line;
     E->Children.push_back(std::move(L));
     E->Children.push_back(std::move(R));
+    measure(*E);
+    if (!fits(E->Height))
+      return nullptr;
+    return E;
+  }
+
+  /// A unary operator's node; the operand is parsed one level deeper.
+  ExprPtr makeUnary(UnOp Op, unsigned Line, ExprPtr (Parser::*Operand)()) {
+    if (!enter())
+      return nullptr;
+    auto E = std::make_unique<Expr>();
+    E->K = Expr::Kind::Unary;
+    E->UOp = Op;
+    E->Line = Line;
+    E->Children.push_back((this->*Operand)());
+    leave();
+    measure(*E);
     return E;
   }
 
@@ -565,12 +601,7 @@ private:
     if (Tok.K == Tk::NotOp) {
       unsigned Line = Tok.Line;
       advance();
-      auto E = std::make_unique<Expr>();
-      E->K = Expr::Kind::Unary;
-      E->UOp = UnOp::Not;
-      E->Line = Line;
-      E->Children.push_back(parseNot());
-      return E;
+      return makeUnary(UnOp::Not, Line, &Parser::parseNot);
     }
     return parseCompare();
   }
@@ -619,30 +650,27 @@ private:
   }
 
   ExprPtr parseUnary() {
+    while (Tok.K == Tk::Plus) // unary plus builds nothing
+      advance();
     if (Tok.K == Tk::Minus) {
       unsigned Line = Tok.Line;
       advance();
-      auto E = std::make_unique<Expr>();
-      E->K = Expr::Kind::Unary;
-      E->UOp = UnOp::Neg;
-      E->Line = Line;
-      E->Children.push_back(parseUnary());
-      return E;
-    }
-    if (Tok.K == Tk::Plus) {
-      advance();
-      return parseUnary();
+      return makeUnary(UnOp::Neg, Line, &Parser::parseUnary);
     }
     return parsePower();
   }
 
   ExprPtr parsePower() {
     ExprPtr L = parsePrimary();
-    // ** is right associative.
+    // ** is right associative: the right operand is one level deeper.
     if (L && Tok.K == Tk::Power) {
       unsigned Line = Tok.Line;
       advance();
-      L = makeBin(BinOp::Pow, std::move(L), parseUnary(), Line);
+      if (!enter())
+        return nullptr;
+      ExprPtr R = parseUnary();
+      leave();
+      L = makeBin(BinOp::Pow, std::move(L), std::move(R), Line);
     }
     return L;
   }
@@ -667,8 +695,13 @@ private:
     }
     if (Tok.K == Tk::LParen) {
       advance();
+      if (!enter())
+        return nullptr;
       ExprPtr E = parseExpr();
+      leave();
       expect(Tk::RParen, "')'");
+      if (E)
+        ++E->Height; // the parentheses are a level
       return E;
     }
     if (Tok.K != Tk::Ident) {
@@ -687,6 +720,8 @@ private:
     // Either an array reference or an intrinsic call; the lowerer decides
     // by consulting the symbol table. Parse as Call.
     advance();
+    if (!enter())
+      return nullptr;
     auto E = std::make_unique<Expr>();
     E->K = Expr::Kind::Call;
     E->Name = Name;
@@ -699,13 +734,16 @@ private:
         advance();
       }
     }
+    leave();
     expect(Tk::RParen, "')'");
+    measure(*E);
     return E;
   }
 
   Lexer Lex;
   Token Tok;
   std::string Err;
+  unsigned Depth = 0; ///< levels open around the current token
 };
 
 } // namespace

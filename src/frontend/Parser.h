@@ -37,6 +37,14 @@
 
 namespace epre {
 
+/// The deepest nesting a function may have, in levels: one per enclosing
+/// IF/DO/WHILE body, pair of parentheses, argument list, unary operator and
+/// binary operator above a node. An operator chain builds a left-deep tree,
+/// so its length counts. Lowering and AST destruction recurse once per
+/// level, so deeper input is a parse error ("line N: nesting deeper than
+/// ... levels") instead of a stack overflow.
+constexpr unsigned MaxSourceNesting = 1000;
+
 struct FrontendParseResult {
   ast::Program Prog;
   std::string Error; ///< empty on success

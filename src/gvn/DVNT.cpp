@@ -160,7 +160,6 @@ DVNTStats epre::valueNumberDominatorTreeSSA(Function &F) {
 void epre::DVNTPass::run(Function &F, PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
   SSAOptions Opts;
-  Opts.Pruned = true;
   Opts.FoldCopies = false; // copies are the variable-name definers
   SSABuildPass(Opts).run(F, Ctx);
   Last = valueNumberDominatorTreeSSA(F);

@@ -296,7 +296,6 @@ void epre::GVNPass::run(Function &F, PassContext &Ctx) {
   // expression names across block boundaries — undoing the locality that
   // forward propagation established for PRE (§5.1).
   SSAOptions Opts;
-  Opts.Pruned = true;
   Opts.FoldCopies = false;
   SSABuildPass(Opts).run(F, Ctx);
   CongruencePartition P = computeCongruencePartition(F);

@@ -129,8 +129,8 @@ private:
 
 /// The per-run handle a pass receives: the instrumentation hooks, the
 /// remark emitter, and the stats registry, behind null-checked calls. A
-/// default-constructed PassContext disables everything, which is what the
-/// deprecated free-function shims use.
+/// default-constructed PassContext disables everything, which is what a
+/// pass run outside any pipeline (a test, a benchmark) uses.
 ///
 /// The pipeline constructs one PassContext per function run, pointing at
 /// the per-function StatsRegistry (always present — it backs PipelineStats)

@@ -29,7 +29,6 @@ public:
 
   BlockId id() const { return Id; }
   const std::string &label() const { return Label; }
-  void setLabel(std::string L) { Label = std::move(L); }
 
   std::vector<Instruction> Insts;
 

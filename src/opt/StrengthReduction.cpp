@@ -301,7 +301,6 @@ SRStats strengthReduceSSAImpl(Function &F) {
 void epre::StrengthReductionPass::run(Function &F, PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
   SSAOptions Opts;
-  Opts.Pruned = true;
   Opts.FoldCopies = false;
   SSABuildPass(Opts).run(F, Ctx);
   Last = strengthReduceSSAImpl(F);

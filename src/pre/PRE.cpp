@@ -6,6 +6,7 @@
 #include "analysis/EdgeSplitting.h"
 #include "analysis/ProfileInfo.h"
 #include "ir/ExprKey.h"
+#include "pre/MaxFlow.h"
 #include "support/BitVector.h"
 #include "support/StringUtil.h"
 
@@ -57,105 +58,6 @@ private:
   std::vector<BlockId> Ring;
   std::vector<uint8_t> InQueue;
   size_t Head = 0, Tail = 0, Count = 0;
-};
-
-/// Dinic max-flow over one expression's network (Speculative strategy).
-/// Arcs are stored paired so Arcs[I ^ 1] is the reverse arc; capacities
-/// are profiled execution counts, far below the Unbounded sentinel, so
-/// sums never overflow. One instance serves every expression of a run:
-/// reset() starts a new network in the storage of the previous one.
-class MaxFlow {
-public:
-  static constexpr uint64_t Unbounded = uint64_t(1) << 62;
-
-  void reset(unsigned NumNodes) {
-    Arcs.clear();
-    Head.assign(NumNodes, -1);
-    Level.resize(NumNodes);
-    It.resize(NumNodes);
-  }
-
-  /// Arcs added since the last reset (reverse arcs not counted).
-  unsigned numArcs() const { return unsigned(Arcs.size() / 2); }
-
-  void addArc(unsigned From, unsigned To, uint64_t Cap) {
-    unsigned Id = unsigned(Arcs.size());
-    Arcs.push_back({To, Head[From], Cap});
-    Head[From] = int(Id);
-    Arcs.push_back({From, Head[To], 0});
-    Head[To] = int(Id + 1);
-  }
-
-  uint64_t solve(unsigned S, unsigned T) {
-    uint64_t Flow = 0;
-    while (bfs(S, T)) {
-      It = Head;
-      while (uint64_t Pushed = dfs(S, T, Unbounded))
-        Flow += Pushed;
-    }
-    return Flow;
-  }
-
-  /// After solve(): fills \p Reach with the source side of the minimum cut
-  /// (residual reachability from \p S). An original arc (u,v) is in the
-  /// cut iff u is on the source side and v is not. Every maximum flow
-  /// leaves the same residual reachability, so the side does not depend on
-  /// the order the arcs were added in.
-  void sourceSide(unsigned S, std::vector<char> &Reach) {
-    Reach.assign(Head.size(), 0);
-    Queue.assign(1, S);
-    Reach[S] = 1;
-    for (size_t Q = 0; Q < Queue.size(); ++Q)
-      for (int A = Head[Queue[Q]]; A != -1; A = Arcs[A].Next)
-        if (Arcs[A].Cap > 0 && !Reach[Arcs[A].To]) {
-          Reach[Arcs[A].To] = 1;
-          Queue.push_back(Arcs[A].To);
-        }
-  }
-
-private:
-  struct Arc {
-    unsigned To;
-    int Next;
-    uint64_t Cap; ///< remaining (residual) capacity
-  };
-
-  bool bfs(unsigned S, unsigned T) {
-    std::fill(Level.begin(), Level.end(), -1);
-    Queue.assign(1, S);
-    Level[S] = 0;
-    for (size_t Q = 0; Q < Queue.size(); ++Q) {
-      unsigned U = Queue[Q];
-      for (int A = Head[U]; A != -1; A = Arcs[A].Next)
-        if (Arcs[A].Cap > 0 && Level[Arcs[A].To] < 0) {
-          Level[Arcs[A].To] = Level[U] + 1;
-          Queue.push_back(Arcs[A].To);
-        }
-    }
-    return Level[T] >= 0;
-  }
-
-  uint64_t dfs(unsigned U, unsigned T, uint64_t Limit) {
-    if (U == T)
-      return Limit;
-    for (int &A = It[U]; A != -1; A = Arcs[A].Next) {
-      Arc &E = Arcs[A];
-      if (E.Cap == 0 || Level[E.To] != Level[U] + 1)
-        continue;
-      if (uint64_t Pushed = dfs(E.To, T, std::min(Limit, E.Cap))) {
-        E.Cap -= Pushed;
-        Arcs[A ^ 1].Cap += Pushed;
-        return Pushed;
-      }
-    }
-    return 0;
-  }
-
-  std::vector<Arc> Arcs;
-  std::vector<int> Head;
-  std::vector<int> Level;
-  std::vector<int> It;
-  std::vector<unsigned> Queue; ///< BFS queue, reused across calls
 };
 
 /// Per-expression lists in one flat array: the items of expression E are
@@ -225,6 +127,8 @@ public:
     PREDataflow D;
     solveDataflow();
     D.Stats = Stats;
+    for (const ExprInfo &E : Universe)
+      D.Names.push_back(E.Name);
     D.ANTLOC = std::move(ANTLOC);
     D.COMP = std::move(COMP);
     D.TRANSP = std::move(TRANSP);
@@ -248,7 +152,8 @@ public:
       placeMorelRenvoise();
       break;
     case PREStrategy::GlobalCSE:
-      placeGlobalCSE();
+      // Available-expressions CSE: delete only, insert nothing.
+      buildDelete(AVIN, /*Complement=*/false);
       break;
     case PREStrategy::Speculative:
       placeSpeculative();
@@ -338,13 +243,45 @@ private:
         RegToExprs[Op].push_back(E);
   }
 
-  /// True if \p I is the (unique) computation of universe expression \p E.
-  bool computes(const Instruction &I, unsigned E) const {
-    return I.hasDst() && I.Dst == Universe[E].Name && I.isExpression();
+  // --- Local walk -----------------------------------------------------------
+  //
+  // One left-to-right walk of a block feeds both the local sets and the
+  // rewrite. Killed: some operand redefined since block entry. CompClean:
+  // computed, and no operand redefined since; a further computation is
+  // locally redundant (classic local CSE, which Morel–Renvoise assume as a
+  // preprocessing step).
+
+  /// What the walk knows of one instruction, read before its kills apply.
+  struct LocalStep {
+    unsigned Expr = NoExpr; ///< the universe expression computed, or NoExpr
+    bool Exposed = false;   ///< no operand killed yet: upward-exposed
+    bool Redundant = false; ///< computed since with no kill: locally redundant
+  };
+
+  void startBlock() {
+    Killed.resetAll();
+    CompClean.resetAll();
   }
 
-  // --- Local properties -----------------------------------------------------
+  /// Reads \p I's facts, then applies its definition and kills.
+  LocalStep step(const Instruction &I) {
+    LocalStep S;
+    if (!I.hasDst())
+      return S;
+    unsigned E = ExprIndex[I.Dst];
+    if (E != NoExpr && I.isExpression()) {
+      S = {E, !Killed.test(E), CompClean.test(E)};
+      CompClean.set(E);
+    }
+    for (unsigned K : RegToExprs[I.Dst]) {
+      Killed.set(K);
+      CompClean.reset(K);
+    }
+    return S;
+  }
 
+  // ANTLOC: upward-exposed computations; COMP: CompClean at block exit;
+  // TRANSP: the complement of Killed at block exit.
   void computeLocal() {
     unsigned NB = F.numBlocks();
     unsigned NE = numExprs();
@@ -355,26 +292,14 @@ private:
     F.forEachBlock([&](const BasicBlock &B) {
       if (!G.isReachable(B.id()))
         return;
-      BitVector Killed(NE);        // some operand redefined so far
-      BitVector CompClean(NE);     // computed, no operand killed since
+      startBlock();
       for (const Instruction &I : B.Insts) {
-        if (I.hasDst()) {
-          unsigned E = ExprIndex[I.Dst];
-          if (E != NoExpr && computes(I, E)) {
-            if (!Killed.test(E))
-              ANTLOC[B.id()].set(E);
-            CompClean.set(E);
-          }
-        }
-        if (I.hasDst()) {
-          for (unsigned E : RegToExprs[I.Dst]) {
-            Killed.set(E);
-            CompClean.reset(E);
-            TRANSP[B.id()].reset(E);
-          }
-        }
+        LocalStep S = step(I);
+        if (S.Exposed)
+          ANTLOC[B.id()].set(S.Expr);
       }
-      COMP[B.id()] = CompClean;
+      COMP[B.id()].assignFrom(CompClean);
+      TRANSP[B.id()].intersectWithComplement(Killed);
     });
   }
 
@@ -392,7 +317,7 @@ private:
       return false;
     Empty = BitVector(numExprs());
     Words = Empty.numWords();
-    Scratch.setUniverse(numExprs());
+    Killed = CompClean = Acc = Val = Term = Empty;
     computeLocal();
     solveAvailability();
     solveAnticipability();
@@ -460,9 +385,8 @@ private:
     // The meet is read in place and the transfer fused with the
     // change-detecting store; a self loop's meet may alias FlowSets[B],
     // which is safe because the kernel reads each word before writing it.
-    BitVector &S = Scratch.raw(0);
     unsigned Evaluations = solveFixpoint(Order, Forward, [&](BlockId B) {
-      const BitVector &M = meet(Nbrs(B), Boundary(B), Union, FlowSets, S);
+      const BitVector &M = meet(Nbrs(B), Boundary(B), Union, FlowSets, Acc);
       Stats.Work += Words;
       return FlowSets[B].assignMeetPreserveGen(M, TRANSP[B], Gen[B]);
     });
@@ -542,80 +466,72 @@ private:
       InEdges[Edges[E].To].push_back(E);
   }
 
-  BitVector earliest(const Edge &E) const {
+  /// EARLIEST(p,b) = ANTIN(b) * ~AVOUT(p) * (~TRANSP(p) + ~ANTOUT(p)) into
+  /// \p R; ANTIN(b) on the virtual entry edge.
+  void earliest(const Edge &E, BitVector &R) {
+    R.assignFrom(ANTIN[E.To]);
     if (E.From == InvalidBlock)
-      return ANTIN[E.To];
-    BitVector R = ANTIN[E.To];
-    BitVector NotAvout = AVOUT[E.From];
-    NotAvout.flip();
-    R &= NotAvout;
-    BitVector Guard = TRANSP[E.From]; // ~TRANSP | ~ANTOUT
-    Guard &= ANTOUT[E.From];
-    Guard.flip();
-    R &= Guard;
-    return R;
+      return;
+    R.intersectWithComplement(AVOUT[E.From]);
+    Term.assignFrom(TRANSP[E.From]);
+    Term.intersectWith(ANTOUT[E.From]);
+    R.intersectWithComplement(Term);
+  }
+
+  /// The deletion rule every strategy shares: DELETE = ANTLOC * S, where S
+  /// is the strategy's set at block entry, or its complement when
+  /// \p Complement is set.
+  void buildDelete(const std::vector<BitVector> &S, bool Complement) {
+    DELETE.assign(F.numBlocks(), Empty);
+    for (BlockId B : G.rpo()) {
+      DELETE[B].assignFrom(ANTLOC[B]);
+      if (Complement)
+        DELETE[B].intersectWithComplement(S[B]);
+      else
+        DELETE[B].intersectWith(S[B]);
+    }
   }
 
   // --- Placement: Drechsler–Stadel lazy code motion -------------------------
 
   void placeLazyCodeMotion() {
-    unsigned NB = F.numBlocks();
-    unsigned NE = numExprs();
-
-    std::vector<BitVector> Earliest;
-    Earliest.reserve(Edges.size());
-    for (const Edge &E : Edges)
-      Earliest.push_back(earliest(E));
+    std::vector<BitVector> Earliest(Edges.size(), Empty);
+    for (unsigned EI = 0; EI < Edges.size(); ++EI)
+      earliest(Edges[EI], Earliest[EI]);
 
     // LATERIN as greatest fixpoint: it only shrinks, and a shrink at a
     // block can only shrink its successors. LATER is derivable from LATERIN
     // (edge formula below), so it is not stored.
-    LATERIN.assign(NB, BitVector(NE, true));
+    LATERIN.assign(F.numBlocks(), BitVector(numExprs(), true));
     auto laterOf = [&](unsigned EI, BitVector &L) {
       // LATER = EARLIEST + LATERIN(from)*~ANTLOC(from).
       const Edge &E = Edges[EI];
       L.assignFrom(Earliest[EI]);
       if (E.From != InvalidBlock) {
-        BitVector &Prop = Scratch.raw(2);
-        Prop.assignFrom(LATERIN[E.From]);
-        Prop.intersectWithComplement(ANTLOC[E.From]);
-        L.unionWith(Prop);
+        Term.assignFrom(LATERIN[E.From]);
+        Term.intersectWithComplement(ANTLOC[E.From]);
+        L.unionWith(Term);
       }
     };
     solveFixpoint(G.rpo(), /*Forward=*/true, [&](BlockId B) {
-      BitVector &In = Scratch.ones(0);
+      Acc.setAll();
       for (unsigned EI : InEdges[B]) {
-        BitVector &L = Scratch.raw(1);
-        laterOf(EI, L);
-        In.intersectWith(L);
+        laterOf(EI, Val);
+        Acc.intersectWith(Val);
         // laterOf's passes (one for the entry edge, four otherwise) and
         // the intersection.
         Stats.Work += Words * (Edges[EI].From == InvalidBlock ? 2 : 5);
       }
       Stats.Work += Words * 2; // the all-ones start and the store
-      return LATERIN[B].assignFrom(In);
+      return LATERIN[B].assignFrom(Acc);
     });
 
+    // INSERT(p,b) = LATER(p,b) * ~LATERIN(b).
     for (unsigned EI = 0; EI < Edges.size(); ++EI) {
-      BitVector &L = Scratch.raw(1);
-      laterOf(EI, L);
-      BitVector Ins = L;
-      BitVector NotLaterIn = LATERIN[Edges[EI].To];
-      NotLaterIn.flip();
-      Ins &= NotLaterIn;
-      Edges[EI].Insert = std::move(Ins);
+      laterOf(EI, Edges[EI].Insert);
+      Edges[EI].Insert.intersectWithComplement(LATERIN[Edges[EI].To]);
     }
-
-    DELETE.assign(NB, BitVector(NE));
-    F.forEachBlock([&](const BasicBlock &B) {
-      if (!G.isReachable(B.id()))
-        return;
-      BitVector D = ANTLOC[B.id()];
-      BitVector NotLaterIn = LATERIN[B.id()];
-      NotLaterIn.flip();
-      D &= NotLaterIn;
-      DELETE[B.id()] = std::move(D);
-    });
+    buildDelete(LATERIN, /*Complement=*/true);
   }
 
   // --- Placement: Morel–Renvoise with D-S'88 edge correction ----------------
@@ -627,15 +543,15 @@ private:
     std::vector<BitVector> PPOUT(NB, BitVector(NE, true));
 
     // The system is bidirectional (Morel–Renvoise), so it stays a dense
-    // round-robin sweep; the per-block temporaries live in the scratch pool
-    // and results are stored with changed-flag kernels, so each iteration
-    // is allocation-free.
+    // round-robin sweep; the per-block temporaries are the Acc/Val/Term
+    // members and results are stored with changed-flag kernels, so each
+    // iteration is allocation-free.
     bool Changed = true;
     while (Changed) {
       Changed = false;
       for (BlockId B : G.rpo()) {
         // PPOUT = product of successors' PPIN (empty at exits).
-        BitVector &Out = Scratch.raw(0);
+        BitVector &Out = Acc;
         if (G.succs(B).empty()) {
           Out.resetAll();
         } else {
@@ -645,21 +561,19 @@ private:
         }
         // PPIN = ANTIN * (ANTLOC + TRANSP*PPOUT)
         //        * prod_preds (PPOUT(p) + AVOUT(p)); empty at entry.
-        BitVector &In = Scratch.raw(1);
+        BitVector &In = Val;
         if (B == G.rpo().front()) {
           In.resetAll();
         } else {
-          BitVector &Mid = Scratch.raw(2);
-          Mid.assignFrom(TRANSP[B]);
-          Mid.intersectWith(Out);
-          Mid.unionWith(ANTLOC[B]);
+          Term.assignFrom(TRANSP[B]);
+          Term.intersectWith(Out);
+          Term.unionWith(ANTLOC[B]);
           In.assignFrom(ANTIN[B]);
-          In.intersectWith(Mid);
+          In.intersectWith(Term);
           for (BlockId P : G.preds(B)) {
-            BitVector &Avail = Scratch.raw(2);
-            Avail.assignFrom(PPOUT[P]);
-            Avail.unionWith(AVOUT[P]);
-            In.intersectWith(Avail);
+            Term.assignFrom(PPOUT[P]);
+            Term.unionWith(AVOUT[P]);
+            In.intersectWith(Term);
           }
         }
         bool InChanged = PPIN[B].assignFrom(In);
@@ -669,65 +583,26 @@ private:
     }
 
     // Edge insertions (the Drechsler–Stadel 1988 correction):
-    // INSERT(p,b) = PPIN(b) * ~AVOUT(p) * ~PPOUT(p).
+    // INSERT(p,b) = PPIN(b) * ~AVOUT(p) * ~PPOUT(p); none on the entry edge.
     for (Edge &E : Edges) {
-      if (E.From == InvalidBlock) {
-        E.Insert = BitVector(NE);
+      if (E.From == InvalidBlock)
         continue;
-      }
-      BitVector Ins = PPIN[E.To];
-      BitVector NotAv = AVOUT[E.From];
-      NotAv.flip();
-      Ins &= NotAv;
-      BitVector NotPP = PPOUT[E.From];
-      NotPP.flip();
-      Ins &= NotPP;
-      E.Insert = std::move(Ins);
+      E.Insert.assignFrom(PPIN[E.To]);
+      E.Insert.intersectWithComplement(AVOUT[E.From]);
+      E.Insert.intersectWithComplement(PPOUT[E.From]);
     }
 
     // Morel–Renvoise block insertions (at the end of b) remain:
     // INSERT(b) = PPOUT(b) * ~AVOUT(b) * (~PPIN(b) + ~TRANSP(b)).
-    BlockInsert.assign(NB, BitVector(NE));
-    F.forEachBlock([&](const BasicBlock &B) {
-      if (!G.isReachable(B.id()))
-        return;
-      BlockId Id = B.id();
-      BitVector Ins = PPOUT[Id];
-      BitVector NotAv = AVOUT[Id];
-      NotAv.flip();
-      Ins &= NotAv;
-      BitVector Guard = PPIN[Id];
-      Guard &= TRANSP[Id];
-      Guard.flip();
-      Ins &= Guard;
-      BlockInsert[Id] = std::move(Ins);
-    });
-
-    DELETE.assign(NB, BitVector(NE));
-    F.forEachBlock([&](const BasicBlock &B) {
-      if (!G.isReachable(B.id()))
-        return;
-      BitVector D = ANTLOC[B.id()];
-      D &= PPIN[B.id()];
-      DELETE[B.id()] = std::move(D);
-    });
-  }
-
-  // --- Placement: available-expressions CSE (delete-only) -------------------
-
-  void placeGlobalCSE() {
-    unsigned NB = F.numBlocks();
-    unsigned NE = numExprs();
-    for (Edge &E : Edges)
-      E.Insert = BitVector(NE);
-    DELETE.assign(NB, BitVector(NE));
-    F.forEachBlock([&](const BasicBlock &B) {
-      if (!G.isReachable(B.id()))
-        return;
-      BitVector D = ANTLOC[B.id()];
-      D &= AVIN[B.id()];
-      DELETE[B.id()] = std::move(D);
-    });
+    BlockInsert.assign(NB, Empty);
+    for (BlockId B : G.rpo()) {
+      BlockInsert[B].assignFrom(PPOUT[B]);
+      BlockInsert[B].intersectWithComplement(AVOUT[B]);
+      Term.assignFrom(PPIN[B]);
+      Term.intersectWith(TRANSP[B]);
+      BlockInsert[B].intersectWithComplement(Term);
+    }
+    buildDelete(PPIN, /*Complement=*/false);
   }
 
   // --- Placement: profile-guided speculative min cut ------------------------
@@ -1016,33 +891,17 @@ private:
     F.forEachBlock([&](BasicBlock &B) {
       if (!G.isReachable(B.id()))
         return;
-      // Killed: some operand redefined since block entry (the globally
-      // deletable occurrences are the ones before the first kill).
-      // CompClean: e was computed and no operand changed since — any
-      // further computation is locally redundant (classic local CSE, which
-      // Morel–Renvoise assume as a preprocessing step).
-      BitVector Killed(numExprs());
-      BitVector CompClean(numExprs());
+      startBlock();
       Kept.clear();
       Kept.reserve(B.Insts.size());
       for (Instruction &I : B.Insts) {
-        bool DropLocal = false, DropGlobal = false;
-        if (I.hasDst()) {
-          unsigned E = ExprIndex[I.Dst];
-          if (E != NoExpr && computes(I, E)) {
-            if (CompClean.test(E))
-              DropLocal = true; // locally redundant recomputation
-            else if (DELETE[B.id()].test(E) && !Killed.test(E))
-              DropGlobal = true; // globally (partially) redundant
-            CompClean.set(E);
-          }
-        }
-        if (I.hasDst()) {
-          for (unsigned E : RegToExprs[I.Dst]) {
-            Killed.set(E);
-            CompClean.reset(E);
-          }
-        }
+        // A locally redundant recomputation goes; otherwise an upward-exposed
+        // occurrence goes where DELETE marks it globally (partially)
+        // redundant.
+        LocalStep S = step(I);
+        bool DropLocal = S.Redundant;
+        bool DropGlobal =
+            !S.Redundant && S.Exposed && DELETE[B.id()].test(S.Expr);
         if (DropLocal || DropGlobal) {
           ++Stats.Deleted;
           if (Ctx && Ctx->remarksEnabled())
@@ -1102,67 +961,64 @@ private:
     return Ordered;
   }
 
+  /// The insertion step every placement shares: orders the expressions
+  /// of \p Ins, counts each one and remarks it at block \p At as
+  /// "computation of rN inserted <Where()>". Returns the computations in
+  /// order.
+  template <typename WhereFn>
+  std::vector<Instruction> emitInsertions(const BitVector &Ins,
+                                          const BasicBlock &At, WhereFn Where) {
+    std::vector<Instruction> News;
+    for (unsigned Ex : orderInsertions(Ins)) {
+      News.push_back(Universe[Ex].Proto);
+      ++Stats.Inserted;
+      if (Ctx && Ctx->remarksEnabled())
+        Ctx->remark(RemarkKind::Insert, F, At.label(),
+                    opcodeName(Universe[Ex].Proto.Op),
+                    strprintf("computation of r%u inserted %s",
+                              Universe[Ex].Name, Where().c_str()));
+    }
+    return News;
+  }
+
+  static void splice(BasicBlock &B, size_t Pos, std::vector<Instruction> News) {
+    B.Insts.insert(B.Insts.begin() + Pos, std::make_move_iterator(News.begin()),
+                   std::make_move_iterator(News.end()));
+  }
+
   void applyInsertions() {
     // Morel–Renvoise block insertions: computations placed at block ends.
     if (!BlockInsert.empty()) {
       F.forEachBlock([&](BasicBlock &B) {
-        if (!G.isReachable(B.id()) || BlockInsert[B.id()].none())
+        if (BlockInsert[B.id()].none())
           return;
-        std::vector<unsigned> Ordered = orderInsertions(BlockInsert[B.id()]);
-        for (unsigned Ex : Ordered) {
-          B.insertBeforeTerminator(Universe[Ex].Proto);
-          ++Stats.Inserted;
-          if (Ctx && Ctx->remarksEnabled())
-            Ctx->remark(RemarkKind::Insert, F, B.label(),
-                        opcodeName(Universe[Ex].Proto.Op),
-                        strprintf("computation of r%u inserted at block end",
-                                  Universe[Ex].Name));
-        }
+        auto AtEnd = [] { return std::string("at block end"); };
+        splice(B, B.Insts.size() - 1,
+               emitInsertions(BlockInsert[B.id()], B, AtEnd));
       });
     }
-    for (Edge &E : Edges) {
+    for (const Edge &E : Edges) {
       if (E.Insert.none())
         continue;
-      std::vector<unsigned> Ordered = orderInsertions(E.Insert);
-      std::vector<Instruction> News;
-      for (unsigned Ex : Ordered) {
-        News.push_back(Universe[Ex].Proto);
-        ++Stats.Inserted;
-        if (Ctx && Ctx->remarksEnabled())
-          Ctx->remark(
-              RemarkKind::Insert, F, F.block(E.To)->label(),
-              opcodeName(Universe[Ex].Proto.Op),
-              E.From == InvalidBlock
-                  ? strprintf("computation of r%u inserted on the entry edge",
-                              Universe[Ex].Name)
-                  : strprintf("computation of r%u inserted on edge ^%s -> ^%s",
-                              Universe[Ex].Name,
-                              F.block(E.From)->label().c_str(),
-                              F.block(E.To)->label().c_str()));
-      }
-      if (E.From == InvalidBlock) {
-        BasicBlock *Entry = F.block(E.To);
-        Entry->Insts.insert(Entry->Insts.begin(),
-                            std::make_move_iterator(News.begin()),
-                            std::make_move_iterator(News.end()));
-        continue;
-      }
       BasicBlock *To = F.block(E.To);
-      BasicBlock *From = F.block(E.From);
-      if (G.preds(E.To).size() == 1) {
-        To->Insts.insert(To->Insts.begin() + To->firstNonPhi(),
-                         std::make_move_iterator(News.begin()),
-                         std::make_move_iterator(News.end()));
+      std::vector<Instruction> News = emitInsertions(E.Insert, *To, [&] {
+        return E.From == InvalidBlock
+                   ? std::string("on the entry edge")
+                   : strprintf("on edge ^%s -> ^%s",
+                               F.block(E.From)->label().c_str(),
+                               To->label().c_str());
+      });
+      if (E.From == InvalidBlock) {
+        splice(*To, 0, std::move(News));
+      } else if (G.preds(E.To).size() == 1) {
+        splice(*To, To->firstNonPhi(), std::move(News));
       } else if (G.succs(E.From).size() == 1) {
-        From->Insts.insert(From->Insts.end() - 1,
-                           std::make_move_iterator(News.begin()),
-                           std::make_move_iterator(News.end()));
+        BasicBlock *From = F.block(E.From);
+        splice(*From, From->Insts.size() - 1, std::move(News));
       } else {
         BasicBlock *Mid = splitEdge(F, E.From, E.To);
         ++Stats.EdgesSplit;
-        Mid->Insts.insert(Mid->Insts.begin(),
-                          std::make_move_iterator(News.begin()),
-                          std::make_move_iterator(News.end()));
+        splice(*Mid, 0, std::move(News));
       }
     }
   }
@@ -1182,9 +1038,13 @@ private:
   std::vector<uint8_t> AntBoundary;
   std::vector<BitVector> AVIN, AVOUT, ANTIN, ANTOUT;
   std::vector<BitVector> LATERIN, DELETE;
-  BitVector Empty;          ///< the empty set over the universe
-  uint64_t Words = 0;       ///< words per set, for Stats.Work
-  BitVectorScratch Scratch; ///< the fixpoints' per-block temporaries
+  BitVector Empty;    ///< the empty set over the universe
+  uint64_t Words = 0; ///< words per set, for Stats.Work
+  /// The local walk's state for the block being walked (startBlock, step).
+  BitVector Killed, CompClean;
+  /// Per-block temporaries of the fixpoints and the insertion formulas: a
+  /// meet being accumulated, a value being built, and one product term.
+  BitVector Acc, Val, Term;
   /// Block-end insertions (Morel–Renvoise strategy only).
   std::vector<BitVector> BlockInsert;
   std::vector<Edge> Edges;

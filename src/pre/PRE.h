@@ -112,6 +112,7 @@ private:
 /// so a test can pose the same two systems to its own solver.
 struct PREDataflow {
   PREStats Stats;
+  std::vector<Reg> Names; ///< the universe: each expression's name, by index
   std::vector<BitVector> ANTLOC, COMP, TRANSP;
   /// Blocks whose ANTOUT is forced empty: they cannot reach an exit.
   std::vector<uint8_t> AntBoundary;

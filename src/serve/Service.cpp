@@ -52,11 +52,10 @@ void writeCacheCounters(JSONWriter &W, const ResultCache &C) {
 }
 
 void writeTraceId(JSONWriter &W, uint64_t TraceId) {
-  if (TraceId)
-    W.key("trace_id").value(ServeTelemetry::traceIdHex(TraceId));
+  W.key("trace_id").value(ServeTelemetry::traceIdHex(TraceId));
 }
 
-std::string errorResponse(const std::string &Msg, uint64_t TraceId = 0) {
+std::string errorResponse(const std::string &Msg, uint64_t TraceId) {
   JSONWriter W;
   W.beginObject();
   W.key("v").value(uint64_t(1));
@@ -104,16 +103,6 @@ private:
 std::string CompileService::handle(const std::string &RequestJSON,
                                    const RequestInfo &Info) {
   RequestTrack T;
-  if (!Tel.enabled()) {
-    // Telemetry off: no trace IDs, no spans, no recording — byte-for-byte
-    // the pre-telemetry responses (bench_serve measures this delta).
-    ServeRequest R;
-    std::string Err;
-    if (!parseServeRequest(RequestJSON, R, &Err))
-      return errorResponse(Err);
-    return dispatch(R, T);
-  }
-
   T.TraceId = Tel.beginRequest();
   T.CollectSpans = Tel.collectSpans();
   T.Spans.setLane(Info.ConnId);
@@ -144,7 +133,7 @@ std::string CompileService::dispatch(const ServeRequest &R, RequestTrack &T) {
   switch (R.Cmd) {
   case ServeRequest::Command::Compile:
     T.Cmd = "compile";
-    return compileBatchImpl(R, T);
+    return compile(R, T);
   case ServeRequest::Command::Ping: {
     T.Cmd = "ping";
     JSONWriter W;
@@ -195,13 +184,7 @@ std::string CompileService::dispatch(const ServeRequest &R, RequestTrack &T) {
   return errorResponse("unreachable", T.TraceId);
 }
 
-std::string CompileService::compileBatch(const ServeRequest &R) {
-  RequestTrack T;
-  return compileBatchImpl(R, T);
-}
-
-std::string CompileService::compileBatchImpl(const ServeRequest &R,
-                                             RequestTrack &T) {
+std::string CompileService::compile(const ServeRequest &R, RequestTrack &T) {
   const uint64_t OptionsFP = optionsFingerprint(R.Options);
   std::vector<ReqState> States(R.Requests.size());
   T.Batch = unsigned(R.Requests.size());

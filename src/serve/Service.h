@@ -66,13 +66,8 @@ public:
   std::string handle(const std::string &RequestJSON,
                      const RequestInfo &Info = {});
 
-  /// The compile path, for callers that already hold a parsed request.
-  /// Bypasses per-request telemetry (no span, no histogram sample).
-  std::string compileBatch(const ServeRequest &R);
-
   ResultCache &cache() { return Cache; }
   ServeTelemetry &telemetry() { return Tel; }
-  const ServiceConfig &config() const { return Cfg; }
 
   /// {"v":1,"uptime_ns":...,"inflight":...,"counters":{...},
   ///  "histograms":{...}} — the live `metrics` snapshot: cache.* and
@@ -91,7 +86,7 @@ public:
 
 private:
   std::string dispatch(const ServeRequest &R, RequestTrack &T);
-  std::string compileBatchImpl(const ServeRequest &R, RequestTrack &T);
+  std::string compile(const ServeRequest &R, RequestTrack &T);
   /// uptime_ns / inflight / counters / histograms keys into an open object.
   void writeMetricsBody(JSONWriter &W) const;
 

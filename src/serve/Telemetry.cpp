@@ -19,7 +19,7 @@ ServeTelemetry::ServeTelemetry(const TelemetryConfig &C) : Cfg(C) {
   // Trace IDs must differ across daemon runs (access logs from restarts are
   // routinely concatenated), so salt the sequence with the wall clock.
   TraceSeed = hashCombine(WallEpochMs, EpochNs ^ 0x5e5e5e5e5e5e5e5eULL);
-  if (Cfg.Enabled && !Cfg.AccessLogPath.empty()) {
+  if (!Cfg.AccessLogPath.empty()) {
     std::lock_guard<std::mutex> Lock(LogMu);
     AccessLog.open(Cfg.AccessLogPath, std::ios::out | std::ios::app);
     LogOpen = AccessLog.is_open();
@@ -27,12 +27,9 @@ ServeTelemetry::ServeTelemetry(const TelemetryConfig &C) : Cfg(C) {
 }
 
 uint64_t ServeTelemetry::beginRequest() {
-  if (!Cfg.Enabled)
-    return 0;
   Inflight.fetch_add(1, std::memory_order_relaxed);
-  uint64_t Id = hashCombine(
-      TraceSeed, Seq.fetch_add(1, std::memory_order_relaxed) + 1);
-  return Id ? Id : 1; // 0 is the "no trace" sentinel
+  return hashCombine(TraceSeed,
+                     Seq.fetch_add(1, std::memory_order_relaxed) + 1);
 }
 
 std::string ServeTelemetry::traceIdHex(uint64_t Id) {
@@ -41,8 +38,6 @@ std::string ServeTelemetry::traceIdHex(uint64_t Id) {
 
 void ServeTelemetry::endRequest(const RequestTrack &T, const RequestInfo &Info,
                                 uint64_t StartNs, uint64_t DurNs) {
-  if (!Cfg.Enabled)
-    return;
   Inflight.fetch_sub(1, std::memory_order_relaxed);
   Requests.fetch_add(1, std::memory_order_relaxed);
 

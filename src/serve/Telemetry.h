@@ -52,9 +52,6 @@ class JSONWriter;
 struct JSONValue;
 
 struct TelemetryConfig {
-  /// Master switch: off skips every per-request recording (bench_serve
-  /// measures the difference; the daemon always runs with it on).
-  bool Enabled = true;
   /// Retain every request's span tree (plus the nested per-function pass
   /// timers) for the Chrome trace export. Costs memory per request, so it
   /// is opt-in via the daemon's -trace-out.
@@ -108,9 +105,7 @@ class ServeTelemetry {
 public:
   explicit ServeTelemetry(const TelemetryConfig &C);
 
-  bool enabled() const { return Cfg.Enabled; }
-  bool collectSpans() const { return Cfg.Enabled && Cfg.CollectSpans; }
-  const TelemetryConfig &config() const { return Cfg; }
+  bool collectSpans() const { return Cfg.CollectSpans; }
 
   /// Marks a request in flight and assigns its trace ID.
   uint64_t beginRequest();
@@ -135,10 +130,6 @@ public:
   ///  "admit_ns":{...},"cache_ns":{...},"compile_ns":{...},
   ///  "respond_ns":{...}} — each a Histogram JSON document.
   void writeHistograms(JSONWriter &W) const;
-
-  Histogram requestHistogram() const { return RequestNs.snapshot(); }
-  Histogram hitHistogram() const { return HitNs.snapshot(); }
-  Histogram missHistogram() const { return MissNs.snapshot(); }
 
   /// The retained request spans as one Chrome trace document (empty trace
   /// when CollectSpans is off).

@@ -94,7 +94,7 @@ private:
         for (BlockId D : DF.frontier(B)) {
           if (HasPhi.count(D))
             continue;
-          if (Opts.Pruned && !Live.isLiveIn(V, D))
+          if (!Live.isLiveIn(V, D))
             continue;
           HasPhi.insert(D);
           BasicBlock *DB = F.block(D);

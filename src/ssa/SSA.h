@@ -36,8 +36,6 @@ struct SSAInfo {
 
 /// Options for SSA construction.
 struct SSAOptions {
-  /// Prune phi placement using liveness (pruned SSA). Minimal SSA when off.
-  bool Pruned = true;
   /// Fold copies into phis during renaming (remove all Copy instructions).
   bool FoldCopies = true;
 };

@@ -70,14 +70,6 @@ public:
     CurChunk = 0;
   }
 
-  /// Bytes currently handed out (diagnostics).
-  size_t bytesUsed() const {
-    size_t N = 0;
-    for (const Chunk &C : Chunks)
-      N += C.Used;
-    return N;
-  }
-
   /// Bytes held across all chunks (high-water footprint).
   size_t bytesReserved() const {
     size_t N = 0;

@@ -14,7 +14,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 namespace epre {
@@ -233,51 +232,6 @@ private:
 
   unsigned NumBits = 0;
   std::vector<uint64_t> Words;
-};
-
-/// Reusable scratch-buffer protocol for fixpoint loops: a small pool of
-/// same-universe temporaries addressed by slot index. Each slot allocates
-/// once, on first use; after that every borrow is a constant-time reset (or
-/// no reset at all for \c raw), so steady-state solves never touch the heap.
-class BitVectorScratch {
-public:
-  BitVectorScratch() = default;
-  explicit BitVectorScratch(unsigned NumBits) { setUniverse(NumBits); }
-
-  /// Sets the universe all slots are sized to. Existing slots are resized
-  /// lazily on their next borrow.
-  void setUniverse(unsigned NumBits) { Bits = NumBits; }
-
-  unsigned universe() const { return Bits; }
-
-  /// Borrows slot \p Slot with unspecified contents; the caller overwrites
-  /// it (e.g. via assignFrom). Cheapest borrow: no clearing pass.
-  /// References stay valid while other slots are borrowed (deque storage).
-  BitVector &raw(unsigned Slot) {
-    if (Slot >= Slots.size())
-      Slots.resize(Slot + 1);
-    if (Slots[Slot].size() != Bits)
-      Slots[Slot].resize(Bits);
-    return Slots[Slot];
-  }
-
-  /// Borrows slot \p Slot cleared to all-zero.
-  BitVector &zeroed(unsigned Slot) {
-    BitVector &V = raw(Slot);
-    V.resetAll();
-    return V;
-  }
-
-  /// Borrows slot \p Slot set to all-ones.
-  BitVector &ones(unsigned Slot) {
-    BitVector &V = raw(Slot);
-    V.setAll();
-    return V;
-  }
-
-private:
-  unsigned Bits = 0;
-  std::deque<BitVector> Slots;
 };
 
 } // namespace epre

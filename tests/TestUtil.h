@@ -10,6 +10,7 @@
 #define EPRE_TESTS_TESTUTIL_H
 
 #include "frontend/Lower.h"
+#include "frontend/Parser.h"
 #include "instrument/PassInstrumentation.h"
 #include "interp/Interpreter.h"
 #include "ir/IRParser.h"
@@ -21,6 +22,36 @@
 #include <gtest/gtest.h>
 
 namespace epre::test {
+
+/// The three ways Mini-FORTRAN source nests, each \p Levels deep
+/// (MaxSourceNesting counts them): parentheses around one operand, a flat
+/// sum of Levels + 1 terms (a left-deep tree of Levels operators), and IF
+/// statements nested Levels deep around a plain assignment.
+enum class Nesting { Parens, Sum, Ifs };
+
+inline std::string nestedSource(Nesting Shape, unsigned Levels) {
+  std::string S = "function f(x)\n  y = x\n";
+  switch (Shape) {
+  case Nesting::Parens:
+    S += "  y = " + std::string(Levels, '(') + "x" + std::string(Levels, ')');
+    S += "\n";
+    break;
+  case Nesting::Sum:
+    S += "  y = x";
+    for (unsigned I = 0; I < Levels; ++I)
+      S += "+x";
+    S += "\n";
+    break;
+  case Nesting::Ifs:
+    for (unsigned I = 0; I < Levels; ++I)
+      S += "  if (x > 0) then\n";
+    S += "  y = x\n";
+    for (unsigned I = 0; I < Levels; ++I)
+      S += "  end if\n";
+    break;
+  }
+  return S + "  return y\nend\n";
+}
 
 /// The front-end naming mode each optimization level is measured with in
 /// the paper's experiment: PRE-only needs the hashed discipline; the

@@ -1,21 +1,24 @@
-//===- tests/dataflow_test.cpp - PRE's fixpoints vs a reference sweep -----===//
+//===- tests/dataflow_test.cpp - PRE's sets vs reference computations -----===//
 ///
-/// PRE solves AVAIL, ANT and LATERIN on one worklist routine of its own.
-/// Its AVAIL and ANT sets must be exactly the fixpoints that the reference
+/// PRE derives ANTLOC, COMP and TRANSP from one walk per block; they must
+/// match the per-expression scan of reference/ReferenceLocalSets.h. PRE
+/// solves AVAIL, ANT and LATERIN on one worklist routine of its own. Its
+/// AVAIL and ANT sets must be exactly the fixpoints that the reference
 /// sweep of SweepDataflow.h computes for the same systems, posed from the
 /// local sets analyzePartialRedundancies exports, bit for bit. Checked on
 /// the paper's running example, generated loop nests of increasing size
 /// (the bench corpus), tests/corpus (irreducible flow included), the 50
-/// suite routines at the input of PRE's first round, 540 generated
-/// programs, and under the planted availability fault. The dense liveness
-/// posing is solved by the same sweep and checked against the sparse walk,
-/// with and without SSA phis (which exercise MeetSeed).
+/// suite routines at the input of PRE's first round at each level, 540
+/// generated programs, and under the planted availability fault. The dense
+/// liveness posing is solved by the same sweep and checked against the
+/// sparse walk, with and without SSA phis (which exercise MeetSeed).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "DenseLiveness.h"
 #include "SweepDataflow.h"
 #include "TestUtil.h"
+#include "reference/ReferenceLocalSets.h"
 
 #include "analysis/CFG.h"
 #include "fuzz/FuzzGen.h"
@@ -71,13 +74,18 @@ struct Evaluations {
   unsigned Avail = 0, Ant = 0, SweepAvail = 0, SweepAnt = 0;
 };
 
-/// AVAIL/ANT as PRE solved them on \p F must match the sweep of the same
-/// systems, bit for bit. Under the planted fault AVAIL is posed as PRE
+/// PRE's local sets on \p F must match the per-expression reference, and
+/// AVAIL/ANT as PRE solved them must match the sweep of the same systems,
+/// bit for bit. Under the planted fault AVAIL is posed as PRE
 /// poses it then: a union problem with no entry boundary.
 Evaluations expectPRESetsMatchSweep(Function &F, const std::string &What) {
   PREDataflow W = analyzePartialRedundancies(F);
   if (W.Stats.UniverseSize == 0)
     return {};
+  ReferenceLocalSets Local = ReferenceLocalSets::compute(F, W.Names);
+  expectSetsEqual(W.ANTLOC, Local.ANTLOC, What + ": ANTLOC");
+  expectSetsEqual(W.COMP, Local.COMP, What + ": COMP");
+  expectSetsEqual(W.TRANSP, Local.TRANSP, What + ": TRANSP");
   CFG G = CFG::compute(F);
   Evaluations R;
   R.Avail = W.Stats.AvailIterations;
@@ -222,13 +230,14 @@ TEST(DataflowEquivalence, CorpusPRESets) {
   EXPECT_GT(Checked, 0u);
 }
 
-/// The 50 routines as PRE's first round sees them at the partial level
-/// (hashed names straight from the front end) and at the distribution
-/// level (after reassociation and value numbering).
+/// The 50 routines as PRE's first round sees them at each level that runs
+/// PRE: partial (hashed names straight from the front end), reassociation
+/// and distribution (after reassociation and value numbering).
 TEST(DataflowEquivalence, SuiteRoutinesAtFirstPRERound) {
   unsigned Checked = 0;
   for (const Routine &R : benchmarkSuite()) {
-    for (OptLevel L : {OptLevel::Partial, OptLevel::Distribution}) {
+    for (OptLevel L : {OptLevel::Partial, OptLevel::Reassociation,
+                       OptLevel::Distribution}) {
       PipelineOptions PO;
       PO.Level = L;
       PO.Naming = L == OptLevel::Partial ? InputNaming::Hashed
@@ -241,7 +250,7 @@ TEST(DataflowEquivalence, SuiteRoutinesAtFirstPRERound) {
                      .Avail != 0;
     }
   }
-  EXPECT_EQ(Checked, 100u);
+  EXPECT_EQ(Checked, 150u);
 }
 
 TEST(DataflowEquivalence, GeneratedProgramsPRESets) {

@@ -7,6 +7,8 @@
 #include "ir/IRPrinter.h"
 #include "ir/Verifier.h"
 
+#include "TestUtil.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -302,6 +304,43 @@ TEST(Frontend, ErrorMessages) {
                    "function f(a)\n  do i = 1, 10, 0\n  end do\nend\n",
                    NamingMode::Naive)
                    .ok()); // zero step
+}
+
+TEST(Frontend, NestingIsCappedAtEveryShape) {
+  // Each shape compiles and runs at the cap, and one level more is a
+  // "line N:" error, not a stack overflow in lowering or AST destruction.
+  for (test::Nesting Shape :
+       {test::Nesting::Parens, test::Nesting::Sum, test::Nesting::Ifs}) {
+    std::string AtCap = test::nestedSource(Shape, MaxSourceNesting);
+    LowerResult LR;
+    Function *F = lower(AtCap.c_str(), NamingMode::Hashed, LR, "f");
+    ASSERT_NE(F, nullptr) << int(Shape);
+    double Expected =
+        Shape == test::Nesting::Sum ? 3.0 * (MaxSourceNesting + 1) : 3.0;
+    EXPECT_DOUBLE_EQ(runF(*F, {RtValue::ofF(3.0)}), Expected);
+
+    LowerResult Over = compileMiniFortran(
+        test::nestedSource(Shape, MaxSourceNesting + 1), NamingMode::Hashed);
+    const std::string Cap =
+        strprintf("nesting deeper than %u levels", MaxSourceNesting);
+    EXPECT_EQ(Over.Error.rfind("line ", 0), 0u) << Over.Error;
+    EXPECT_NE(Over.Error.find(Cap), std::string::npos) << Over.Error;
+  }
+}
+
+TEST(Frontend, NestingCapCountsMixedShapesTogether) {
+  // A chain whose first right operand is parenthesised: the chain's length
+  // and the parentheses add up, as they do in the tree lowering walks.
+  const unsigned Half = MaxSourceNesting / 2;
+  auto Src = [&](unsigned Chain, unsigned Parens) {
+    std::string S = "function f(x)\n  y = x + ";
+    S += std::string(Parens, '(') + "x" + std::string(Parens, ')');
+    for (unsigned I = 1; I < Chain; ++I)
+      S += " + x";
+    return S + "\n  return y\nend\n";
+  };
+  EXPECT_TRUE(compileMiniFortran(Src(Half, Half), NamingMode::Naive).ok());
+  EXPECT_FALSE(compileMiniFortran(Src(Half, Half + 1), NamingMode::Naive).ok());
 }
 
 TEST(Frontend, FunctionNameAsResultVariable) {

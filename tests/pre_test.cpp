@@ -5,11 +5,14 @@
 #include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
 #include "ir/Verifier.h"
+#include "pre/MaxFlow.h"
 #include "pre/PRE.h"
 
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace epre;
 using epre::test::runPass;
@@ -679,6 +682,117 @@ end
     EXPECT_EQ(D.Stats.AvailIterations, C.Avail) << C.Fn;
     EXPECT_EQ(D.Stats.AntIterations, C.Ant) << C.Fn;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// MaxFlow: the speculative strategy's min-cut solver
+//===----------------------------------------------------------------------===//
+
+struct Arc {
+  unsigned From, To;
+  uint64_t Cap;
+};
+
+/// Solves the network \p Arcs over \p Nodes nodes from 0 to 1 and returns
+/// the flow; \p Reach receives the source side of the minimum cut.
+uint64_t solveNetwork(unsigned Nodes, const std::vector<Arc> &Arcs,
+                      std::vector<char> &Reach) {
+  MaxFlow Net;
+  Net.reset(Nodes);
+  for (const Arc &A : Arcs)
+    Net.addArc(A.From, A.To, A.Cap);
+  EXPECT_EQ(Net.numArcs(), Arcs.size());
+  uint64_t Flow = Net.solve(0, 1);
+  Net.sourceSide(0, Reach);
+  return Flow;
+}
+
+/// The arcs leaving the source side: a cut whose capacity must equal the
+/// maximum flow.
+std::vector<Arc> cutArcs(const std::vector<Arc> &Arcs,
+                         const std::vector<char> &Reach) {
+  std::vector<Arc> Cut;
+  for (const Arc &A : Arcs)
+    if (Reach[A.From] && !Reach[A.To])
+      Cut.push_back(A);
+  return Cut;
+}
+
+uint64_t capacity(const std::vector<Arc> &Cut) {
+  uint64_t C = 0;
+  for (const Arc &A : Cut)
+    C += A.Cap;
+  return C;
+}
+
+TEST(MaxFlow, SinglePathIsCutAtItsNarrowestArc) {
+  // 0 -> 2 -> 3 -> 1 with capacities 5, 3, 4.
+  std::vector<Arc> Arcs = {{0, 2, 5}, {2, 3, 3}, {3, 1, 4}};
+  std::vector<char> Reach;
+  EXPECT_EQ(solveNetwork(4, Arcs, Reach), 3u);
+  EXPECT_EQ(Reach, (std::vector<char>{1, 0, 1, 0}));
+  std::vector<Arc> Cut = cutArcs(Arcs, Reach);
+  ASSERT_EQ(Cut.size(), 1u);
+  EXPECT_EQ(Cut[0].From, 2u);
+  EXPECT_EQ(Cut[0].To, 3u);
+}
+
+TEST(MaxFlow, TwoPathsShareOneBottleneck) {
+  // Two paths 0 -> 2 -> 4 and 0 -> 3 -> 4 meet before the shared arc
+  // 4 -> 1 of capacity 5: the flow is 5, not the 8 the paths carry apart.
+  std::vector<Arc> Arcs = {
+      {0, 2, 4}, {0, 3, 4}, {2, 4, 10}, {3, 4, 10}, {4, 1, 5}};
+  std::vector<char> Reach;
+  EXPECT_EQ(solveNetwork(5, Arcs, Reach), 5u);
+  std::vector<Arc> Cut = cutArcs(Arcs, Reach);
+  ASSERT_EQ(Cut.size(), 1u);
+  EXPECT_EQ(Cut[0].From, 4u);
+  EXPECT_EQ(Cut[0].To, 1u);
+}
+
+TEST(MaxFlow, CutAvoidsUnboundedArcs) {
+  // Every path starts with an Unbounded arc and the cheapest arc overall
+  // (2 -> 3, capacity 1) sits behind another Unbounded one, so the only
+  // finite cut is the two arcs into the sink.
+  const uint64_t U = MaxFlow::Unbounded;
+  std::vector<Arc> Arcs = {
+      {0, 2, U}, {2, 1, 6}, {2, 3, 1}, {0, 4, U}, {4, 3, U}, {3, 1, 4}};
+  std::vector<char> Reach;
+  uint64_t Flow = solveNetwork(5, Arcs, Reach);
+  EXPECT_EQ(Flow, 10u);
+  std::vector<Arc> Cut = cutArcs(Arcs, Reach);
+  for (const Arc &A : Cut)
+    EXPECT_NE(A.Cap, U) << A.From << " -> " << A.To;
+  EXPECT_EQ(capacity(Cut), Flow);
+  EXPECT_EQ(Reach, (std::vector<char>{1, 0, 1, 1, 1}));
+}
+
+TEST(MaxFlow, SourceSideDoesNotDependOnArcOrder) {
+  // Two minimum cuts of capacity 4 ({0->2, 0->3} and {2->1, 3->1}) and a
+  // third path that saturates in the middle: every order of adding the
+  // arcs must report the same source side, the one nearest the source.
+  std::vector<Arc> Arcs = {{0, 2, 2}, {0, 3, 2}, {2, 1, 2},
+                           {3, 1, 2}, {0, 4, 3}, {4, 5, 1}, {5, 1, 3}};
+  std::vector<char> First;
+  uint64_t Flow = solveNetwork(6, Arcs, First);
+  EXPECT_EQ(Flow, 5u);
+  EXPECT_EQ(First, (std::vector<char>{1, 0, 0, 0, 1, 0}));
+  EXPECT_EQ(capacity(cutArcs(Arcs, First)), Flow);
+
+  std::vector<unsigned> Order(Arcs.size());
+  for (unsigned I = 0; I < Order.size(); ++I)
+    Order[I] = I;
+  unsigned Orders = 0;
+  do {
+    std::vector<Arc> Permuted;
+    for (unsigned I : Order)
+      Permuted.push_back(Arcs[I]);
+    std::vector<char> Reach;
+    ASSERT_EQ(solveNetwork(6, Permuted, Reach), Flow);
+    ASSERT_EQ(Reach, First) << "order #" << Orders;
+    ++Orders;
+  } while (std::next_permutation(Order.begin(), Order.end()));
+  EXPECT_EQ(Orders, 5040u);
 }
 
 } // namespace

@@ -804,6 +804,48 @@ TEST(Daemon, PhiInputAtReassociationKeepsTheDaemonUp) {
   Server.join();
 }
 
+TEST(Daemon, DeepFortranIsAFrontendErrorAndTheDaemonStaysUp) {
+  // Every nesting shape compiles at MaxSourceNesting; one level more is a
+  // frontend error for that request, and the daemon answers the next ping.
+  std::string Path =
+      "/tmp/epre_serve_deep_" + std::to_string(::getpid()) + ".sock";
+  ServerConfig SC;
+  SC.SocketPath = Path;
+  SC.Service.Workers = 1;
+  ServeDaemon D(SC);
+  std::string Err;
+  ASSERT_TRUE(D.start(&Err)) << Err;
+  std::thread Server([&] { D.run(); });
+
+  int Fd = connectTo(Path);
+  ASSERT_GE(Fd, 0);
+  using epre::test::Nesting;
+  for (Nesting Shape : {Nesting::Parens, Nesting::Sum, Nesting::Ifs}) {
+    for (unsigned Levels : {MaxSourceNesting, MaxSourceNesting + 1}) {
+      std::string Doc =
+          "{\"v\":1,\"cmd\":\"compile\",\"options\":{\"level\":\"none\"},"
+          "\"requests\":[{\"id\":\"r0\",\"lang\":\"fortran\",\"source\":\"" +
+          jsonEscape(epre::test::nestedSource(Shape, Levels)) + "\"}]}";
+      JSONValue R = parsed(roundTrip(Fd, Doc));
+      const JSONValue *Rs = R.get("responses");
+      ASSERT_TRUE(Rs && Rs->Arr.size() == 1u);
+      const JSONValue &Sub = Rs->Arr[0];
+      if (Levels == MaxSourceNesting) {
+        EXPECT_TRUE(Sub.get("ok")->B) << Sub.getString("error");
+        continue;
+      }
+      EXPECT_FALSE(Sub.get("ok")->B);
+      EXPECT_EQ(Sub.getString("error").rfind("frontend error: line ", 0), 0u)
+          << Sub.getString("error");
+      JSONValue Pong = parsed(roundTrip(Fd, "{\"v\":1,\"cmd\":\"ping\"}"));
+      EXPECT_TRUE(Pong.get("pong") && Pong.get("pong")->B);
+    }
+  }
+  roundTrip(Fd, "{\"cmd\":\"shutdown\"}");
+  ::close(Fd);
+  Server.join();
+}
+
 TEST(Daemon, RequestStopFromAnotherThreadIsClean) {
   std::string Path =
       "/tmp/epre_serve_stop_" + std::to_string(::getpid()) + ".sock";

@@ -118,17 +118,8 @@ func @f(%p:i64) -> i64 {
 )";
   auto M = parse(Src);
   Function &F = *M->Functions[0];
-  SSAOptions Pruned;
-  Pruned.Pruned = true;
-  runPass(F, SSABuildPass(Pruned));
+  runPass(F, SSABuildPass());
   EXPECT_EQ(countPhis(F), 0u);
-
-  auto M2 = parse(Src);
-  Function &F2 = *M2->Functions[0];
-  SSAOptions Minimal;
-  Minimal.Pruned = false;
-  runPass(F2, SSABuildPass(Minimal));
-  EXPECT_EQ(countPhis(F2), 1u); // minimal SSA still places it
 }
 
 TEST(SSA, RoundTripPreservesBehaviour) {

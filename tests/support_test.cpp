@@ -240,21 +240,6 @@ TEST_P(BitVectorKernels, FullAndEmptyUniverses) {
 INSTANTIATE_TEST_SUITE_P(Universes, BitVectorKernels,
                          testing::Values(0u, 1u, 64u, 100u, 130u));
 
-TEST(BitVectorScratch, SlotsAreStableAndRecycled) {
-  BitVectorScratch S(100);
-  BitVector &A = S.zeroed(0);
-  BitVector &B = S.ones(5); // forces pool growth past slot 0
-  A.set(3);                 // must still be valid storage
-  EXPECT_TRUE(S.raw(0).test(3));
-  EXPECT_EQ(B.count(), 100u);
-  // Re-borrowing clears as requested and reuses the same storage.
-  EXPECT_TRUE(S.zeroed(0).none());
-  EXPECT_EQ(&S.raw(0), &A);
-  // Changing universe re-sizes on next borrow.
-  S.setUniverse(40);
-  EXPECT_EQ(S.ones(0).count(), 40u);
-}
-
 TEST(StringUtil, Strprintf) {
   EXPECT_EQ(strprintf("x=%d y=%s", 42, "abc"), "x=42 y=abc");
   EXPECT_EQ(strprintf("%s", ""), "");

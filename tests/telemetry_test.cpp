@@ -381,21 +381,6 @@ TEST(Telemetry, ProtocolAndRequestErrorsAreClassified) {
   EXPECT_EQ(histogramFrom(M, "request_miss_ns").count(), 0u);
 }
 
-TEST(Telemetry, DisabledTelemetryLeavesResponsesBare) {
-  ServiceConfig Cfg;
-  Cfg.Workers = 1;
-  Cfg.Telemetry.Enabled = false;
-  CompileService Svc(Cfg);
-  JSONValue R = parsed(Svc.handle(compileDoc({SourceA})));
-  EXPECT_TRUE(R.get("ok") && R.get("ok")->B);
-  EXPECT_EQ(R.get("trace_id"), nullptr);
-  JSONValue M = scrape(Svc);
-  EXPECT_EQ(counterFrom(M, "serve.requests"), 0u);
-  EXPECT_EQ(histogramFrom(M, "request_ns").count(), 0u);
-  // The cache is unaffected by the telemetry switch.
-  EXPECT_EQ(counterFrom(M, "cache.misses"), 1u);
-}
-
 //===----------------------------------------------------------------------===//
 // Access log
 //===----------------------------------------------------------------------===//
