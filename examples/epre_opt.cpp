@@ -36,8 +36,8 @@
 ///                       as its own baseline). Implies -remarks.
 ///
 /// Example:
-///   ./build/examples/epre_opt in.iloc -passes=fwdprop,reassoc,gvn,pre \
-///       -remarks=pre -time-passes
+///   ./build/examples/epre_opt in.iloc -passes=fwdprop,reassoc,gvn,pre
+///       -remarks=pre -time-passes   (one command line)
 ///
 //===----------------------------------------------------------------------===//
 

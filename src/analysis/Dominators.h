@@ -37,6 +37,28 @@ public:
     return Children[B];
   }
 
+  /// Walks the subtree under \p Root depth first: \p Enter(B) before B's
+  /// children, \p Exit(B) after them. The stack is explicit, since the
+  /// tree is as deep as the longest chain of blocks in the function.
+  template <typename EnterFn, typename ExitFn>
+  void walk(BlockId Root, EnterFn Enter, ExitFn Exit) const {
+    // Each frame is a block and the index of its next child to visit.
+    std::vector<std::pair<BlockId, unsigned>> Stack;
+    Enter(Root);
+    Stack.push_back({Root, 0});
+    while (!Stack.empty()) {
+      auto &[B, Next] = Stack.back();
+      if (Next < Children[B].size()) {
+        BlockId C = Children[B][Next++];
+        Enter(C);
+        Stack.push_back({C, 0});
+        continue;
+      }
+      Exit(B);
+      Stack.pop_back();
+    }
+  }
+
 private:
   std::vector<BlockId> IDom;
   std::vector<std::vector<BlockId>> Children;

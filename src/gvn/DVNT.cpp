@@ -23,7 +23,16 @@ public:
   DVNTStats run() {
     G = CFG::compute(F);
     DT = DominatorTree::compute(F, G);
-    walk(G.rpo().front());
+    // A block's expressions stay available while the blocks it dominates
+    // are visited.
+    DT.walk(
+        G.rpo().front(), [&](BlockId B) { visit(B); },
+        [&](BlockId) {
+          for (size_t I = Log.size(); I-- > ScopeStart.back();)
+            Available.erase(Log[I]);
+          Log.resize(ScopeStart.back());
+          ScopeStart.pop_back();
+        });
     return Stats;
   }
 
@@ -33,18 +42,15 @@ private:
     return It == VN.end() ? R : It->second;
   }
 
-  /// Looks the key up through the scope stack (innermost first).
+  /// The name computing \p K in a dominating block, or NoReg.
   Reg lookup(const ExprKey &K) const {
-    for (auto It = Scopes.rbegin(); It != Scopes.rend(); ++It) {
-      auto Hit = It->find(K);
-      if (Hit != It->end())
-        return Hit->second;
-    }
-    return NoReg;
+    auto Hit = Available.find(K);
+    return Hit == Available.end() ? NoReg : Hit->second;
   }
 
-  void walk(BlockId B) {
-    Scopes.emplace_back();
+  /// Opens \p B's scope and value-numbers the block.
+  void visit(BlockId B) {
+    ScopeStart.push_back(Log.size());
     BasicBlock *BB = F.block(B);
 
     std::vector<Instruction> Kept;
@@ -115,7 +121,8 @@ private:
         ++Stats.Redundant;
         continue; // dominated redundancy: delete
       }
-      Scopes.back().emplace(std::move(K), I.Dst);
+      Available.emplace(K, I.Dst);
+      Log.push_back(std::move(K));
       Kept.push_back(std::move(I));
     }
     BB->Insts = std::move(Kept);
@@ -133,10 +140,6 @@ private:
             Phi.Operands[J] = vnOf(Phi.Operands[J]);
       }
     }
-
-    for (BlockId C : DT.children(B))
-      walk(C);
-    Scopes.pop_back();
   }
 
   Function &F;
@@ -144,7 +147,12 @@ private:
   DominatorTree DT;
   DVNTStats Stats;
   std::map<Reg, Reg> VN;
-  std::vector<std::unordered_map<ExprKey, Reg, ExprKeyHash>> Scopes;
+  /// Expressions computed in the blocks on the dominator-tree path being
+  /// walked. A key is added only when absent, so leaving a block erases
+  /// exactly the keys it logged since ScopeStart.back().
+  std::unordered_map<ExprKey, Reg, ExprKeyHash> Available;
+  std::vector<ExprKey> Log;
+  std::vector<size_t> ScopeStart;
 };
 
 } // namespace

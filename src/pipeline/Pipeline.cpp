@@ -287,23 +287,25 @@ void runReassociationPhase(Function &F, const PipelineOptions &Opts,
 
 /// PRE handles one nesting level of redundancy per run: deleting the
 /// computation of an inner subexpression un-kills its parents. Iterate to
-/// a fixpoint (bounded by expression-tree depth). Counters accumulate
-/// across rounds (pre.universe is a per-round sum; see observability doc).
-/// Each round is one gated pass application, so bisection can land between
-/// rounds. Publishes pre.rounds and pre.round_cap_hit (the round cap, not
-/// convergence, ended the loop).
+/// a fixpoint (bounded by expression-tree depth) in one PRESession, whose
+/// rounds after the first re-solve only what the round before changed.
+/// Counters accumulate across rounds (pre.universe is a per-round sum; see
+/// observability doc). Each round is one gated pass application, so
+/// bisection can land between rounds. Publishes pre.rounds and
+/// pre.round_cap_hit (the round cap, not convergence, ended the loop).
 void runPREToFixpoint(Function &F, const PipelineOptions &Opts,
                       PassContext &Ctx, PassGate &Gate) {
   constexpr unsigned RoundCap = 16;
-  PREPass P(Opts.Strategy,
-            Opts.ProfileIn ? Opts.ProfileIn->find(F.name()) : nullptr);
+  PRESession Session(F, Opts.Strategy,
+                     Opts.ProfileIn ? Opts.ProfileIn->find(F.name())
+                                    : nullptr);
   unsigned Rounds = 0;
   bool Converged = false;
   while (Rounds < RoundCap && Gate.admit("pre")) {
     ++Rounds;
-    P.run(F, Ctx);
+    PREStats S = Session.run(Ctx);
     verifyStage(F, Opts, SSAMode::NoSSA, "PRE");
-    if (P.lastStats().Inserted == 0 && P.lastStats().Deleted == 0) {
+    if (S.Inserted == 0 && S.Deleted == 0) {
       Converged = true;
       break;
     }

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -20,10 +21,12 @@ using namespace epre;
 
 namespace {
 
-/// One expression of the universe: a name and its defining shape.
+/// One expression candidate: a name and its defining shape.
 struct ExprInfo {
   Reg Name = NoReg;
-  Instruction Proto; ///< a representative definition (all are identical)
+  /// The first reachable definition in block order, which insertions copy
+  /// (every definition computes the same expression).
+  Instruction Proto;
 };
 
 /// FIFO ring of block ids with membership flags: queueing a block that is
@@ -113,22 +116,33 @@ bool speculationSafe(const Instruction &I) {
   }
 }
 
-class PREImpl {
-public:
-  PREImpl(Function &F, PREStrategy Strategy, const FunctionProfile *Profile)
-      : F(F), G(CFG::compute(F)), Strategy(Strategy), Profile(Profile) {}
+} // namespace
+
+/// The session's state. Expression indices come in two spaces. A candidate
+/// index names a register whose reachable definitions all compute one
+/// lexical expression; the candidates are fixed when the session starts
+/// and ascend by register. A member is a candidate that has a definition
+/// and passes the §5.1 filter: the universe. A round solves a compact index
+/// over its dirty members, also ascending by register, so insertion order
+/// and remark order are the ones a solve over the whole universe gives.
+struct epre::PRESession::Impl {
+  Impl(Function &F, PREStrategy Strategy, const FunctionProfile *Profile)
+      : F(F), Strategy(Strategy), Profile(Profile) {}
 
   /// Optional remark emitter (instrumented runs only).
   PassContext *Ctx = nullptr;
 
-  /// Runs only the analysis half (universe, local sets, AVAIL/ANT solves);
-  /// leaves the function untouched.
+  Function &function() const { return F; }
+
+  /// Runs only the analysis half of a first round (universe, local sets,
+  /// AVAIL/ANT solves); leaves the function untouched.
   PREDataflow analyze() {
+    start();
     PREDataflow D;
     solveDataflow();
     D.Stats = Stats;
-    for (const ExprInfo &E : Universe)
-      D.Names.push_back(E.Name);
+    for (unsigned E = 0; E < numExprs(); ++E)
+      D.Names.push_back(expr(E).Name);
     D.ANTLOC = std::move(ANTLOC);
     D.COMP = std::move(COMP);
     D.TRANSP = std::move(TRANSP);
@@ -140,7 +154,14 @@ public:
     return D;
   }
 
-  PREStats run() {
+  /// One round: the first builds the session, later ones bring it up to
+  /// date with what the previous round changed. Only dirty expressions are
+  /// solved, and only blocks that can lose a computation are rewritten.
+  PREStats round() {
+    if (!Started)
+      start();
+    else
+      refresh();
     if (!solveDataflow())
       return Stats;
     collectEdges();
@@ -163,21 +184,46 @@ public:
     applyInsertions();
     if (Stats.Inserted || Stats.Deleted)
       F.bumpVersion();
+    endSolve();
     return Stats;
   }
 
 private:
-  unsigned numExprs() const { return unsigned(Universe.size()); }
+  static constexpr unsigned NoExpr = ~0u;
 
-  // --- Universe -------------------------------------------------------------
+  unsigned numExprs() const { return unsigned(Dirty.size()); }
+  /// Expression \p E of the round's compact index.
+  const ExprInfo &expr(unsigned E) const { return Cands[Dirty[E]]; }
+  /// The compact index of candidate \p C, or NoExpr when the round does
+  /// not solve it.
+  unsigned compactOf(unsigned C) const {
+    return C == NoExpr ? NoExpr : Compact[C];
+  }
 
-  void buildUniverse() {
+  // --- Candidates and the universe ------------------------------------------
+
+  /// Builds the session on the function as it stands: the CFG, the
+  /// candidates, every block's local facts and the universe, all of whose
+  /// members are dirty.
+  void start() {
+    Started = true;
+    G = CFG::compute(F);
+    buildCandidates();
+    Rows.assign(F.numBlocks(), {});
+    MayRedundant.assign(F.numBlocks(), 0);
+    for (BlockId B : G.rpo())
+      addRow(B);
+    updateUniverse();
+    collectDirty();
+  }
+
+  void buildCandidates() {
     const unsigned NR = F.numRegs();
     // Candidate: every def is the same lexical expression. ProtoOf holds a
     // register's first reachable expression definition; a later one whose
     // key differs marks the name Bad.
     std::vector<const Instruction *> ProtoOf(NR, nullptr);
-    std::vector<uint8_t> Bad(NR, 0);
+    std::vector<uint8_t> Bad(NR, 0), Mixed(NR, 0);
     F.forEachBlock([&](const BasicBlock &B) {
       if (!G.isReachable(B.id()))
         return;
@@ -202,105 +248,323 @@ private:
         else if (!(makeExprKey(*Proto, /*NormalizeCommutative=*/true) ==
                    makeExprKey(I, /*NormalizeCommutative=*/true)))
           Bad[I.Dst] = 1; // one name, two different expressions
+        else if (!sameSpelling(*Proto, I))
+          Mixed[I.Dst] = 1;
       }
     });
     for (Reg P : F.params())
       Bad[P] = 1;
 
-    // §5.1 rule: an expression name may not be live across a basic block
-    // boundary — every use must follow a local definition. Names violating
-    // this are conservatively dropped from the universe. DefinedHere holds,
-    // per register, 1 + the id of the last block that defined it.
-    std::vector<BlockId> DefinedHere(NR, 0);
-    F.forEachBlock([&](const BasicBlock &B) {
-      if (!G.isReachable(B.id()))
-        return;
-      const BlockId Stamp = B.id() + 1;
-      for (const Instruction &I : B.Insts) {
-        for (Reg Op : I.Operands)
-          if (ProtoOf[Op] && DefinedHere[Op] != Stamp && !Bad[Op]) {
-            Bad[Op] = 1;
-            ++Stats.DroppedUnsafe;
-          }
-        if (I.hasDst())
-          DefinedHere[I.Dst] = Stamp;
-      }
-    });
-
-    // Members in ascending register order: expression indices, insertion
+    // Candidates in ascending register order: expression indices, insertion
     // order and the printed IR depend on it.
-    ExprIndex.assign(NR, NoExpr);
+    CandOf.assign(NR, NoExpr);
     for (Reg R = 0; R < NR; ++R) {
       if (!ProtoOf[R] || Bad[R])
         continue;
-      ExprIndex[R] = unsigned(Universe.size());
-      Universe.push_back({R, *ProtoOf[R]});
+      CandOf[R] = unsigned(Cands.size());
+      Cands.push_back({R, *ProtoOf[R]});
+      Spellings.push_back(Mixed[R]);
     }
-    // Reverse map: operand register -> expressions it occurs in.
+    const size_t NC = Cands.size();
+    // Reverse map: operand register -> candidates it occurs in.
     RegToExprs.assign(NR, {});
-    for (unsigned E = 0; E < Universe.size(); ++E)
-      for (Reg Op : Universe[E].Proto.Operands)
-        RegToExprs[Op].push_back(E);
+    for (unsigned C = 0; C < NC; ++C)
+      for (Reg Op : Cands[C].Proto.Operands)
+        RegToExprs[Op].push_back(C);
+    DefBlocks.assign(NC, 0);
+    UseBlocks.assign(NC, 0);
+    Member.assign(NC, 0);
+    State.assign(NC, 0);
+    CompAt.assign(NC, 0);
+    DefAt.assign(NR, 0);
+    Marked.assign(NC, 0);
+    Compact.assign(NC, NoExpr);
+    IsChanged.assign(NC, 0);
+  }
+
+  /// True when \p A and \p B print alike (commutative operands in the same
+  /// order).
+  static bool sameSpelling(const Instruction &A, const Instruction &B) {
+    return A.Op == B.Op && A.Ty == B.Ty && A.Operands == B.Operands &&
+           A.IImm == B.IImm && A.FImm == B.FImm && A.Intr == B.Intr;
+  }
+
+  /// Adds candidate \p C to the universe counts, or removes it. A member
+  /// has a reachable definition and no use in a block before a local
+  /// definition: the §5.1 rule, that an expression name may not be live
+  /// across a block boundary, drops the names that break it.
+  void countMember(unsigned C, bool Add) {
+    if (Add)
+      Member[C] = DefBlocks[C] != 0 && UseBlocks[C] == 0;
+    unsigned Dropped = DefBlocks[C] != 0 && UseBlocks[C] != 0;
+    if (Add) {
+      NumMembers += Member[C];
+      NumDropped += Dropped;
+    } else {
+      NumMembers -= Member[C];
+      NumDropped -= Dropped;
+    }
+  }
+
+  /// Takes candidate \p C out of the universe counts until updateUniverse
+  /// puts it back.
+  void mark(unsigned C) {
+    if (Marked[C])
+      return;
+    Marked[C] = 1;
+    MarkedList.push_back(C);
+    countMember(C, /*Add=*/false);
+  }
+
+  /// Counts the marked candidates back in; a name entering the universe
+  /// is dirty.
+  void updateUniverse() {
+    for (unsigned C : MarkedList) {
+      Marked[C] = 0;
+      bool Was = Member[C];
+      countMember(C, /*Add=*/true);
+      if (Member[C] && !Was)
+        setDirty(C);
+    }
+    MarkedList.clear();
+  }
+
+  /// Marks candidate \p C dirty for the next solve; between rounds Compact
+  /// doubles as the flag.
+  void setDirty(unsigned C) { Compact[C] = 0; }
+
+  /// Turns the dirty flags into the next solve's list, ascending.
+  void collectDirty() {
+    Dirty.clear();
+    for (unsigned C = 0; C < Cands.size(); ++C)
+      if (Compact[C] != NoExpr) {
+        Compact[C] = NoExpr;
+        if (Member[C])
+          Dirty.push_back(C);
+      }
   }
 
   // --- Local walk -----------------------------------------------------------
   //
-  // One left-to-right walk of a block feeds both the local sets and the
-  // rewrite. Killed: some operand redefined since block entry. CompClean:
-  // computed, and no operand redefined since; a further computation is
-  // locally redundant (classic local CSE, which Morel–Renvoise assume as a
-  // preprocessing step).
+  // One left-to-right walk of a block feeds its local facts, the universe
+  // counts and the rewrite. An instruction computing an expression is
+  // upward-exposed when no operand was redefined before it in the block,
+  // and locally redundant when the expression was computed before it with
+  // no operand redefined since (classic local CSE, which Morel–Renvoise
+  // assume as a preprocessing step). The walk reads both from each
+  // register's last definition and each candidate's last computation, as
+  // positions on one clock that never restarts, so starting a block clears
+  // nothing.
+
+  enum : uint8_t {
+    Antloc = 1,    ///< an upward-exposed computation
+    Comp = 2,      ///< computed, and no operand redefined after
+    Def = 4,       ///< the name defined
+    UsedFirst = 8, ///< the name read before any local definition
+    Seen = 16,     ///< the walk's own mark: the candidate is on SeenList
+  };
+
+  /// A candidate's facts in one block.
+  struct Fact {
+    unsigned Cand;
+    uint8_t Flags;
+  };
+
+  /// A block's local facts: the candidates it computes or reads, and the
+  /// registers it defines that some candidate reads (its kills).
+  struct Row {
+    std::vector<Fact> Facts;
+    std::vector<Reg> Kills;
+  };
 
   /// What the walk knows of one instruction, read before its kills apply.
   struct LocalStep {
-    unsigned Expr = NoExpr; ///< the universe expression computed, or NoExpr
+    unsigned Cand = NoExpr; ///< the candidate computed, or NoExpr
     bool Exposed = false;   ///< no operand killed yet: upward-exposed
     bool Redundant = false; ///< computed since with no kill: locally redundant
   };
 
-  void startBlock() {
-    Killed.resetAll();
-    CompClean.resetAll();
+  uint8_t &touch(unsigned C) {
+    if (!State[C]) {
+      State[C] = Seen;
+      SeenList.push_back(C);
+    }
+    return State[C];
   }
 
-  /// Reads \p I's facts, then applies its definition and kills.
+  /// True when an operand of candidate \p C was defined after clock \p T.
+  bool killedAfter(unsigned C, uint64_t T) const {
+    for (Reg Op : Cands[C].Proto.Operands)
+      if (DefAt[Op] > T)
+        return true;
+    return false;
+  }
+
+  void startBlock() { BlockStart = Clock; }
+
+  /// Reads \p I's facts, then applies its uses and definition.
   LocalStep step(const Instruction &I) {
+    ++Clock;
+    for (Reg Op : I.Operands) {
+      unsigned C = CandOf[Op];
+      if (C != NoExpr && DefAt[Op] <= BlockStart)
+        touch(C) |= UsedFirst;
+    }
     LocalStep S;
     if (!I.hasDst())
       return S;
-    unsigned E = ExprIndex[I.Dst];
-    if (E != NoExpr && I.isExpression()) {
-      S = {E, !Killed.test(E), CompClean.test(E)};
-      CompClean.set(E);
+    unsigned C = CandOf[I.Dst];
+    if (C != NoExpr) {
+      S = {C, !killedAfter(C, BlockStart),
+           CompAt[C] > BlockStart && !killedAfter(C, CompAt[C])};
+      touch(C) |= Def | (S.Exposed ? Antloc : 0);
+      CompAt[C] = Clock;
     }
-    for (unsigned K : RegToExprs[I.Dst]) {
-      Killed.set(K);
-      CompClean.reset(K);
-    }
+    if (DefAt[I.Dst] <= BlockStart && !RegToExprs[I.Dst].empty())
+      KillList.push_back(I.Dst);
+    DefAt[I.Dst] = Clock;
     return S;
   }
 
-  // ANTLOC: upward-exposed computations; COMP: CompClean at block exit;
-  // TRANSP: the complement of Killed at block exit.
-  void computeLocal() {
-    unsigned NB = F.numBlocks();
-    unsigned NE = numExprs();
-    ANTLOC.assign(NB, BitVector(NE));
-    COMP.assign(NB, BitVector(NE));
-    TRANSP.assign(NB, BitVector(NE, true));
+  /// Ends a block's walk, storing its facts into \p R when given.
+  void finishBlock(Row *R) {
+    for (unsigned C : SeenList) {
+      uint8_t Flags = State[C] & ~Seen;
+      if (CompAt[C] > BlockStart && !killedAfter(C, CompAt[C]))
+        Flags |= Comp;
+      if (R)
+        R->Facts.push_back({C, Flags});
+      State[C] = 0;
+    }
+    SeenList.clear();
+    if (R)
+      R->Kills.swap(KillList); // KillList takes the row's old storage
+    KillList.clear();
+  }
 
+  /// Walks block \p B into its row and counts the row into the universe.
+  void addRow(BlockId B) {
+    bool Redundant = false;
+    startBlock();
+    for (const Instruction &I : F.block(B)->Insts)
+      Redundant |= step(I).Redundant;
+    Rows[B].Facts.clear();
+    finishBlock(&Rows[B]);
+    MayRedundant[B] = Redundant;
+    for (const Fact &Fa : Rows[B].Facts) {
+      mark(Fa.Cand);
+      DefBlocks[Fa.Cand] += (Fa.Flags & Def) != 0;
+      UseBlocks[Fa.Cand] += (Fa.Flags & UsedFirst) != 0;
+    }
+  }
+
+  // --- Between rounds -------------------------------------------------------
+
+  /// Brings the session up to date with the previous round's edits: the
+  /// CFG after split edges, the rows of edited blocks, the universe and the
+  /// dirty set.
+  void refresh() {
+    if (!Splits.empty()) {
+      G = CFG::compute(F);
+      Prices.reset();
+      Rows.resize(F.numBlocks());
+      MayRedundant.resize(F.numBlocks(), 0);
+    }
+    for (BlockId B : Edited) {
+      for (const Fact &Fa : Rows[B].Facts) {
+        mark(Fa.Cand);
+        DefBlocks[Fa.Cand] -= (Fa.Flags & Def) != 0;
+        UseBlocks[Fa.Cand] -= (Fa.Flags & UsedFirst) != 0;
+      }
+      addRow(B);
+      IsEdited[B] = 0;
+    }
+    updateUniverse();
+
+    // An inserted or deleted computation changes the facts of its own
+    // expression and of every expression that reads its name.
+    bool Respell = false;
+    for (unsigned C : Changed) {
+      setDirty(C);
+      for (unsigned U : RegToExprs[Cands[C].Name])
+        setDirty(U);
+      Respell |= Spellings[C] != 0;
+    }
+    if (Respell)
+      respell();
+    markSplitEdges();
+
+    for (unsigned C : Changed)
+      IsChanged[C] = 0;
+    Edited.clear();
+    Changed.clear();
+    Splits.clear();
+    collectDirty();
+  }
+
+  /// Splitting an edge From -> To puts an empty block on it. AVAIL, ANT
+  /// and LCM's LATER pass through such a block unchanged when To reaches
+  /// an exit, so an expression the round did not touch can place
+  /// differently in two cases only:
+  /// - To cannot reach an exit. Its ANTOUT is empty, so is the new block's,
+  ///   and an expression anticipated at To (ANTIN(To) = ANTLOC(To) there)
+  ///   may move.
+  /// - Speculative. An expression whose LCM placement was set aside for a
+  ///   tie with the code as it stands is priced on its LCM insertion edges,
+  ///   and the split edge's price becomes unknown.
+  /// Morel–Renvoise never splits: PPIN(b) <= PPOUT(p) + AVOUT(p) for every
+  /// predecessor p, so its edge insertions are empty. GCSE inserts nothing.
+  void markSplitEdges() {
+    for (auto [From, To] : Splits)
+      if (AntBoundary[To])
+        for (const Fact &Fa : Rows[To].Facts)
+          if (Fa.Flags & Antloc)
+            setDirty(Fa.Cand);
+    std::sort(Splits.begin(), Splits.end());
+    for (const TieEdge &T : Ties)
+      if (std::binary_search(Splits.begin(), Splits.end(),
+                             std::make_pair(T.From, T.To)))
+        setDirty(T.Cand);
+  }
+
+  /// Re-reads the prototype of each changed candidate whose definitions
+  /// are spelled more than one way: insertions copy the first reachable
+  /// definition in block order, and a deletion may have removed it.
+  void respell() {
+    for (unsigned C : Changed)
+      Marked[C] = Spellings[C];
     F.forEachBlock([&](const BasicBlock &B) {
       if (!G.isReachable(B.id()))
         return;
-      startBlock();
       for (const Instruction &I : B.Insts) {
-        LocalStep S = step(I);
-        if (S.Exposed)
-          ANTLOC[B.id()].set(S.Expr);
+        unsigned C = I.hasDst() ? CandOf[I.Dst] : NoExpr;
+        if (C != NoExpr && Marked[C]) {
+          Cands[C].Proto = I;
+          Marked[C] = 0;
+        }
       }
-      COMP[B.id()].assignFrom(CompClean);
-      TRANSP[B.id()].intersectWithComplement(Killed);
     });
+    for (unsigned C : Changed)
+      Marked[C] = 0;
+  }
+
+  /// Records that the rewrite changed block \p B.
+  void edited(BlockId B) {
+    if (B >= IsEdited.size())
+      IsEdited.resize(F.numBlocks(), 0);
+    if (!IsEdited[B]) {
+      IsEdited[B] = 1;
+      Edited.push_back(B);
+    }
+  }
+
+  /// Records that the rewrite inserted or deleted a computation of
+  /// candidate \p C.
+  void changed(unsigned C) {
+    if (!IsChanged[C]) {
+      IsChanged[C] = 1;
+      Changed.push_back(C);
+    }
   }
 
   // --- Global dataflow ------------------------------------------------------
@@ -308,20 +572,71 @@ private:
   // AVAIL, ANT and LATERIN are one-direction, all-paths systems solved to
   // their greatest fixpoints by one worklist routine, solveFixpoint.
 
-  /// Builds the universe and, if it is not empty, the local sets and the
-  /// AVAIL/ANT fixpoints. Returns false when there is nothing to move.
+  /// Solves the AVAIL/ANT fixpoints of the round's dirty members over
+  /// their compact index, from local sets gathered out of the block rows.
+  /// Returns false when there is nothing to solve.
   bool solveDataflow() {
-    buildUniverse();
-    Stats.UniverseSize = numExprs();
-    if (Universe.empty())
+    Stats = PREStats();
+    Stats.UniverseSize = NumMembers;
+    Stats.DroppedUnsafe = NumDropped;
+    if (Dirty.empty())
       return false;
+    for (unsigned E = 0; E < numExprs(); ++E)
+      Compact[Dirty[E]] = E;
+    // A re-solved expression records its ties afresh.
+    std::erase_if(Ties,
+                  [&](const TieEdge &T) { return Compact[T.Cand] != NoExpr; });
     Empty = BitVector(numExprs());
     Words = Empty.numWords();
-    Killed = CompClean = Acc = Val = Term = Empty;
-    computeLocal();
+    Acc = Val = Term = Empty;
+    gatherLocal();
     solveAvailability();
     solveAnticipability();
     return true;
+  }
+
+  // ANTLOC and COMP from the rows' flags; TRANSP clears each expression
+  // that reads a register the block defines.
+  void gatherLocal() {
+    unsigned NB = F.numBlocks();
+    ANTLOC.assign(NB, Empty);
+    COMP.assign(NB, Empty);
+    TRANSP.assign(NB, BitVector(numExprs(), true));
+    // Readers[ReaderStart[R]] .. Readers[ReaderStart[R + 1] - 1]: the
+    // expressions solved this round that read register R.
+    std::vector<unsigned> ReaderStart(F.numRegs() + 1, 0), Readers;
+    for (unsigned E = 0; E < numExprs(); ++E)
+      for (Reg Op : expr(E).Proto.Operands)
+        ++ReaderStart[Op + 1];
+    for (unsigned R = 0; R < F.numRegs(); ++R)
+      ReaderStart[R + 1] += ReaderStart[R];
+    Readers.resize(ReaderStart.back());
+    std::vector<unsigned> Fill(ReaderStart.begin(), ReaderStart.end() - 1);
+    for (unsigned E = 0; E < numExprs(); ++E)
+      for (Reg Op : expr(E).Proto.Operands)
+        Readers[Fill[Op]++] = E;
+
+    for (BlockId B : G.rpo()) {
+      for (const Fact &Fa : Rows[B].Facts) {
+        unsigned E = Compact[Fa.Cand];
+        if (E == NoExpr)
+          continue;
+        if (Fa.Flags & Antloc)
+          ANTLOC[B].set(E);
+        if (Fa.Flags & Comp)
+          COMP[B].set(E);
+      }
+      for (Reg R : Rows[B].Kills)
+        for (unsigned I = ReaderStart[R]; I < ReaderStart[R + 1]; ++I)
+          TRANSP[B].reset(Readers[I]);
+    }
+  }
+
+  /// Ends the round's solve. The per-round sets keep their storage: later
+  /// rounds solve fewer expressions and reuse it.
+  void endSolve() {
+    for (unsigned C : Dirty)
+      Compact[C] = NoExpr;
   }
 
   /// Queues \p Seed in order, then evaluates blocks first in, first out:
@@ -452,16 +767,30 @@ private:
     BitVector Insert;
   };
 
+  /// Lists the virtual entry edge, then each reachable block's out-edges in
+  /// block order. The lists keep their storage from round to round.
   void collectEdges() {
-    Edges.push_back({InvalidBlock, G.rpo().front(), BitVector(numExprs())});
+    size_t N = 0;
+    auto add = [&](BlockId From, BlockId To) {
+      if (N == Edges.size())
+        Edges.emplace_back();
+      Edge &E = Edges[N++];
+      E.From = From;
+      E.To = To;
+      E.Insert = Empty;
+    };
+    add(InvalidBlock, G.rpo().front());
     F.forEachBlock([&](const BasicBlock &B) {
       if (!G.isReachable(B.id()))
         return;
       for (BlockId S : B.successors())
-        Edges.push_back({B.id(), S, BitVector(numExprs())});
+        add(B.id(), S);
     });
+    Edges.resize(N);
     // In-edge index per block.
-    InEdges.assign(F.numBlocks(), {});
+    InEdges.resize(F.numBlocks());
+    for (std::vector<unsigned> &In : InEdges)
+      In.clear();
     for (unsigned E = 0; E < Edges.size(); ++E)
       InEdges[Edges[E].To].push_back(E);
   }
@@ -495,7 +824,7 @@ private:
   // --- Placement: Drechsler–Stadel lazy code motion -------------------------
 
   void placeLazyCodeMotion() {
-    std::vector<BitVector> Earliest(Edges.size(), Empty);
+    Earliest.assign(Edges.size(), Empty);
     for (unsigned EI = 0; EI < Edges.size(); ++EI)
       earliest(Edges[EI], Earliest[EI]);
 
@@ -634,7 +963,10 @@ private:
   /// expression where it is.
   void placeSpeculative() {
     placeLazyCodeMotion();
-    ProfileInfo PI = ProfileInfo::compute(F, G, Profile);
+    // The join depends only on the CFG and its labels.
+    if (!Prices)
+      Prices = ProfileInfo::compute(F, G, Profile);
+    const ProfileInfo &PI = *Prices;
     if (!PI.attached())
       return;
 
@@ -652,6 +984,9 @@ private:
       // block's single in-edge and deleting the occurrence), which the
       // next round would find and adopt again, forever.
       if (CutCost == OccWeight) {
+        for (unsigned EI : LCMInserts.of(E))
+          if (Edges[EI].From != InvalidBlock)
+            Ties.push_back({Edges[EI].From, Edges[EI].To, Dirty[E]});
         clearPlacement(E);
         continue;
       }
@@ -669,10 +1004,10 @@ private:
       ++Stats.Speculated;
       if (Ctx && Ctx->remarksEnabled())
         Ctx->remark(RemarkKind::Insert, F, F.block(Entry)->label(),
-                    opcodeName(Universe[E].Proto.Op),
+                    opcodeName(expr(E).Proto.Op),
                     strprintf("speculative placement of r%u adopted: "
                               "weighted cost %llu -> %llu",
-                              Universe[E].Name, (unsigned long long)LCMCost,
+                              expr(E).Name, (unsigned long long)LCMCost,
                               (unsigned long long)CutCost));
     }
   }
@@ -710,7 +1045,7 @@ private:
   /// nothing on this profile.
   bool speculationCandidate(unsigned E, const ProfileInfo &PI,
                             uint64_t &OccWeight, uint64_t &LCMCost) const {
-    if (!speculationSafe(Universe[E].Proto))
+    if (!speculationSafe(expr(E).Proto))
       return false;
     // Weighted cost of the upward-exposed occurrences: the most any
     // placement could have to pay, and the speculation budget. A cold
@@ -886,24 +1221,31 @@ private:
 
   // --- Rewrite --------------------------------------------------------------
 
+  /// Walks the blocks that can lose a computation: those with a DELETE
+  /// bit, and those whose row saw a locally redundant one. No other block
+  /// holds either kind.
   void applyDeletions() {
-    std::vector<Instruction> Kept; // reused across blocks to recycle capacity
     F.forEachBlock([&](BasicBlock &B) {
-      if (!G.isReachable(B.id()))
+      const BlockId Id = B.id();
+      if (!G.isReachable(Id) || (!MayRedundant[Id] && DELETE[Id].none()))
         return;
       startBlock();
-      Kept.clear();
-      Kept.reserve(B.Insts.size());
-      for (Instruction &I : B.Insts) {
+      // Kept instructions slide down over the deleted ones in place.
+      size_t Kept = 0;
+      for (size_t At = 0; At < B.Insts.size(); ++At) {
+        Instruction &I = B.Insts[At];
         // A locally redundant recomputation goes; otherwise an upward-exposed
         // occurrence goes where DELETE marks it globally (partially)
         // redundant.
         LocalStep S = step(I);
-        bool DropLocal = S.Redundant;
+        unsigned E = compactOf(S.Cand);
+        bool DropLocal = S.Redundant && Member[S.Cand];
         bool DropGlobal =
-            !S.Redundant && S.Exposed && DELETE[B.id()].test(S.Expr);
+            !S.Redundant && S.Exposed && E != NoExpr && DELETE[Id].test(E);
         if (DropLocal || DropGlobal) {
           ++Stats.Deleted;
+          edited(Id);
+          changed(S.Cand);
           if (Ctx && Ctx->remarksEnabled())
             Ctx->remark(
                 RemarkKind::Delete, F, B.label(), opcodeName(I.Op),
@@ -913,9 +1255,12 @@ private:
                           I.Dst));
           continue;
         }
-        Kept.push_back(std::move(I));
+        if (Kept != At)
+          B.Insts[Kept] = std::move(I);
+        ++Kept;
       }
-      B.Insts.swap(Kept);
+      finishBlock(nullptr);
+      B.Insts.erase(B.Insts.begin() + Kept, B.Insts.end());
     });
   }
 
@@ -935,8 +1280,8 @@ private:
         if (Placed[E])
           continue;
         bool Ready = true;
-        for (Reg Op : Universe[E].Proto.Operands) {
-          unsigned OpE = ExprIndex[Op];
+        for (Reg Op : expr(E).Proto.Operands) {
+          unsigned OpE = compactOf(CandOf[Op]);
           if (OpE != NoExpr && Ins.test(OpE) && !Placed[OpE])
             Ready = false;
         }
@@ -970,13 +1315,14 @@ private:
                                           const BasicBlock &At, WhereFn Where) {
     std::vector<Instruction> News;
     for (unsigned Ex : orderInsertions(Ins)) {
-      News.push_back(Universe[Ex].Proto);
+      News.push_back(expr(Ex).Proto);
       ++Stats.Inserted;
+      changed(Dirty[Ex]);
       if (Ctx && Ctx->remarksEnabled())
         Ctx->remark(RemarkKind::Insert, F, At.label(),
-                    opcodeName(Universe[Ex].Proto.Op),
+                    opcodeName(expr(Ex).Proto.Op),
                     strprintf("computation of r%u inserted %s",
-                              Universe[Ex].Name, Where().c_str()));
+                              expr(Ex).Name, Where().c_str()));
     }
     return News;
   }
@@ -993,6 +1339,7 @@ private:
         if (BlockInsert[B.id()].none())
           return;
         auto AtEnd = [] { return std::string("at block end"); };
+        edited(B.id());
         splice(B, B.Insts.size() - 1,
                emitInsertions(BlockInsert[B.id()], B, AtEnd));
       });
@@ -1009,39 +1356,85 @@ private:
                                To->label().c_str());
       });
       if (E.From == InvalidBlock) {
+        edited(E.To);
         splice(*To, 0, std::move(News));
       } else if (G.preds(E.To).size() == 1) {
+        edited(E.To);
         splice(*To, To->firstNonPhi(), std::move(News));
       } else if (G.succs(E.From).size() == 1) {
         BasicBlock *From = F.block(E.From);
+        edited(E.From);
         splice(*From, From->Insts.size() - 1, std::move(News));
       } else {
         BasicBlock *Mid = splitEdge(F, E.From, E.To);
         ++Stats.EdgesSplit;
+        Splits.push_back({E.From, E.To});
+        edited(Mid->id());
         splice(*Mid, 0, std::move(News));
       }
     }
   }
 
   Function &F;
-  /// Valid for the whole run: mutations happen strictly after the last read.
-  const CFG G;
   PREStrategy Strategy;
   const FunctionProfile *Profile; ///< Speculative placement's weights
-  PREStats Stats;
-  static constexpr unsigned NoExpr = ~0u;
-  std::vector<ExprInfo> Universe;
-  std::vector<unsigned> ExprIndex; ///< per register: its expression, or NoExpr
-  std::vector<uint8_t> Placed;     ///< per expression: orderInsertions scratch
+  PREStats Stats;                 ///< the current round's
+  bool Started = false;
+  /// The function's CFG; recomputed after a round that split an edge.
+  CFG G;
+
+  // Session state: candidates, the universe, and each block's local facts.
+  std::vector<ExprInfo> Cands;
+  std::vector<unsigned> CandOf; ///< per register: its candidate, or NoExpr
   std::vector<std::vector<unsigned>> RegToExprs;
+  /// Per candidate: 1 when its definitions are not all spelled alike.
+  std::vector<uint8_t> Spellings;
+  /// Per candidate: blocks defining it, and blocks reading it before any
+  /// local definition (its §5.1 violations).
+  std::vector<unsigned> DefBlocks, UseBlocks;
+  std::vector<uint8_t> Member; ///< per candidate: in the universe
+  unsigned NumMembers = 0, NumDropped = 0;
+  std::vector<Row> Rows; ///< per block: its local facts
+  /// Per block: its row saw a locally redundant computation.
+  std::vector<uint8_t> MayRedundant;
+  /// The local walk's clock, and its value when the current block began.
+  uint64_t Clock = 0, BlockStart = 0;
+  std::vector<uint64_t> DefAt;  ///< per register: the clock of its last def
+  std::vector<uint64_t> CompAt; ///< per candidate: its last computation
+  /// Per candidate: the walk's flags in the current block.
+  std::vector<uint8_t> State;
+  std::vector<unsigned> SeenList; ///< candidates with nonzero State
+  std::vector<Reg> KillList;      ///< the current block's kills
+  std::vector<uint8_t> Marked;    ///< per candidate: on MarkedList
+  std::vector<unsigned> MarkedList;
+
+  /// What a round changed, for the next one: edited blocks, candidates
+  /// inserted or deleted, and split edges (From, To).
+  std::vector<BlockId> Edited;
+  std::vector<uint8_t> IsEdited, IsChanged;
+  std::vector<unsigned> Changed;
+  std::vector<std::pair<BlockId, BlockId>> Splits;
+  /// An LCM insertion edge of an expression the speculative placement left
+  /// alone for a tie; kept until the expression is solved again.
+  struct TieEdge {
+    BlockId From, To;
+    unsigned Cand;
+  };
+  std::vector<TieEdge> Ties;
+
+  // The round's solve, over the compact index of its dirty members.
+  std::vector<unsigned> Dirty;   ///< compact index -> candidate, ascending
+  std::vector<unsigned> Compact; ///< per candidate: compact index, or NoExpr
+  std::vector<uint8_t> Placed;   ///< per expression: orderInsertions scratch
   std::vector<BitVector> ANTLOC, COMP, TRANSP;
+  /// Blocks whose ANTOUT is forced empty; kept past the solve for
+  /// markSplitEdges.
   std::vector<uint8_t> AntBoundary;
   std::vector<BitVector> AVIN, AVOUT, ANTIN, ANTOUT;
   std::vector<BitVector> LATERIN, DELETE;
-  BitVector Empty;    ///< the empty set over the universe
+  std::vector<BitVector> Earliest; ///< per edge (LCM)
+  BitVector Empty;    ///< the empty set over the compact index
   uint64_t Words = 0; ///< words per set, for Stats.Work
-  /// The local walk's state for the block being walked (startBlock, step).
-  BitVector Killed, CompClean;
   /// Per-block temporaries of the fixpoints and the insertion formulas: a
   /// meet being accumulated, a value being built, and one product term.
   BitVector Acc, Val, Term;
@@ -1051,6 +1444,7 @@ private:
   std::vector<std::vector<unsigned>> InEdges;
 
   // Speculative strategy only (indexSpeculation, solveRegionCut).
+  std::optional<ProfileInfo> Prices; ///< the profile joined onto G
   ExprLists Occurrences; ///< per expression: its ANTLOC blocks, in RPO
   ExprLists LCMInserts;  ///< per expression: the edges LCM inserts it on
   /// Per block: its out-edges, Edges[first] .. Edges[second - 1].
@@ -1065,26 +1459,34 @@ private:
   std::vector<BlockId> CutDeletes;
 };
 
-} // namespace
+epre::PRESession::PRESession(Function &F, PREStrategy Strategy,
+                             const FunctionProfile *Profile)
+    : P(std::make_unique<Impl>(F, Strategy, Profile)) {}
+
+epre::PRESession::~PRESession() = default;
+
+PREStats epre::PRESession::run(PassContext &Ctx) {
+  PassScope Scope(Ctx, PREPass::name(), P->function());
+  P->Ctx = &Ctx;
+  PREStats S = P->round();
+  Ctx.addStat("universe", S.UniverseSize);
+  Ctx.addStat("dropped_unsafe", S.DroppedUnsafe);
+  Ctx.addStat("inserted", S.Inserted);
+  Ctx.addStat("deleted", S.Deleted);
+  Ctx.addStat("edges_split", S.EdgesSplit);
+  Ctx.addStat("speculated", S.Speculated);
+  Ctx.addStat("spec_network_arcs", S.SpecNetworkArcs);
+  Ctx.addStat("avail_iterations", S.AvailIterations);
+  Ctx.addStat("ant_iterations", S.AntIterations);
+  return S;
+}
 
 void epre::PREPass::run(Function &F, PassContext &Ctx) {
-  PassScope Scope(Ctx, name(), F);
-  PREImpl Impl(F, Strategy, Profile);
-  Impl.Ctx = &Ctx;
-  Last = Impl.run();
-  Ctx.addStat("universe", Last.UniverseSize);
-  Ctx.addStat("dropped_unsafe", Last.DroppedUnsafe);
-  Ctx.addStat("inserted", Last.Inserted);
-  Ctx.addStat("deleted", Last.Deleted);
-  Ctx.addStat("edges_split", Last.EdgesSplit);
-  Ctx.addStat("speculated", Last.Speculated);
-  Ctx.addStat("spec_network_arcs", Last.SpecNetworkArcs);
-  Ctx.addStat("avail_iterations", Last.AvailIterations);
-  Ctx.addStat("ant_iterations", Last.AntIterations);
+  Last = PRESession(F, Strategy, Profile).run(Ctx);
 }
 
 PREDataflow epre::analyzePartialRedundancies(Function &F) {
-  return PREImpl(F, PREStrategy::LazyCodeMotion, nullptr).analyze();
+  return PRESession::Impl(F, PREStrategy::LazyCodeMotion, nullptr).analyze();
 }
 
 namespace {

@@ -24,6 +24,7 @@
 #include "ir/Function.h"
 #include "support/BitVector.h"
 
+#include <memory>
 #include <vector>
 
 namespace epre {
@@ -65,17 +66,52 @@ struct PREStats {
   /// Arcs built across the per-expression min-cut networks (Speculative
   /// strategy only): the deterministic measure of the placement's work.
   uint64_t SpecNetworkArcs = 0;
-  unsigned AvailIterations = 0; ///< block evaluations of the AVAIL solve
-  unsigned AntIterations = 0;   ///< block evaluations of the ANT solve
+  /// Block evaluations of the AVAIL and ANT solves. A round solves only
+  /// the expressions its session marked dirty, so these count the work the
+  /// round did, not the size of the function.
+  unsigned AvailIterations = 0;
+  unsigned AntIterations = 0;
   /// 64-bit words the AVAIL, ANT and LATERIN solves moved through their
   /// meet and store kernels: the deterministic measure of the dataflow work.
   uint64_t Work = 0;
 };
 
-/// Partial redundancy elimination behind the unified pass-entry API. Runs
-/// on phi-free code whose names obey the §2.2 discipline; never lengthens
-/// any execution path. Preserves the CFG shape unless an insertion had to
-/// split a critical edge.
+/// One PRE fixpoint as an incremental session over one function. Each
+/// run() is one PRE round, a `pre` pass application; the first round is a
+/// full solve. Later rounds keep the CFG, the §2.2 expression universe with
+/// its §5.1 filter state and each block's local facts, and re-solve only
+/// the expressions the previous round made dirty: the ones it inserted or
+/// deleted, the ones reading a name whose definitions it changed, names
+/// that entered the universe, and the ones whose facts or speculative
+/// pricing cross an edge it split. Every other expression has the
+/// placement it had, which was empty, so each round prints the same IR,
+/// remarks and counters as a fresh PREPass on the same input
+/// (docs/PASSES.md). The function must change only through the session
+/// between rounds.
+class PRESession {
+public:
+  /// \p Profile (not owned, may be null) weights Speculative placement;
+  /// the other strategies ignore it.
+  PRESession(Function &F, PREStrategy Strategy,
+             const FunctionProfile *Profile = nullptr);
+  ~PRESession();
+  PRESession(const PRESession &) = delete;
+  PRESession &operator=(const PRESession &) = delete;
+
+  /// Runs the next round as one `pre` pass application and publishes its
+  /// counters; returns the round's stats.
+  PREStats run(PassContext &Ctx);
+
+  struct Impl;
+
+private:
+  std::unique_ptr<Impl> P;
+};
+
+/// Partial redundancy elimination behind the unified pass-entry API: one
+/// round of a fresh PRESession. Runs on phi-free code whose names obey the
+/// §2.2 discipline; never lengthens any execution path. Preserves the CFG
+/// shape unless an insertion had to split a critical edge.
 ///
 /// Counters: pre.universe, pre.dropped_unsafe, pre.inserted, pre.deleted,
 /// pre.edges_split, pre.speculated, pre.spec_network_arcs,
@@ -91,8 +127,7 @@ public:
       : Strategy(Strategy), Profile(Profile) {}
   void run(Function &F, PassContext &Ctx);
 
-  /// Stats of the most recent run; the fixpoint driver reads Inserted /
-  /// Deleted to detect convergence.
+  /// Stats of the most recent run.
   const PREStats &lastStats() const { return Last; }
 
   /// PREStats::Work of the most recent run. Deterministic, so tests can

@@ -135,7 +135,22 @@ private:
     for (Reg P : F.params())
       Stacks[P].push_back(P);
 
-    renameBlock(G.rpo()[0]);
+    // Each block's pushes go on one log; leaving the block pops back to
+    // where its entry found the log.
+    std::vector<Reg> PopLog;
+    std::vector<size_t> PopMarks;
+    DT.walk(
+        G.rpo()[0],
+        [&](BlockId B) {
+          PopMarks.push_back(PopLog.size());
+          renameBlock(B, PopLog);
+        },
+        [&](BlockId) {
+          for (size_t I = PopLog.size(); I-- > PopMarks.back();)
+            Stacks[PopLog[I]].pop_back();
+          PopLog.resize(PopMarks.back());
+          PopMarks.pop_back();
+        });
 
     for (Reg P : F.params()) {
       assert(Stacks[P].size() == 1 && "unbalanced rename stack");
@@ -143,8 +158,9 @@ private:
     }
   }
 
-  void renameBlock(BlockId B) {
-    std::vector<Reg> PopLog;
+  /// Renames block \p B's definitions and uses and fills its successors'
+  /// phi inputs, logging each name pushed onto \p PopLog.
+  void renameBlock(BlockId B, std::vector<Reg> &PopLog) {
     BasicBlock *BB = F.block(B);
 
     std::vector<Instruction> Kept;
@@ -189,12 +205,6 @@ private:
         F.block(S)->Insts[I].addPhiIncoming(currentName(V), B);
       }
     }
-
-    for (BlockId C : DT.children(B))
-      renameBlock(C);
-
-    for (auto It = PopLog.rbegin(); It != PopLog.rend(); ++It)
-      Stacks[*It].pop_back();
   }
 
   Function &F;

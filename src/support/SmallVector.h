@@ -221,8 +221,9 @@ public:
   SmallVectorImpl &operator=(SmallVectorImpl &&RHS) {
     if (this == &RHS)
       return *this;
-    if (!RHS.isSmall()) {
-      // Steal the heap block; free ours if we had one.
+    if (!RHS.isSmall() && RHS.Cap > InlineCap) {
+      // Steal the heap block, which is larger than our inline buffer, so
+      // isSmall() stays exact; free ours if we had one.
       destroyRange(Data, Data + Count);
       if (!isSmall())
         free(Data);
@@ -233,7 +234,7 @@ public:
       RHS.Count = 0;
       RHS.Cap = RHS.InlineCap;
     } else {
-      // RHS is inline: move element-wise.
+      // RHS is inline, or its heap block would fit ours: move element-wise.
       clear();
       reserve(RHS.Count);
       for (size_type I = 0; I != RHS.Count; ++I)
@@ -268,7 +269,12 @@ protected:
       free(Data);
   }
 
-  bool isSmall() const { return Data == inlineBuffer(); }
+  /// Heap ownership follows from the capacity: grow() always allocates
+  /// more than the inline capacity, and a move adopts only a heap block
+  /// larger than it. Deciding it from the capacity rather than from the
+  /// address of the inline buffer lets the compiler see that free() never
+  /// receives that buffer.
+  bool isSmall() const { return Cap <= InlineCap; }
 
   /// The inline buffer sits immediately after this header in SmallVector's
   /// layout; recover it from the stored inline capacity offset.

@@ -66,9 +66,10 @@ ExecResult expectIdentical(const Function &F, const std::vector<RtValue> &Args,
   EXPECT_EQ(L.TrapBlock, P.TrapBlock);
   EXPECT_EQ(L.TrapInstIndex, P.TrapInstIndex);
   EXPECT_EQ(L.HasReturn, P.HasReturn);
-  if (L.HasReturn && P.HasReturn)
+  if (L.HasReturn && P.HasReturn) {
     EXPECT_TRUE(L.ReturnValue.identical(P.ReturnValue))
         << L.ReturnValue.I << " vs " << P.ReturnValue.I;
+  }
   EXPECT_EQ(L.DynOps, P.DynOps);
   EXPECT_EQ(L.WeightedCost, P.WeightedCost);
   EXPECT_EQ(L.OpCounts, P.OpCounts);
@@ -85,8 +86,9 @@ ExecResult expectIdentical(const Function &F, const std::vector<RtValue> &Args,
 
   // Argument-mismatch traps return before the collectors are reset against
   // F, so there is no profile to finalize on either side.
-  if (WithProfile && L.Kind != TrapKind::ArgumentMismatch)
+  if (WithProfile && L.Kind != TrapKind::ArgumentMismatch) {
     EXPECT_EQ(profileJSON(PCL.finalize(F)), profileJSON(PCP.finalize(F)));
+  }
   return L;
 }
 

@@ -124,4 +124,56 @@ TEST(SmallVector, NonTrivialElementDestruction) {
   EXPECT_EQ(Probe.use_count(), 1);
 }
 
+/// Heap ownership follows the capacity: a move-assign adopts a heap block
+/// only when it is larger than the target's inline buffer, and every path
+/// (grow, move-assign over a heap vector, destroy) releases exactly what it
+/// owns. The shared_ptr count proves each element is destroyed once.
+TEST(SmallVector, MoveAssignGrowAndDestroyKeepOwnership) {
+  auto Probe = std::make_shared<int>(7);
+  {
+    SmallVector<std::shared_ptr<int>, 2> Small;
+    for (int I = 0; I < 3; ++I)
+      Small.push_back(Probe); // grows to a 4-slot heap block
+    EXPECT_GE(Small.capacity(), 3u);
+    SmallVectorImpl<std::shared_ptr<int>> &SmallI = Small;
+
+    // A 4-slot heap block fits an 8-slot inline buffer: moved by element.
+    SmallVector<std::shared_ptr<int>, 8> Wide;
+    Wide = std::move(SmallI);
+    EXPECT_EQ(Wide.size(), 3u);
+    EXPECT_EQ(Wide.capacity(), 8u);
+    EXPECT_TRUE(Small.empty());
+    EXPECT_EQ(Probe.use_count(), 4);
+
+    // Grow Wide onto the heap, then steal that block into a heap vector,
+    // whose own block is freed.
+    for (int I = 0; I < 13; ++I)
+      Wide.push_back(Probe);
+    const void *WideData = Wide.data();
+    SmallVector<std::shared_ptr<int>, 2> Target;
+    for (int I = 0; I < 5; ++I)
+      Target.push_back(Probe);
+    EXPECT_EQ(Probe.use_count(), 22);
+    Target = std::move(Wide);
+    EXPECT_EQ(Target.data(), WideData);
+    EXPECT_EQ(Target.size(), 16u);
+    EXPECT_TRUE(Wide.empty());
+    EXPECT_EQ(Wide.capacity(), 8u) << "the source is back on its buffer";
+    EXPECT_EQ(Probe.use_count(), 17);
+
+    // An inline source is moved by element even when its inline buffer is
+    // larger than the target's.
+    for (int I = 0; I < 3; ++I)
+      Wide.push_back(Probe);
+    SmallVector<std::shared_ptr<int>, 2> Narrow;
+    Narrow = std::move(static_cast<SmallVectorImpl<std::shared_ptr<int>> &>(Wide));
+    EXPECT_EQ(Narrow.size(), 3u);
+    EXPECT_NE(static_cast<const void *>(Narrow.data()),
+              static_cast<const void *>(Wide.data()));
+    EXPECT_TRUE(Wide.empty());
+    EXPECT_EQ(Probe.use_count(), 20);
+  }
+  EXPECT_EQ(Probe.use_count(), 1) << "destroying every vector released all";
+}
+
 } // namespace

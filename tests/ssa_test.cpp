@@ -1,5 +1,6 @@
 //===- tests/ssa_test.cpp - SSA construction/destruction, parallel copies -===//
 
+#include "gvn/DVNT.h"
 #include "interp/Interpreter.h"
 #include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
@@ -10,6 +11,10 @@
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
+
+#include <functional>
+
+#include <pthread.h>
 
 using namespace epre;
 using epre::test::runPass;
@@ -194,6 +199,57 @@ func @f(%n:i64, %c:i64) -> i64 {
   runPass(F, SSABuildPass());
   EXPECT_TRUE(verifyFunction(F, SSAMode::SSA).empty()) << printFunction(F);
   EXPECT_EQ(countPhis(F), 0u) << printFunction(F);
+}
+
+/// A straight line of \p N + 1 blocks, each after the first redefining one
+/// variable: the dominator tree is a path N + 1 deep.
+std::string straightChain(unsigned N) {
+  std::string S = "func @chain(%r1:i64) -> i64 {\n^b0:\n  %r2:i64 = copy %r1\n"
+                  "  br ^b1\n";
+  for (unsigned B = 1; B < N; ++B)
+    S += strprintf("^b%u:\n  %%r3:i64 = add %%r2, %%r1\n  %%r2:i64 = copy "
+                   "%%r3\n  br ^b%u\n",
+                   B, B + 1);
+  return S + strprintf("^b%u:\n  ret %%r2\n}\n", N);
+}
+
+/// Runs \p Body on a new thread with a stack of \p Bytes and waits for it.
+void runOnStack(size_t Bytes, std::function<void()> Body) {
+  pthread_attr_t Attr;
+  ASSERT_EQ(pthread_attr_init(&Attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&Attr, Bytes), 0);
+  pthread_t Thread;
+  auto Run = [](void *P) -> void * {
+    (*static_cast<std::function<void()> *>(P))();
+    return nullptr;
+  };
+  ASSERT_EQ(pthread_create(&Thread, &Attr, Run, &Body), 0);
+  pthread_join(Thread, nullptr);
+  pthread_attr_destroy(&Attr);
+}
+
+/// SSA renaming and dominator-tree value numbering walk the dominator tree,
+/// which is as deep as the function's longest block chain. They keep their
+/// own stacks, so a 50,000-block chain fits in 256 KiB of thread stack
+/// (docs/PASSES.md, "Deep inputs").
+TEST(SSA, DominatorTreeWalksFitASmallThreadStack) {
+  const std::string Text = straightChain(50000);
+  auto ForSSA = parse(Text.c_str());
+  auto ForDVNT = parse(Text.c_str());
+  std::string SSAErrors, DVNTErrors;
+  runOnStack(256 * 1024, [&] {
+    Function &F = *ForSSA->Functions[0];
+    runPass(F, SSABuildPass());
+    for (const std::string &E : verifyFunction(F, SSAMode::SSA))
+      SSAErrors += E + "\n";
+    Function &G = *ForDVNT->Functions[0];
+    runPass(G, DVNTPass());
+    for (const std::string &E : verifyFunction(G, SSAMode::NoSSA))
+      DVNTErrors += E + "\n";
+  });
+  EXPECT_EQ(SSAErrors, "");
+  EXPECT_EQ(DVNTErrors, "");
+  EXPECT_EQ(ForSSA->Functions[0]->numBlocks(), 50001u);
 }
 
 TEST(ParallelCopy, IndependentCopies) {
