@@ -55,7 +55,7 @@ int main() {
   uint64_t LCM = totalOps(OptLevel::Partial, PREStrategy::LazyCodeMotion);
   std::printf("%-52s %12llu\n", "available-expressions CSE (full only)",
               (unsigned long long)CSE);
-  std::printf("%-52s %12llu\n", "Morel-Renvoise + D-S'88 edge placement",
+  std::printf("%-52s %12llu\n", "Morel-Renvoise (block-end insertions)",
               (unsigned long long)MR);
   std::printf("%-52s %12llu\n", "Drechsler-Stadel lazy code motion",
               (unsigned long long)LCM);

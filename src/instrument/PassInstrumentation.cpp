@@ -21,15 +21,8 @@ void PassInstrumentation::runBeforePass(std::string_view Name,
                                         const Function &F) {
   for (PassCallback &CB : BeforeCBs)
     CB(Name, F);
-  if (Opts.PrintChangedIR || Opts.PrintBeforeEachPass) {
-    std::string IR = printFunction(F);
-    HashStack.push_back(hashString(IR));
-    if (Opts.PrintBeforeEachPass) {
-      std::string Head = "--- IR before " + std::string(Name) + " (" +
-                         F.name() + ") ---\n";
-      snapshot(Head + IR);
-    }
-  }
+  if (Opts.PrintChangedIR)
+    HashStack.push_back(hashString(printFunction(F)));
   if (Opts.TimePasses)
     Timers.open(Name);
 }
@@ -38,16 +31,14 @@ void PassInstrumentation::runAfterPass(std::string_view Name,
                                        const Function &F) {
   if (Opts.TimePasses)
     Timers.close();
-  if (Opts.PrintChangedIR || Opts.PrintBeforeEachPass) {
+  if (Opts.PrintChangedIR) {
     uint64_t Before = HashStack.back();
     HashStack.pop_back();
-    if (Opts.PrintChangedIR) {
-      std::string IR = printFunction(F);
-      if (hashString(IR) != Before) {
-        std::string Head = "--- IR after " + std::string(Name) + " (" +
-                           F.name() + ") ---\n";
-        snapshot(Head + IR);
-      }
+    std::string IR = printFunction(F);
+    if (hashString(IR) != Before) {
+      std::string Head = "--- IR after " + std::string(Name) + " (" +
+                         F.name() + ") ---\n";
+      snapshot(Head + IR);
     }
   }
   for (PassCallback &CB : AfterCBs)

@@ -10,9 +10,8 @@
 ///    report and Chrome trace_event export;
 ///  - the StatsRegistry aggregating named counters across functions;
 ///  - the RemarkCollector for structured optimization remarks;
-///  - IR snapshotting: print-before/print-after-each-pass, where the
-///    after-dump hashes the printed IR and is emitted only for passes that
-///    actually changed the function.
+///  - IR snapshotting: a dump after each pass that actually changed the
+///    function (the printed IR is hashed before and after).
 ///
 /// Passes never talk to PassInstrumentation directly; they receive a
 /// PassContext (below), whose null state makes every channel a no-op so the
@@ -53,8 +52,6 @@ struct InstrumentationOptions {
   /// printed IR actually changed (hash comparison against the before-pass
   /// snapshot).
   bool PrintChangedIR = false;
-  /// Dump the IR before every pass, unconditionally.
-  bool PrintBeforeEachPass = false;
 };
 
 /// Aggregating sink for pass-execution events. Create one, point

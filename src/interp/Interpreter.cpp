@@ -10,6 +10,12 @@
 
 using namespace epre;
 
+int64_t MemoryImage::allocate(size_t N) {
+  size_t Off = (Bytes.size() + 7) & ~size_t(7);
+  Bytes.resize(Off + N, 0);
+  return int64_t(Off);
+}
+
 void MemoryImage::storeF64(int64_t Addr, double V) {
   assert(inBounds(Addr, 8));
   std::memcpy(Bytes.data() + Addr, &V, 8);

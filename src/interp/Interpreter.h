@@ -47,11 +47,7 @@ public:
   explicit MemoryImage(size_t Bytes = 0) : Bytes(Bytes, 0) {}
 
   /// Bump-allocates \p N bytes (8-byte aligned); returns the byte offset.
-  int64_t allocate(size_t N) {
-    size_t Off = (Bytes.size() + 7) & ~size_t(7);
-    Bytes.resize(Off + N, 0);
-    return int64_t(Off);
-  }
+  int64_t allocate(size_t N);
 
   size_t size() const { return Bytes.size(); }
 

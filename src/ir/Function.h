@@ -131,8 +131,10 @@ public:
   /// Creates a new block; the first block created is the entry block.
   BasicBlock *addBlock(std::string Label = "") {
     BlockId Id = BlockId(Blocks.size());
-    if (Label.empty())
-      Label = "b" + std::to_string(Id);
+    if (Label.empty()) {
+      Label += 'b';
+      Label += std::to_string(Id);
+    }
     Blocks.push_back(std::make_unique<BasicBlock>(Id, std::move(Label)));
     bumpVersion();
     return Blocks.back().get();

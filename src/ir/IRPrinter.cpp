@@ -67,15 +67,20 @@ std::string epre::printInstruction(const Function &F, const Instruction &I) {
     for (unsigned J = 0; J < I.Operands.size(); ++J) {
       if (J)
         S += ", ";
-      S += "[" + regName(I.Operands[J]) + ", " +
-           blockRef(F, I.PhiBlocks[J]) + "]";
+      S += "[";
+      S += regName(I.Operands[J]);
+      S += ", ";
+      S += blockRef(F, I.PhiBlocks[J]);
+      S += "]";
     }
     return S;
   }
   default: {
     S = dst() + opcodeName(I.Op);
-    for (unsigned J = 0; J < I.Operands.size(); ++J)
-      S += (J ? ", " : " ") + regName(I.Operands[J]);
+    for (unsigned J = 0; J < I.Operands.size(); ++J) {
+      S += J ? ", " : " ";
+      S += regName(I.Operands[J]);
+    }
     return S;
   }
   }

@@ -174,6 +174,7 @@ struct Instruction {
     PhiBlocks.push_back(Pred);
   }
 };
+static_assert(sizeof(Instruction) <= 80, "Instruction grew past 80 bytes");
 
 } // namespace epre
 

@@ -863,7 +863,7 @@ private:
     buildDelete(LATERIN, /*Complement=*/true);
   }
 
-  // --- Placement: Morel–Renvoise with D-S'88 edge correction ----------------
+  // --- Placement: Morel–Renvoise, at block ends -----------------------------
 
   void placeMorelRenvoise() {
     unsigned NB = F.numBlocks();
@@ -911,17 +911,7 @@ private:
       }
     }
 
-    // Edge insertions (the Drechsler–Stadel 1988 correction):
-    // INSERT(p,b) = PPIN(b) * ~AVOUT(p) * ~PPOUT(p); none on the entry edge.
-    for (Edge &E : Edges) {
-      if (E.From == InvalidBlock)
-        continue;
-      E.Insert.assignFrom(PPIN[E.To]);
-      E.Insert.intersectWithComplement(AVOUT[E.From]);
-      E.Insert.intersectWithComplement(PPOUT[E.From]);
-    }
-
-    // Morel–Renvoise block insertions (at the end of b) remain:
+    // Insertions go at block ends only, and edges keep their empty sets:
     // INSERT(b) = PPOUT(b) * ~AVOUT(b) * (~PPIN(b) + ~TRANSP(b)).
     BlockInsert.assign(NB, Empty);
     for (BlockId B : G.rpo()) {

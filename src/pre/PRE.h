@@ -35,8 +35,8 @@ enum class PREStrategy {
   /// Drechsler–Stadel lazy code motion (computationally optimal placement,
   /// unidirectional dataflow, edge insertion).
   LazyCodeMotion,
-  /// The original Morel–Renvoise bidirectional system with the
-  /// Drechsler–Stadel 1988 edge-placement correction.
+  /// The original Morel–Renvoise bidirectional system, inserting at block
+  /// ends only.
   MorelRenvoise,
   /// Classic global common-subexpression elimination: remove fully
   /// redundant computations (available on every path), insert nothing.

@@ -137,27 +137,53 @@ private:
     return It != Defs.end() && It->second.isExpression();
   }
 
-  /// Clones the expression tree rooted at \p R into \p Out. Leaves are
-  /// variables (phi targets), parameters, load results, or other
-  /// non-expression values. Within one anchor, shared subtrees are cloned
-  /// once (memoized), which bounds the worst-case duplication.
-  Reg cloneTree(Reg R, std::vector<Instruction> &Out,
+  /// Clones the expression tree rooted at \p Root into \p Out, operands
+  /// left to right, each node after its operands. Leaves are variables (phi
+  /// targets), parameters, load results, or other non-expression values.
+  /// Within one anchor, shared subtrees are cloned once (memoized), which
+  /// bounds the worst-case duplication. The walk keeps its own stack, so a
+  /// tree as deep as a long dependence chain cannot overflow the thread's.
+  Reg cloneTree(Reg Root, std::vector<Instruction> &Out,
                 std::map<Reg, Reg> &Memo) {
-    if (!isTreeNode(R))
-      return R;
-    auto Hit = Memo.find(R);
-    if (Hit != Memo.end())
-      return Hit->second;
-    Instruction Clone = Defs.at(R);
-    for (Reg &Op : Clone.Operands)
-      Op = cloneTree(Op, Out, Memo);
-    Reg Fresh = F.makeReg(F.regType(R));
-    Ranks.setRank(Fresh, Ranks.rank(R));
-    Clone.Dst = Fresh;
-    Memo.emplace(R, Fresh);
-    Out.push_back(std::move(Clone));
-    ++Stats.TreesCloned;
-    return Fresh;
+    // The clone of \p R when it needs no new node: R itself for a leaf, the
+    // memoized clone for a subtree already done; NoReg otherwise.
+    auto Done = [&](Reg R) {
+      if (!isTreeNode(R))
+        return R;
+      auto Hit = Memo.find(R);
+      return Hit != Memo.end() ? Hit->second : NoReg;
+    };
+    if (Reg D = Done(Root))
+      return D;
+    struct Frame {
+      Reg R;
+      Instruction Clone;
+      unsigned NextOp = 0;
+    };
+    std::vector<Frame> Stack;
+    Stack.push_back({Root, Defs.at(Root)});
+    for (;;) {
+      Frame &Top = Stack.back();
+      if (Top.NextOp < Top.Clone.Operands.size()) {
+        Reg Op = Top.Clone.Operands[Top.NextOp];
+        if (Reg D = Done(Op))
+          Top.Clone.Operands[Top.NextOp++] = D;
+        else
+          Stack.push_back({Op, Defs.at(Op)});
+        continue;
+      }
+      Reg Fresh = F.makeReg(F.regType(Top.R));
+      Ranks.setRank(Fresh, Ranks.rank(Top.R));
+      Top.Clone.Dst = Fresh;
+      Memo.emplace(Top.R, Fresh);
+      Out.push_back(std::move(Top.Clone));
+      ++Stats.TreesCloned;
+      Stack.pop_back();
+      if (Stack.empty())
+        return Fresh;
+      Frame &Parent = Stack.back();
+      Parent.Clone.Operands[Parent.NextOp++] = Fresh;
+    }
   }
 
   /// Clones the trees feeding \p I's operands and rewrites them in place.
@@ -169,14 +195,20 @@ private:
       Op = cloneTree(Op, Out, Memo);
   }
 
-  /// Collects the leaf registers of the tree rooted at \p R.
-  void treeLeaves(Reg R, std::set<Reg> &Leaves) const {
-    if (!isTreeNode(R)) {
-      Leaves.insert(R);
-      return;
+  /// Collects the leaf registers of the tree rooted at \p Root, visiting
+  /// each shared subtree once.
+  void treeLeaves(Reg Root, std::set<Reg> &Leaves) const {
+    std::vector<Reg> Work{Root};
+    std::set<Reg> Seen;
+    while (!Work.empty()) {
+      Reg R = Work.back();
+      Work.pop_back();
+      if (!isTreeNode(R))
+        Leaves.insert(R);
+      else if (Seen.insert(R).second)
+        for (Reg Op : Defs.at(R).Operands)
+          Work.push_back(Op);
     }
-    for (Reg Op : Defs.at(R).Operands)
-      treeLeaves(Op, Leaves);
   }
 
   void rewriteBlock(BasicBlock &B) {

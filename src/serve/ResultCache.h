@@ -56,8 +56,8 @@ struct CachedFunction {
 
 /// Fingerprint of every PipelineOptions field that can change the optimized
 /// output or its per-function counters/remarks (level, strategy, engine,
-/// naming, FP-reassociation, strength reduction, solver). Observability
-/// plumbing (Instr, Verify, the analysis-cache kill switch) is excluded:
+/// naming, FP-reassociation, both strength reductions, and the attached
+/// profile's content). Observability plumbing (Instr, Verify) is excluded:
 /// it never changes what the pipeline produces.
 uint64_t optionsFingerprint(const PipelineOptions &Opts);
 

@@ -21,6 +21,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <pthread.h>
+
 namespace epre::test {
 
 /// The three ways Mini-FORTRAN source nests, each \p Levels deep
@@ -83,7 +86,8 @@ inline std::string loopChain(unsigned Loops) {
   std::string S =
       "function chain(a, b, n, m)\n  real w(64), v(64)\n  s = 0.0\n";
   for (unsigned L = 0; L < Loops; ++L) {
-    std::string I = "i" + std::to_string(L);
+    std::string I = "i";
+    I += std::to_string(L);
     std::string C = std::to_string(1 + 3 * L);
     S += "  do " + I + " = 1, n\n";
     S += "    w(" + I + ") = (a + b) * " + I + " + a * " + C + ".25\n";
@@ -143,6 +147,21 @@ uint64_t runPassStat(Function &F, const char *Counter, PassT P = PassT()) {
   PassContext Ctx(&SR);
   P.run(F, Ctx);
   return SR.get(PassT::name(), Counter);
+}
+
+/// Runs \p Body on a new thread with a stack of \p Bytes and waits for it.
+inline void runOnStack(size_t Bytes, std::function<void()> Body) {
+  pthread_attr_t Attr;
+  ASSERT_EQ(pthread_attr_init(&Attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&Attr, Bytes), 0);
+  pthread_t Thread;
+  auto Run = [](void *P) -> void * {
+    (*static_cast<std::function<void()> *>(P))();
+    return nullptr;
+  };
+  ASSERT_EQ(pthread_create(&Thread, &Attr, Run, &Body), 0);
+  pthread_join(Thread, nullptr);
+  pthread_attr_destroy(&Attr);
 }
 
 /// Observable outcome of one run.

@@ -168,7 +168,7 @@ TEST(Verifier, RejectsWrongSuccessorCount) {
   T->Insts.push_back(Instruction::makeRet());
   BB->Insts.push_back(Instruction::makeCbr(P, T->id(), T->id()));
   EXPECT_TRUE(verifyFunction(F).empty());
-  BB->Insts[0].Succs.pop_back(); // cbr with one target
+  BB->Insts[0].Succs = {T->id()}; // cbr with one target
   EXPECT_FALSE(verifyFunction(F).empty());
   BB->Insts[0] = Instruction::makeBr(T->id());
   BB->Insts[0].Succs.push_back(T->id()); // br with two targets

@@ -375,8 +375,10 @@ TEST(Complexity, PRELaterRoundsAreIncremental) {
   for (size_t R = 1; R < Work.size(); ++R)
     Later += Work[R];
   std::string Rounds;
-  for (uint64_t W : Work)
-    Rounds += " " + std::to_string(W);
+  for (uint64_t W : Work) {
+    Rounds += ' ';
+    Rounds += std::to_string(W);
+  }
   EXPECT_LE(double(Later), 2.5 * double(Work[0])) << "round work:" << Rounds;
   EXPECT_LE(double(Work.back()), 0.10 * double(Work[0]))
       << "round work:" << Rounds;

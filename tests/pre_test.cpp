@@ -958,6 +958,38 @@ TEST(PRESession, RandomCFGRoundsMatchFreshRuns) {
   EXPECT_GT(Split, 1000u);
 }
 
+/// Appends one block's counts to \p Prof.
+void addBlockProfile(FunctionProfile &Prof, const char *Label, uint64_t Count,
+                     std::vector<BlockProfile::Edge> Edges) {
+  BlockProfile B;
+  B.Label = Label;
+  B.Count = Count;
+  B.Edges = std::move(Edges);
+  Prof.Blocks.push_back(std::move(B));
+}
+
+/// Runs Speculative PRE on \p Src to its fixpoint twice, as one session and
+/// as fresh passes, requiring the same IR and counters after every round;
+/// \p Rounds receives the session's stats.
+void speculativeSessionRounds(const char *Src, const FunctionProfile &Prof,
+                              std::vector<PREStats> &Rounds) {
+  auto Fresh = parse(Src), InSession = parse(Src);
+  Function &FF = *Fresh->Functions[0], &SF = *InSession->Functions[0];
+  StatsRegistry SR;
+  PassContext Ctx(&SR);
+  PRESession Session(SF, PREStrategy::Speculative, &Prof);
+  for (unsigned Round = 1; Round <= 16; ++Round) {
+    PREPass P(PREStrategy::Speculative, &Prof);
+    P.run(FF, Ctx);
+    PREStats S = Session.run(Ctx);
+    ASSERT_EQ(printFunction(SF), printFunction(FF)) << "round " << Round;
+    EXPECT_EQ(sharedStats(S), sharedStats(P.lastStats())) << "round " << Round;
+    Rounds.push_back(S);
+    if (S.Inserted == 0 && S.Deleted == 0)
+      break;
+  }
+}
+
 /// Speculative PRE sets an expression's LCM placement aside when the min
 /// cut only ties the code as it stands. Round 1 here splits the critical
 /// edge ^b2 -> ^b1, on which LCM would have inserted such an expression;
@@ -984,36 +1016,64 @@ func @f(%p:i64, %v1:i64, %v2:i64, %v3:i64) -> i64 {
 }
 )";
   FunctionProfile Prof;
-  auto block = [&](const char *Label, uint64_t Count,
-                   std::vector<BlockProfile::Edge> Edges) {
-    BlockProfile B;
-    B.Label = Label;
-    B.Count = Count;
-    B.Edges = std::move(Edges);
-    Prof.Blocks.push_back(std::move(B));
-  };
-  block("b0", 74, {{"b3", 55}, {"b1", 53}});
-  block("b1", 26, {{"b2", 49}});
-  block("b2", 0, {{"b3", 20}, {"b1", 22}});
-  block("b3", 33, {});
+  addBlockProfile(Prof, "b0", 74, {{"b3", 55}, {"b1", 53}});
+  addBlockProfile(Prof, "b1", 26, {{"b2", 49}});
+  addBlockProfile(Prof, "b2", 0, {{"b3", 20}, {"b1", 22}});
+  addBlockProfile(Prof, "b3", 33, {});
 
-  auto Fresh = parse(Src), InSession = parse(Src);
-  Function &FF = *Fresh->Functions[0], &SF = *InSession->Functions[0];
-  StatsRegistry SR;
-  PassContext Ctx(&SR);
-  PRESession Session(SF, PREStrategy::Speculative, &Prof);
+  std::vector<PREStats> Rounds;
+  speculativeSessionRounds(Src, Prof, Rounds);
   unsigned Split = 0;
-  for (unsigned Round = 1; Round <= 16; ++Round) {
-    PREPass P(PREStrategy::Speculative, &Prof);
-    P.run(FF, Ctx);
-    PREStats S = Session.run(Ctx);
-    ASSERT_EQ(printFunction(SF), printFunction(FF)) << "round " << Round;
-    EXPECT_EQ(sharedStats(S), sharedStats(P.lastStats())) << "round " << Round;
+  for (const PREStats &S : Rounds)
     Split += S.EdgesSplit;
-    if (S.Inserted == 0 && S.Deleted == 0)
-      break;
-  }
   EXPECT_GT(Split, 0u);
+}
+
+/// Splitting an edge into a block that cannot reach an exit shrinks
+/// anticipability above it, and can change the LCM placement of an
+/// expression the round did not touch: here %t, whose LCM placement
+/// (insert on ^p1 -> ^from, delete in ^to and ^s) round 1 sets aside for a
+/// tie with the code as it stands. Round 1 splits ^from -> ^to for the
+/// division. In round 2 the new block's empty ANTOUT moves %t's LCM
+/// insertion onto the new edge into ^to, which the profile cannot price,
+/// so that placement costs nothing and is applied. The session must solve
+/// %t again although no Ties edge was split; the rule that dirties the
+/// upward-exposed expressions of a split edge's target that cannot reach
+/// an exit is what catches it.
+TEST(PRESession, SplitIntoAnInfiniteLoopIsSolvedAgain) {
+  const char *Src = R"(
+func @f(%p:i64, %q:i64, %a:i64, %b:i64, %c:i64, %d:i64) -> i64 {
+^b0:
+  cbr %p, ^p1, ^p2
+^p1:
+  br ^from
+^p2:
+  %t:i64 = add %a, %b
+  br ^from
+^from:
+  cbr %q, ^to, ^s
+^to:
+  %t:i64 = add %a, %b
+  %u:i64 = div %c, %d
+  br ^to
+^s:
+  %t:i64 = add %a, %b
+  ret %t
+}
+)";
+  FunctionProfile Prof;
+  addBlockProfile(Prof, "b0", 10, {{"p1", 10}, {"p2", 0}});
+  addBlockProfile(Prof, "p1", 10, {{"from", 10}});
+  addBlockProfile(Prof, "p2", 0, {{"from", 0}});
+  addBlockProfile(Prof, "from", 10, {{"to", 10}, {"s", 0}});
+  addBlockProfile(Prof, "to", 1, {{"to", 0}});
+  addBlockProfile(Prof, "s", 0, {});
+
+  std::vector<PREStats> Rounds;
+  speculativeSessionRounds(Src, Prof, Rounds);
+  ASSERT_GE(Rounds.size(), 2u);
+  EXPECT_EQ(Rounds[0].EdgesSplit, 1u);
+  EXPECT_GT(Rounds[1].Deleted, 0u) << "round 2 re-places %t";
 }
 
 //===----------------------------------------------------------------------===//

@@ -597,7 +597,7 @@ Function chainFunction(unsigned N) {
   F.setReturnType(Type::I64);
   Reg Acc = F.makeReg(Type::I64);
   for (unsigned I = 0; I < N; ++I)
-    F.addBlock("b" + std::to_string(I));
+    F.addBlock(); // labelled "b<I>"
   F.block(0)->Insts.push_back(Instruction::makeLoadI(Acc, 0));
   for (unsigned I = 0; I + 1 < N; ++I) {
     if (I)

@@ -155,6 +155,33 @@ func @f(%a:i64, %n:i64) -> i64 {
   }
 }
 
+/// A single block computing %r1 * (N + 1) through N dependent adds: the
+/// return value's expression tree is N levels deep.
+std::string addChain(unsigned N) {
+  std::string S = "func @chain(%r1:i64) -> i64 {\n^b0:\n";
+  for (unsigned R = 2; R <= N + 1; ++R)
+    S += strprintf("  %%r%u:i64 = add %%r%u, %%r1\n", R, R - 1);
+  return S + strprintf("  ret %%r%u\n}\n", N + 1);
+}
+
+/// Forward propagation clones and scans trees with its own stacks, so a
+/// 30,000-add dependence chain fits in 256 KiB of thread stack.
+TEST(ForwardProp, DeepDependenceChainFitsASmallThreadStack) {
+  const unsigned N = 30000;
+  auto M = parse(addChain(N).c_str());
+  Function &F = *M->Functions[0];
+  uint64_t Cloned = 0;
+  test::runOnStack(256 * 1024, [&] {
+    runPass(F, SSABuildPass());
+    CFG G = CFG::compute(F);
+    RankMap Ranks = RankMap::compute(F, G);
+    Cloned = runPass(F, ForwardPropPass(Ranks)).lastStats().TreesCloned;
+  });
+  EXPECT_EQ(Cloned, N);
+  EXPECT_TRUE(verifyFunction(F, SSAMode::NoSSA).empty());
+  EXPECT_EQ(test::runOn(F, 3), 3 * int64_t(N + 1));
+}
+
 TEST(NormalizeNegation, RewritesSubToAddNeg) {
   auto M = parse(R"(
 func @f(%a:i64, %b:i64) -> i64 {

@@ -12,11 +12,8 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
-
-#include <pthread.h>
-
 using namespace epre;
+using epre::test::runOnStack;
 using epre::test::runPass;
 
 namespace {
@@ -211,21 +208,6 @@ std::string straightChain(unsigned N) {
                    "%%r3\n  br ^b%u\n",
                    B, B + 1);
   return S + strprintf("^b%u:\n  ret %%r2\n}\n", N);
-}
-
-/// Runs \p Body on a new thread with a stack of \p Bytes and waits for it.
-void runOnStack(size_t Bytes, std::function<void()> Body) {
-  pthread_attr_t Attr;
-  ASSERT_EQ(pthread_attr_init(&Attr), 0);
-  ASSERT_EQ(pthread_attr_setstacksize(&Attr, Bytes), 0);
-  pthread_t Thread;
-  auto Run = [](void *P) -> void * {
-    (*static_cast<std::function<void()> *>(P))();
-    return nullptr;
-  };
-  ASSERT_EQ(pthread_create(&Thread, &Attr, Run, &Body), 0);
-  pthread_join(Thread, nullptr);
-  pthread_attr_destroy(&Attr);
 }
 
 /// SSA renaming and dominator-tree value numbering walk the dominator tree,
