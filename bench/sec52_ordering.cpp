@@ -61,9 +61,7 @@ uint64_t measure(bool PrematureStrengthReduction) {
   if (PrematureStrengthReduction) {
     // The §5.2 mistake: convert constant multiplies to shifts *before*
     // reassociation gets a chance to group the constants.
-    PeepholeOptions PH;
-    PH.StrengthReduceMul = true;
-    runPass(F, PeepholePass(PH));
+    runPass(F, PeepholePass());
   }
   PipelineOptions PO;
   PO.Level = OptLevel::Distribution;

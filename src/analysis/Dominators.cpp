@@ -59,19 +59,9 @@ DominatorTree DominatorTree::compute(const Function &F, const CFG &G) {
   DT.DfsIn.assign(N, 0);
   DT.DfsOut.assign(N, 0);
   unsigned Clock = 1;
-  std::vector<std::pair<BlockId, unsigned>> Stack = {{RPO[0], 0}};
-  DT.DfsIn[RPO[0]] = Clock++;
-  while (!Stack.empty()) {
-    auto &[B, Next] = Stack.back();
-    if (Next < DT.Children[B].size()) {
-      BlockId C = DT.Children[B][Next++];
-      DT.DfsIn[C] = Clock++;
-      Stack.push_back({C, 0});
-    } else {
-      DT.DfsOut[B] = Clock++;
-      Stack.pop_back();
-    }
-  }
+  DT.walk(
+      RPO[0], [&](BlockId B) { DT.DfsIn[B] = Clock++; },
+      [&](BlockId B) { DT.DfsOut[B] = Clock++; });
   return DT;
 }
 

@@ -39,6 +39,7 @@
 #define EPRE_INTERP_PREDECODE_H
 
 #include "interp/Interpreter.h"
+#include "ssa/ParallelCopy.h"
 #include "support/Arena.h"
 
 #include <cstdint>
@@ -155,7 +156,7 @@ private:
   std::vector<PBlockInfo> PBlocks;
   std::vector<uint32_t> PBlockOf; ///< orig BlockId -> pblock index (~0 dead)
   std::vector<Fixup> Fixups;
-  std::vector<std::pair<Reg, Reg>> Moves; ///< parallel-copy scratch
+  std::vector<PendingCopy> Moves; ///< parallel-copy scratch
 
   uint32_t MaxPhis = 0;
   uint32_t Fused = 0;

@@ -22,7 +22,7 @@ namespace {
 
 class Peephole {
 public:
-  Peephole(Function &F, const PeepholeOptions &Opts) : F(F), Opts(Opts) {}
+  explicit Peephole(Function &F) : F(F) {}
 
   bool run() {
     DT = DominatorTree::compute(F, CFG::compute(F));
@@ -258,7 +258,11 @@ private:
                                        I.Operands[1 - Side]);
             return true;
           }
-          if (Opts.StrengthReduceMul && *C > 1 && (*C & (*C - 1)) == 0) {
+          // Multiplies by powers of two become shifts. Per §5.2 of the
+          // paper this must happen only *after* global reassociation
+          // (shifts are not associative), which is where the pipeline
+          // places this pass.
+          if (*C > 1 && (*C & (*C - 1)) == 0) {
             int Shift = __builtin_ctzll(uint64_t(*C));
             Reg ShiftReg = materializeShiftAmount(I.Operands[Side], Shift, Out);
             I = Instruction::makeBinary(Opcode::Shl, Ty, I.Dst,
@@ -376,7 +380,6 @@ private:
   }
 
   Function &F;
-  PeepholeOptions Opts;
   DominatorTree DT;
   BlockId CurBlock = 0;
   std::map<Reg, std::pair<Instruction, BlockId>> UniqueDef;
@@ -392,7 +395,7 @@ private:
 
 void epre::PeepholePass::run(Function &F, PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
-  bool Changed = Peephole(F, Opts).run();
+  bool Changed = Peephole(F).run();
   Ctx.addStat("changed", Changed);
   if (Changed)
     F.bumpVersion();

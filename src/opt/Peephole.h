@@ -19,24 +19,13 @@
 
 namespace epre {
 
-struct PeepholeOptions {
-  /// Rewrite integer multiplies by powers of two into shifts. Per §5.2 of
-  /// the paper this must happen only *after* global reassociation (shifts
-  /// are not associative), which is where the pipeline places this pass.
-  bool StrengthReduceMul = true;
-};
-
 /// Peephole simplification to a local fixpoint behind the unified
 /// pass-entry API. Preserves the CFG shape (terminators are never
 /// rewritten). Counters: peephole.changed.
 class PeepholePass {
 public:
   static constexpr const char *name() { return "peephole"; }
-  explicit PeepholePass(const PeepholeOptions &Opts = {}) : Opts(Opts) {}
   void run(Function &F, PassContext &Ctx);
-
-private:
-  PeepholeOptions Opts;
 };
 
 } // namespace epre

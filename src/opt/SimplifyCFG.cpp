@@ -117,7 +117,10 @@ bool collapseSingleInputPhis(Function &F) {
     std::vector<PendingCopy> Copies;
     for (unsigned I = 0; I < NumPhis; ++I)
       Copies.push_back({B.Insts[I].Dst, B.Insts[I].Operands[0]});
-    std::vector<Instruction> Seq = sequenceParallelCopies(F, std::move(Copies));
+    std::vector<Instruction> Seq;
+    sequenceCopyInstructions(F, Copies, [&](Instruction &&C) {
+      Seq.push_back(std::move(C));
+    });
     B.Insts.erase(B.Insts.begin(), B.Insts.begin() + NumPhis);
     B.Insts.insert(B.Insts.begin(), std::make_move_iterator(Seq.begin()),
                    std::make_move_iterator(Seq.end()));

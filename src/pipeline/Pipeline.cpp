@@ -203,10 +203,8 @@ void runBaselineTail(Function &F, const PipelineOptions &Opts,
     verifyStage(F, Opts, SSAMode::Relaxed, "cfg simplification");
   }
 
-  PeepholeOptions PO;
-  PO.StrengthReduceMul = Opts.StrengthReduceMul;
   if (Gate.admit("peephole")) {
-    PeepholePass(PO).run(F, Ctx);
+    PeepholePass().run(F, Ctx);
     verifyStage(F, Opts, SSAMode::Relaxed, "peephole");
   }
 
@@ -218,7 +216,7 @@ void runBaselineTail(Function &F, const PipelineOptions &Opts,
   if (Gate.admit("simplifycfg"))
     SimplifyCFGPass().run(F, Ctx);
   if (Gate.admit("peephole")) {
-    PeepholePass(PO).run(F, Ctx);
+    PeepholePass().run(F, Ctx);
     verifyStage(F, Opts, SSAMode::Relaxed, "second peephole");
   }
 

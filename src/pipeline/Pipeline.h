@@ -94,9 +94,6 @@ struct PipelineOptions {
   InputNaming Naming = InputNaming::Hashed;
   /// Exploit F64 associativity (FORTRAN semantics). Off = bit-exact only.
   bool AllowFPReassoc = true;
-  /// Let peephole turn integer multiplies by powers of two into shifts
-  /// (safe here: it runs after reassociation; see paper §5.2).
-  bool StrengthReduceMul = true;
   /// Run loop strength reduction (the paper's other "missing pass") after
   /// PRE, before the baseline tail.
   bool EnableStrengthReduction = false;
@@ -143,19 +140,12 @@ struct PipelineStats {
   uint64_t opsAfter() const { return get("pipeline", "ops_after"); }
 
   uint64_t preUniverse() const { return get("pre", "universe"); }
-  uint64_t preDroppedUnsafe() const { return get("pre", "dropped_unsafe"); }
   uint64_t preInserted() const { return get("pre", "inserted"); }
   uint64_t preDeleted() const { return get("pre", "deleted"); }
-  uint64_t preEdgesSplit() const { return get("pre", "edges_split"); }
   uint64_t preAvailIterations() const { return get("pre", "avail_iterations"); }
   uint64_t preAntIterations() const { return get("pre", "ant_iterations"); }
 
-  uint64_t gvnRegisters() const { return get("gvn", "registers"); }
   uint64_t gvnClasses() const { return get("gvn", "classes"); }
-  /// Definitions folded into another name, whichever engine ran.
-  uint64_t gvnMergedDefs() const {
-    return get("gvn", "merged_defs") + get("dvnt", "redundant");
-  }
   /// The engine-uniform redundancy count (docs/gvn-engines.md): every
   /// definition the engine folded into another name. Whichever engine
   /// ran, exactly one of these counters is non-zero.
@@ -164,19 +154,14 @@ struct PipelineStats {
            get("dvnt", "redundancies_found");
   }
 
-  uint64_t fwdOpsBefore() const { return get("fwdprop", "ops_before"); }
-  uint64_t fwdOpsAfter() const { return get("fwdprop", "ops_after"); }
   uint64_t phisRemoved() const { return get("fwdprop", "phis_removed"); }
   uint64_t treesCloned() const { return get("fwdprop", "trees_cloned"); }
   double fwdExpansion() const {
-    uint64_t B = fwdOpsBefore();
-    return B ? double(fwdOpsAfter()) / double(B) : 1.0;
+    uint64_t B = get("fwdprop", "ops_before");
+    return B ? double(get("fwdprop", "ops_after")) / double(B) : 1.0;
   }
 
-  uint64_t subsNormalized() const { return get("negnorm", "rewritten"); }
   uint64_t copiesCoalesced() const { return get("coalesce", "copies_removed"); }
-  uint64_t sccpFolds() const { return get("sccp", "folds"); }
-  uint64_t dceRemoved() const { return get("dce", "removed"); }
 
   /// Commutative aggregation across functions (suite totals).
   void merge(const PipelineStats &O) { Registry.merge(O.Registry); }

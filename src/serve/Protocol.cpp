@@ -178,9 +178,6 @@ bool epre::parseServeRequest(const std::string &JSON, ServeRequest &Out,
     }
     if (const JSONValue *B = O->get("fp-reassoc"); B && B->K == JSONValue::Bool)
       Out.Options.AllowFPReassoc = B->B;
-    if (const JSONValue *B = O->get("strength-reduce-mul");
-        B && B->K == JSONValue::Bool)
-      Out.Options.StrengthReduceMul = B->B;
     if (const JSONValue *B = O->get("strength-reduction");
         B && B->K == JSONValue::Bool)
       Out.Options.EnableStrengthReduction = B->B;

@@ -13,7 +13,7 @@
 ///   {"v":1, "cmd":"compile",
 ///    "options":{"level":"distribution","strategy":"lcm","gvn":"awz",
 ///               "naming":"hashed","fp-reassoc":true,
-///               "strength-reduce-mul":true,"strength-reduction":false,
+///               "strength-reduction":false,
 ///               "profile":{...epre-dynamic-profile-v1 document...}},
 ///    "requests":[{"id":"r0","lang":"iloc","source":"func @f() ..."},
 ///                {"id":"r1","lang":"fortran","source":"function g(x)..."}]}

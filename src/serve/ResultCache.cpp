@@ -24,8 +24,6 @@ uint64_t epre::optionsFingerprint(const PipelineOptions &Opts) {
   S += inputNamingName(Opts.Naming);
   S += ";fp-reassoc=";
   S += Opts.AllowFPReassoc ? '1' : '0';
-  S += ";sr-mul=";
-  S += Opts.StrengthReduceMul ? '1' : '0';
   S += ";osr=";
   S += Opts.EnableStrengthReduction ? '1' : '0';
   // The attached profile steers speculative placement, so its *content*

@@ -6,8 +6,8 @@
 #include "analysis/Dominators.h"
 #include "analysis/EdgeSplitting.h"
 #include "analysis/Liveness.h"
-#include "ssa/ParallelCopy.h"
 
+#include <algorithm>
 #include <cassert>
 #include <map>
 #include <set>
@@ -39,10 +39,6 @@ public:
     collectDefSites();
     insertPhis();
     rename();
-
-    Info.OriginalOf.resize(F.numRegs(), NoReg);
-    for (const auto &[New, Old] : OriginalOfMap)
-      Info.OriginalOf[New] = Old;
     return Info;
   }
 
@@ -170,7 +166,6 @@ private:
       if (I.isPhi()) {
         Reg V = PhiVar.at({B, PhiIdx++});
         Reg NewName = F.makeReg(F.regType(V));
-        OriginalOfMap[NewName] = V;
         I.Dst = NewName;
         pushName(V, NewName, PopLog);
         Kept.push_back(std::move(I));
@@ -188,7 +183,6 @@ private:
       if (I.hasDst()) {
         Reg V = I.Dst;
         Reg NewName = F.makeReg(F.regType(V));
-        OriginalOfMap[NewName] = V;
         I.Dst = NewName;
         pushName(V, NewName, PopLog);
       }
@@ -217,7 +211,6 @@ private:
   std::map<Reg, std::set<BlockId>> DefBlocks;
   std::map<std::pair<BlockId, unsigned>, Reg> PhiVar;
   std::map<Reg, std::vector<Reg>> Stacks;
-  std::map<Reg, Reg> OriginalOfMap;
 };
 
 } // namespace
@@ -231,145 +224,185 @@ void epre::SSABuildPass::run(Function &F, PassContext &Ctx) {
   F.bumpVersion();
 }
 
-namespace {
-
-void destroySSAImpl(Function &F) {
-  // Copies for single-successor predecessors and loop back edges are
-  // placed inline at the end of the predecessor (keeping loop bodies in
-  // one block, the paper's Figure 5 shape); other critical entering edges
-  // get forwarding blocks. A forwarding-block copy whose source is about
-  // to be clobbered by the predecessor's inline group reads a temporary
-  // captured in parallel with the clobber.
+PhiCopyPlacement::PhiCopyPlacement(Function &F, ExpandFn Expand) : F(F) {
+  // Valid through the scan: the block graph changes only in the splits at
+  // the end.
   CFG G = CFG::compute(F);
   DominatorTree DT = DominatorTree::compute(F, G);
   Liveness Live = Liveness::compute(F, G);
 
-  struct EdgeGroup {
-    BlockId Pred;
-    BlockId Succ;
-    bool Inline;
-    BlockId CopyBlock = InvalidBlock;
-    std::vector<PendingCopy> Items;
-  };
-  std::vector<EdgeGroup> Groups;
+  IsExprName.assign(F.numRegs(), 0);
+  F.forEachBlock([&](const BasicBlock &B) {
+    for (const Instruction &I : B.Insts)
+      if (I.hasDst() && I.isExpression())
+        IsExprName[I.Dst] = 1;
+  });
 
+  // With Expand, the registers each block needs on entry, sorted; filled
+  // on first use.
+  std::vector<std::vector<Reg>> Needs;
+  std::vector<uint8_t> HasNeeds;
+  if (Expand) {
+    Needs.resize(F.numBlocks());
+    HasNeeds.assign(F.numBlocks(), 0);
+  }
+  auto NeededOn = [&](Reg R, BlockId T) {
+    if (!Expand)
+      return Live.isLiveIn(R, T);
+    std::vector<Reg> &N = Needs[T];
+    if (!HasNeeds[T]) {
+      HasNeeds[T] = 1;
+      for (Reg L : Live.liveIn(T))
+        Expand(L, N);
+      std::sort(N.begin(), N.end());
+      N.erase(std::unique(N.begin(), N.end()), N.end());
+    }
+    return std::binary_search(N.begin(), N.end(), R);
+  };
   // A back-edge group may stay inline at the predecessor only if none of
-  // its destinations is *directly* live into one of the predecessor's
-  // other successors — otherwise the copy would clobber a value a non-phi
-  // use still needs (e.g. a swapped variable read after the loop).
-  auto canInline = [&](BlockId P, BlockId S,
+  // its destinations is needed along another successor: otherwise the copy
+  // would clobber a value a non-phi use still reads (e.g. a swapped
+  // variable read after the loop).
+  auto CanInline = [&](BlockId P, BlockId S,
                        const std::vector<PendingCopy> &Items) {
     if (G.succs(P).size() <= 1)
       return true;
     if (!DT.dominates(S, P))
-      return false; // not a back edge
+      return false; // an entering edge: split it
     for (BlockId T : G.succs(P)) {
       if (T == S)
         continue;
       for (const PendingCopy &C : Items)
-        if (Live.isLiveIn(C.Dst, T))
+        if (NeededOn(C.Dst, T))
           return false;
     }
     return true;
   };
 
+  ByPred.resize(F.numBlocks());
+  std::vector<std::pair<BlockId, unsigned>> Splits; // (pred, group index)
+  std::vector<std::pair<BlockId, PendingCopy>> Inputs;
   F.forEachBlock([&](BasicBlock &B) {
-    unsigned NumPhis = B.firstNonPhi();
-    if (NumPhis == 0)
+    unsigned Phis = B.firstNonPhi();
+    if (Phis == 0)
       return;
-    std::map<BlockId, std::vector<PendingCopy>> ByPred;
-    for (unsigned I = 0; I < NumPhis; ++I) {
+    NumPhis += Phis;
+    // This block's phi inputs grouped by predecessor, ascending, each group
+    // in phi order.
+    Inputs.clear();
+    for (unsigned I = 0; I < Phis; ++I) {
       const Instruction &Phi = B.Insts[I];
       for (unsigned J = 0; J < Phi.Operands.size(); ++J)
-        ByPred[Phi.PhiBlocks[J]].push_back({Phi.Dst, Phi.Operands[J]});
+        Inputs.push_back({Phi.PhiBlocks[J], {Phi.Dst, Phi.Operands[J]}});
     }
-    for (auto &[P, Items] : ByPred) {
-      EdgeGroup EG;
-      EG.Pred = P;
-      EG.Succ = B.id();
-      EG.Inline = canInline(P, B.id(), Items);
-      EG.Items = std::move(Items);
-      Groups.push_back(std::move(EG));
+    std::stable_sort(Inputs.begin(), Inputs.end(),
+                     [](const auto &A, const auto &C) {
+                       return A.first < C.first;
+                     });
+    for (size_t I = 0; I < Inputs.size();) {
+      BlockId P = Inputs[I].first;
+      EdgeCopies E;
+      E.Succ = B.id();
+      for (; I < Inputs.size() && Inputs[I].first == P; ++I)
+        E.Items.push_back(Inputs[I].second);
+      if (!CanInline(P, B.id(), E.Items))
+        Splits.push_back({P, unsigned(ByPred[P].size())});
+      ByPred[P].push_back(std::move(E));
     }
-    B.Insts.erase(B.Insts.begin(), B.Insts.begin() + NumPhis);
+    B.Insts.erase(B.Insts.begin(), B.Insts.begin() + Phis);
   });
 
-  for (EdgeGroup &EG : Groups)
-    if (!EG.Inline)
-      EG.CopyBlock = splitEdge(F, EG.Pred, EG.Succ)->id();
-
-  // Process per predecessor so the inline group and the temporaries it
-  // implies are sequenced together.
-  std::map<BlockId, std::vector<EdgeGroup *>> ByPred;
-  for (EdgeGroup &EG : Groups)
-    ByPred[EG.Pred].push_back(&EG);
-
-  // Registers holding expression values: a forwarding-block copy may not
-  // read them across the block boundary (it would violate the §5.1 naming
-  // rule and force PRE to drop the expression from its universe).
-  std::set<Reg> ExprNames;
-  F.forEachBlock([&](const BasicBlock &B) {
-    for (const Instruction &I : B.Insts)
-      if (I.hasDst() && I.isExpression())
-        ExprNames.insert(I.Dst);
-  });
-
-  for (auto &[P, List] : ByPred) {
-    std::set<Reg> InlineDsts;
-    std::map<Reg, Reg> InlineCopyOf;
-    for (EdgeGroup *EG : List)
-      if (EG->Inline)
-        for (const PendingCopy &C : EG->Items) {
-          InlineDsts.insert(C.Dst);
-          InlineCopyOf.emplace(C.Src, C.Dst);
-        }
-
-    std::vector<PendingCopy> AtPred;
-    for (EdgeGroup *EG : List) {
-      if (EG->Inline) {
-        for (const PendingCopy &C : EG->Items)
-          AtPred.push_back(C);
-        continue;
-      }
-      for (PendingCopy &C : EG->Items) {
-        bool Clobbered = InlineDsts.count(C.Src) != 0;
-        bool IsExpr = ExprNames.count(C.Src) != 0;
-        if (!Clobbered && !IsExpr)
-          continue;
-        auto Shared = InlineCopyOf.find(C.Src);
-        if (!Clobbered && Shared != InlineCopyOf.end()) {
-          C.Src = Shared->second;
-          continue;
-        }
-        Reg Tmp = F.makeReg(F.regType(C.Src));
-        AtPred.push_back({Tmp, C.Src});
-        C.Src = Tmp;
-      }
-    }
-    std::vector<Instruction> Seq =
-        sequenceParallelCopies(F, std::move(AtPred));
-    BasicBlock *PB = F.block(P);
-    PB->Insts.insert(PB->Insts.end() - 1,
-                     std::make_move_iterator(Seq.begin()),
-                     std::make_move_iterator(Seq.end()));
-
-    for (EdgeGroup *EG : List) {
-      if (EG->Inline)
-        continue;
-      std::vector<Instruction> MidSeq =
-          sequenceParallelCopies(F, std::move(EG->Items));
-      BasicBlock *Mid = F.block(EG->CopyBlock);
-      for (Instruction &C : MidSeq)
-        Mid->insertBeforeTerminator(std::move(C));
-    }
+  for (auto [P, Idx] : Splits) {
+    EdgeCopies &E = ByPred[P][Idx];
+    E.CopyBlock = splitEdge(F, P, E.Succ)->id();
   }
-  F.bumpVersion();
 }
 
-} // namespace
+std::span<const EdgeCopies> PhiCopyPlacement::edgesOf(BlockId P) const {
+  if (P >= ByPred.size())
+    return {};
+  return ByPred[P];
+}
+
+std::vector<PendingCopy>
+PhiCopyPlacement::capture(BlockId P, std::span<const Reg> Values) {
+  std::vector<PendingCopy> AtPred;
+  std::vector<EdgeCopies> &Edges = ByPred[P];
+  auto ValueOf = [&](size_t I, const PendingCopy &C) {
+    return Values.empty() ? C.Src : Values[I];
+  };
+
+  // The registers the inline copies overwrite, and per value the first
+  // inline variable that receives it, both sorted for lookup.
+  std::vector<Reg> InlineDsts;
+  std::vector<PendingCopy> InlineCopyOf; // {variable, value}
+  size_t I = 0;
+  for (const EdgeCopies &E : Edges)
+    for (const PendingCopy &C : E.Items) {
+      if (E.CopyBlock == InvalidBlock) {
+        InlineDsts.push_back(C.Dst);
+        InlineCopyOf.push_back({C.Dst, ValueOf(I, C)});
+      }
+      ++I;
+    }
+  std::sort(InlineDsts.begin(), InlineDsts.end());
+  std::stable_sort(InlineCopyOf.begin(), InlineCopyOf.end(),
+                   [](const PendingCopy &A, const PendingCopy &B) {
+                     return A.Src < B.Src;
+                   });
+
+  I = 0;
+  for (EdgeCopies &E : Edges) {
+    for (PendingCopy &C : E.Items) {
+      Reg V = ValueOf(I++, C);
+      if (E.CopyBlock == InvalidBlock) {
+        AtPred.push_back({C.Dst, V});
+        continue;
+      }
+      bool Clobbered =
+          std::binary_search(InlineDsts.begin(), InlineDsts.end(), V);
+      bool IsExpr = C.Src < IsExprName.size() && IsExprName[C.Src];
+      C.Src = V;
+      if (!Clobbered && !IsExpr)
+        continue; // a plain variable or parameter: safe to read later
+      if (!Clobbered) {
+        auto Shared = std::lower_bound(
+            InlineCopyOf.begin(), InlineCopyOf.end(), V,
+            [](const PendingCopy &A, Reg R) { return A.Src < R; });
+        if (Shared != InlineCopyOf.end() && Shared->Src == V) {
+          C.Src = Shared->Dst;
+          continue;
+        }
+      }
+      Reg Tmp = F.makeReg(F.regType(V));
+      AtPred.push_back({Tmp, V});
+      C.Src = Tmp;
+    }
+  }
+  return AtPred;
+}
+
+void PhiCopyPlacement::place(
+    BlockId P, std::vector<PendingCopy> AtPred,
+    const std::function<void(BlockId, Instruction &&)> &Emit) {
+  sequenceCopyInstructions(F, AtPred,
+                           [&](Instruction &&C) { Emit(P, std::move(C)); });
+  if (P >= ByPred.size())
+    return;
+  for (EdgeCopies &E : ByPred[P])
+    if (E.CopyBlock != InvalidBlock)
+      sequenceCopyInstructions(F, E.Items, [&](Instruction &&C) {
+        Emit(E.CopyBlock, std::move(C));
+      });
+}
 
 void epre::SSADestroyPass::run(Function &F, PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
-  destroySSAImpl(F);
+  PhiCopyPlacement Phis(F);
+  for (BlockId P = 0; P < F.numBlocks(); ++P)
+    if (!Phis.edgesOf(P).empty())
+      Phis.place(P, Phis.capture(P), [&](BlockId B, Instruction &&C) {
+        F.block(B)->insertBeforeTerminator(std::move(C));
+      });
+  F.bumpVersion();
 }
-

@@ -16,18 +16,16 @@
 
 #include "instrument/PassInstrumentation.h"
 #include "ir/Function.h"
+#include "ssa/ParallelCopy.h"
 
+#include <functional>
+#include <span>
 #include <vector>
 
 namespace epre {
 
 /// Side table produced by SSA construction.
 struct SSAInfo {
-  /// For each post-construction register: the pre-construction register it
-  /// is a version of, or NoReg for registers that predate construction or
-  /// were not renamed.
-  std::vector<Reg> OriginalOf;
-
   /// Number of phi nodes inserted.
   unsigned NumPhis = 0;
   /// Number of copies folded away during renaming.
@@ -60,10 +58,75 @@ private:
   SSAInfo Last;
 };
 
+/// The copies a predecessor owes one phi block when SSA form is left.
+struct EdgeCopies {
+  BlockId Succ = InvalidBlock; ///< the phi block
+  /// Forwarding block holding the copies, or InvalidBlock when they sit
+  /// inline at the end of the predecessor.
+  BlockId CopyBlock = InvalidBlock;
+  /// (phi destination, phi input) pairs, in phi order.
+  std::vector<PendingCopy> Items;
+};
+
+/// Where the copies that replace phi nodes go: Briggs & Cooper §3.1, the
+/// paper's Figure 5 shape. Copies for single-successor predecessors and
+/// loop back edges sit inline at the end of the predecessor (keeping a loop
+/// body in one block); the other entering edges are split, "if necessary",
+/// and their copies go into the forwarding block. SSA destruction and
+/// forward propagation both leave SSA form through this placement.
+class PhiCopyPlacement {
+public:
+  /// Appends to the list the registers that a register live into a block
+  /// stands for there: forward propagation re-materializes a live-in
+  /// expression from its tree leaves, so those are what the block needs.
+  using ExpandFn = std::function<void(Reg, std::vector<Reg> &)>;
+
+  /// Groups every phi's inputs by predecessor, decides each group's place,
+  /// erases the phis and splits the edges that need a forwarding block. A
+  /// back-edge group stays inline only if none of its destinations is
+  /// needed on entry to another successor of the predecessor: live there,
+  /// or with \p Expand, one of the registers a live-in register expands to.
+  explicit PhiCopyPlacement(Function &F, ExpandFn Expand = nullptr);
+
+  /// Phi nodes erased.
+  unsigned numPhis() const { return NumPhis; }
+
+  /// The groups predecessor \p P owes, in phi-block order; empty for a
+  /// block with no phi successor and for the forwarding blocks.
+  std::span<const EdgeCopies> edgesOf(BlockId P) const;
+
+  /// The capture rule for predecessor \p P (a block of the function
+  /// before the splits), given the value each item of edgesOf(P)
+  /// (flattened in order) becomes at the end of P; empty \p Values means
+  /// the items' own inputs. Returns the parallel copy to run
+  /// at the end of P: the inline groups plus any captures. A forwarding
+  /// block must not read a value the inline copies overwrite, nor an
+  /// expression name across a block boundary (the §5.1 naming rule would
+  /// make PRE drop the expression): it reads the inline variable that
+  /// receives the same value, or else a temporary captured in parallel with
+  /// the inline copies. Rewrites the forwarding groups' inputs to what
+  /// their blocks read.
+  std::vector<PendingCopy> capture(BlockId P,
+                                   std::span<const Reg> Values = {});
+
+  /// Sequences predecessor \p P's copies: \p AtPred (from capture) at the
+  /// end of P, then each forwarding group in its block. Hands every copy to
+  /// \p Emit with the block it belongs to, in order.
+  void place(BlockId P, std::vector<PendingCopy> AtPred,
+             const std::function<void(BlockId, Instruction &&)> &Emit);
+
+private:
+  Function &F;
+  unsigned NumPhis = 0;
+  /// Per register at construction: defined by an expression.
+  std::vector<uint8_t> IsExprName;
+  /// Per predecessor block: the groups it owes.
+  std::vector<std::vector<EdgeCopies>> ByPred;
+};
+
 /// SSA destruction behind the unified pass-entry API. Replaces all phi
-/// nodes with copies in predecessor blocks, using parallel copy
-/// sequencing. Requires critical edges to have been split (asserts). The
-/// function is no longer in SSA form afterwards.
+/// nodes with copies placed by PhiCopyPlacement and sequenced as parallel
+/// copies. The function is no longer in SSA form afterwards.
 class SSADestroyPass {
 public:
   static constexpr const char *name() { return "ssa.destroy"; }

@@ -209,27 +209,11 @@ func @f(%x:i64) -> i64 {
 }
 )");
   Function &F = *M->Functions[0];
-  PeepholeOptions PO;
-  PO.StrengthReduceMul = true;
-  runPass(F, PeepholePass(PO));
+  runPass(F, PeepholePass());
   EXPECT_EQ(countOp(F, Opcode::Mul), 0u);
   EXPECT_EQ(countOp(F, Opcode::Shl), 1u);
   MemoryImage Mem(0);
   EXPECT_EQ(interpret(F, {RtValue::ofI(5)}, Mem).ReturnValue.I, 40);
-
-  // And the option can disable it (§5.2 ordering concerns).
-  auto M2 = parse(R"(
-func @g(%x:i64) -> i64 {
-^e:
-  %c:i64 = loadi 8
-  %r:i64 = mul %x, %c
-  ret %r
-}
-)");
-  PeepholeOptions NoSR;
-  NoSR.StrengthReduceMul = false;
-  runPass(*M2->Functions[0], PeepholePass(NoSR));
-  EXPECT_EQ(countOp(*M2->Functions[0], Opcode::Mul), 1u);
 }
 
 TEST(Peephole, FloatIdentitiesAreBitExactOnly) {

@@ -173,9 +173,6 @@ TEST(OptionsFingerprint, CoversOutputAffectingFields) {
   O.AllowFPReassoc = !O.AllowFPReassoc;
   EXPECT_NE(optionsFingerprint(O), FP);
   O = Base;
-  O.StrengthReduceMul = !O.StrengthReduceMul;
-  EXPECT_NE(optionsFingerprint(O), FP);
-  O = Base;
   O.EnableStrengthReduction = !O.EnableStrengthReduction;
   EXPECT_NE(optionsFingerprint(O), FP);
 }
@@ -386,8 +383,11 @@ TEST(Framing, OversizedFrameIsRejectedWithoutAllocation) {
 TEST(Protocol, ParsesCompileRequestWithOptions) {
   ServeRequest R;
   std::string Err;
+  // "strength-reduce-mul" names a retired option; like any unknown member
+  // it is ignored.
   ASSERT_TRUE(parseServeRequest(
-      compileDoc({SourceA}, "{\"level\":\"baseline\",\"fp-reassoc\":false}"),
+      compileDoc({SourceA}, "{\"level\":\"baseline\",\"fp-reassoc\":false,"
+                            "\"strength-reduce-mul\":false}"),
       R, &Err))
       << Err;
   EXPECT_EQ(R.Cmd, ServeRequest::Command::Compile);
