@@ -38,13 +38,12 @@ template <typename PassT> PassT runPass(Function &F, PassT P = PassT()) {
   return P;
 }
 
-/// Same, returning one of the pass's counters.
-template <typename PassT>
-uint64_t runPassStat(Function &F, const char *Counter, PassT P = PassT()) {
-  StatsRegistry SR;
-  PassContext Ctx(&SR);
+/// Same, returning the counters the pass published.
+template <typename PassT> PipelineStats runPassStats(Function &F, PassT P) {
+  PipelineStats S;
+  PassContext Ctx(&S.Registry);
   P.run(F, Ctx);
-  return SR.get(PassT::name(), Counter);
+  return S;
 }
 
 const char *FooSource = R"(
@@ -104,10 +103,12 @@ int main() {
 
   // Figures 5+6: copies inserted at predecessors, expressions propagated
   // forward to their uses (one combined step in this implementation).
-  ForwardPropStats FP = runPass(F, ForwardPropPass(Ranks)).lastStats();
+  PipelineStats FP = runPassStats(F, ForwardPropPass(Ranks));
   stage("Figures 5-6: after inserting copies and forward propagation", F);
-  std::printf("  static ops %u -> %u (x%.3f)\n\n", FP.OpsBefore, FP.OpsAfter,
-              FP.expansion());
+  std::printf("  static ops %llu -> %llu (x%.3f)\n\n",
+              (unsigned long long)FP.get("fwdprop", "ops_before"),
+              (unsigned long long)FP.get("fwdprop", "ops_after"),
+              FP.fwdExpansion());
 
   // Figure 7: reassociation (rank-sorted operand order).
   ReassociateOptions RO;
@@ -137,7 +138,7 @@ int main() {
   // Figure 10: coalescing removes the copies.
   runPass(F, DCEPass());
   unsigned Coalesced =
-      unsigned(runPassStat<CopyCoalescingPass>(F, "copies_removed"));
+      unsigned(runPassStats(F, CopyCoalescingPass()).copiesCoalesced());
   runPass(F, DCEPass());
   runPass(F, SimplifyCFGPass());
   stage("Figure 10: after coalescing", F);

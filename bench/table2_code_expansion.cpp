@@ -19,7 +19,7 @@ using namespace epre;
 int main() {
   struct Row {
     std::string Name;
-    ForwardPropStats S;
+    PipelineStats S;
   };
   std::vector<Row> Rows;
   for (const Routine &R : benchmarkSuite())
@@ -31,17 +31,19 @@ int main() {
   std::printf("Table 2: code expansion from forward propagation\n");
   std::printf("%-10s %8s %8s %10s %8s %8s\n", "routine", "before", "after",
               "expansion", "phis", "clones");
-  uint64_t TotalBefore = 0, TotalAfter = 0;
+  PipelineStats Total;
+  auto Count = [](const PipelineStats &S, const char *Name) {
+    return (unsigned long long)S.get("fwdprop", Name);
+  };
   for (const Row &R : Rows) {
-    std::printf("%-10s %8u %8u %9.3f %8u %8u\n", R.Name.c_str(),
-                R.S.OpsBefore, R.S.OpsAfter, R.S.expansion(),
-                R.S.PhisRemoved, R.S.TreesCloned);
-    TotalBefore += R.S.OpsBefore;
-    TotalAfter += R.S.OpsAfter;
+    std::printf("%-10s %8llu %8llu %9.3f %8llu %8llu\n", R.Name.c_str(),
+                Count(R.S, "ops_before"), Count(R.S, "ops_after"),
+                R.S.fwdExpansion(), Count(R.S, "phis_removed"),
+                Count(R.S, "trees_cloned"));
+    Total.merge(R.S);
   }
   std::printf("%-10s %8llu %8llu %9.3f\n", "totals",
-              (unsigned long long)TotalBefore,
-              (unsigned long long)TotalAfter,
-              TotalBefore ? double(TotalAfter) / double(TotalBefore) : 1.0);
+              Count(Total, "ops_before"), Count(Total, "ops_after"),
+              Total.fwdExpansion());
   return 0;
 }

@@ -137,11 +137,14 @@ struct PassDriver {
     if (Name == "fwdprop") {
       if (!ensureRanks())
         return false;
-      ForwardPropPass FP(Ranks);
-      FP.run(F, Ctx);
-      const ForwardPropStats &S = FP.lastStats();
-      std::fprintf(stderr, "fwdprop: %u -> %u static ops (x%.3f)\n",
-                   S.OpsBefore, S.OpsAfter, S.expansion());
+      uint64_t Before = Ctx.stats()->get("fwdprop", "ops_before");
+      uint64_t After = Ctx.stats()->get("fwdprop", "ops_after");
+      ForwardPropPass(Ranks).run(F, Ctx);
+      Before = Ctx.stats()->get("fwdprop", "ops_before") - Before;
+      After = Ctx.stats()->get("fwdprop", "ops_after") - After;
+      std::fprintf(stderr, "fwdprop: %llu -> %llu static ops (x%.3f)\n",
+                   (unsigned long long)Before, (unsigned long long)After,
+                   Before ? double(After) / double(Before) : 1.0);
       return true;
     }
     if (Name == "negnorm" || Name == "reassoc" || Name == "distribute") {

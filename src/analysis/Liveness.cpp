@@ -136,24 +136,3 @@ bool Liveness::isLiveIn(Reg R, BlockId B) const {
   RegList In = liveIn(B);
   return std::binary_search(In.begin(), In.end(), R);
 }
-
-void Liveness::defineAtEntry(std::span<const Reg> Regs) {
-  // Both lists are sorted: one merge pass drops Regs from the entry's list,
-  // then every later block's list shifts down by the number dropped.
-  uint32_t End = InBegin[1];
-  uint32_t Out = 0;
-  auto D = Regs.begin();
-  for (uint32_t I = 0; I < End; ++I) {
-    while (D != Regs.end() && *D < InRegs[I])
-      ++D;
-    if (D != Regs.end() && *D == InRegs[I])
-      continue;
-    InRegs[Out++] = InRegs[I];
-  }
-  uint32_t Dropped = End - Out;
-  if (Dropped == 0)
-    return;
-  InRegs.erase(InRegs.begin() + Out, InRegs.begin() + End);
-  for (unsigned B = 1; B < InBegin.size(); ++B)
-    InBegin[B] -= Dropped;
-}

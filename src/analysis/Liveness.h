@@ -52,12 +52,6 @@ public:
   /// True if register \p R is live on entry to \p B.
   bool isLiveIn(Reg R, BlockId B) const;
 
-  /// Updates the sets for definitions of \p Regs, a subset of the entry's
-  /// live-in set, inserted at the top of the entry block. Valid only when
-  /// the entry block has no predecessors: then no other set depends on the
-  /// entry's live-in set, and \p Regs simply leave it.
-  void defineAtEntry(std::span<const Reg> Regs);
-
   /// Walk steps of the computation (blocks marked live plus predecessor
   /// edges followed): the deterministic cost the asking pass reports.
   uint64_t work() const { return Work; }

@@ -30,17 +30,6 @@
 
 namespace epre {
 
-struct ForwardPropStats {
-  unsigned OpsBefore = 0;
-  unsigned OpsAfter = 0;
-  unsigned PhisRemoved = 0;
-  unsigned TreesCloned = 0;
-
-  double expansion() const {
-    return OpsBefore ? double(OpsAfter) / double(OpsBefore) : 1.0;
-  }
-};
-
 /// Forward propagation behind the unified pass-entry API. Runs on \p F in
 /// SSA form with critical edges split; extends the RankMap given at
 /// construction with the ranks of cloned registers. Invalidates the CFG
@@ -54,12 +43,14 @@ public:
   explicit ForwardPropPass(RankMap &Ranks) : Ranks(&Ranks) {}
   void run(Function &F, PassContext &Ctx);
 
-  /// Stats of the most recent run.
-  const ForwardPropStats &lastStats() const { return Last; }
+  /// Deterministic cost of the most recent run: tree nodes cloned, tree
+  /// nodes visited for their leaves, and reader edges the export order
+  /// examines.
+  uint64_t lastWork() const { return LastWork; }
 
 private:
   RankMap *Ranks;
-  ForwardPropStats Last;
+  uint64_t LastWork = 0;
 };
 
 } // namespace epre

@@ -56,7 +56,7 @@ struct CachedFunction {
 
 /// Fingerprint of every PipelineOptions field that can change the optimized
 /// output or its per-function counters/remarks (level, strategy, engine,
-/// naming, FP-reassociation, both strength reductions, and the attached
+/// naming, FP-reassociation, strength reduction, and the attached
 /// profile's content). Observability plumbing (Instr, Verify) is excluded:
 /// it never changes what the pipeline produces.
 uint64_t optionsFingerprint(const PipelineOptions &Opts);

@@ -150,7 +150,7 @@ void ServeDaemon::flushStats() {
     std::ofstream Out(Tmp);
     if (!Out)
       return;
-    Out << Svc.statsJSON() << "\n";
+    Out << Svc.metricsJSON() << "\n";
   }
   if (std::rename(Tmp.c_str(), Cfg.StatsOutPath.c_str()) != 0)
     ::unlink(Tmp.c_str());

@@ -43,7 +43,7 @@ namespace epre {
 
 struct ServerConfig {
   std::string SocketPath;
-  /// Where to write the service statsJSON() document ("" = nowhere).
+  /// Where to write the service metricsJSON() document ("" = nowhere).
   /// Written atomically (temp file + rename) every StatsFlushSeconds and
   /// on every exit path.
   std::string StatsOutPath;

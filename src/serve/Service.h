@@ -75,11 +75,6 @@ public:
   /// (Telemetry.h). Also the -stats-out document.
   std::string metricsJSON() const;
 
-  /// Alias of metricsJSON(): the periodic/-stats-out dump uses the same
-  /// schema as the live verb, so offline tooling reads one format. Keeps
-  /// the flat "counters" object (incl. "cache.hits") of earlier versions.
-  std::string statsJSON() const { return metricsJSON(); }
-
   bool shutdownRequested() const {
     return Shutdown.load(std::memory_order_acquire);
   }

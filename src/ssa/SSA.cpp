@@ -9,8 +9,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
-#include <set>
 
 using namespace epre;
 
@@ -20,7 +18,8 @@ class SSABuilder {
 public:
   SSABuilder(Function &F, const SSAOptions &Opts) : F(F), Opts(Opts) {}
 
-  SSAInfo run() {
+  /// Rewrites the function, publishes the counters and returns lastWork().
+  uint64_t run(PassContext &Ctx) {
 #ifndef NDEBUG
     F.forEachBlock([](const BasicBlock &B) {
       assert(B.firstNonPhi() == 0 &&
@@ -36,24 +35,22 @@ public:
     DF = DominanceFrontier::compute(F, G, DT);
 
     insertEntryInits();
-    collectDefSites();
-    insertPhis();
+    Ctx.addStat("phis", insertPhis());
     rename();
-    return Info;
+    Ctx.addStat("copies_folded", NumCopiesFolded);
+    return Work;
   }
 
 private:
   /// Zero-initializes any register that may be used before being defined,
   /// so renaming always finds a reaching definition, and leaves \c Live
-  /// describing the function with the inits in place.
+  /// describing the function with the inits in place wherever a phi may go.
   void insertEntryInits() {
     Live = Liveness::compute(F, G);
-    std::vector<Reg> InitRegs;
     std::vector<Instruction> Inits;
     for (Reg R : Live.liveIn(0)) {
       if (F.isParam(R))
         continue;
-      InitRegs.push_back(R);
       if (F.regType(R) == Type::F64)
         Inits.push_back(Instruction::makeLoadF(R, 0.0));
       else
@@ -61,63 +58,70 @@ private:
     }
     BasicBlock *Entry = F.entry();
     Entry->Insts.insert(Entry->Insts.begin(), Inits.begin(), Inits.end());
-    // The inits kill their registers at the top of the entry block. With no
-    // edge into the entry nothing else changes; a loop back to the entry
-    // carries the change around the loop, so solve again.
-    if (G.preds(0).empty())
-      Live.defineAtEntry(InitRegs);
-    else if (!InitRegs.empty())
+    // The inits kill their registers at the top of the entry block. Phi
+    // placement reads the entry's own set only when the entry has
+    // predecessors (else it is in no dominance frontier), and then a loop
+    // back to the entry carries the change around the loop: solve again.
+    if (!G.preds(0).empty() && !Inits.empty())
       Live = Liveness::compute(F, G);
   }
 
-  void collectDefSites() {
-    DefBlocks.clear();
+  /// Places a phi for every variable at the live blocks of the iterated
+  /// dominance frontier of its def sites, and returns how many. Each
+  /// block's phis enter it in one insertion, highest variable first.
+  unsigned insertPhis() {
+    // Per register, the blocks defining it, ascending and without repeats.
+    std::vector<std::vector<BlockId>> DefBlocks(F.numRegs());
     F.forEachBlock([&](const BasicBlock &B) {
       for (const Instruction &I : B.Insts)
-        if (I.hasDst())
-          DefBlocks[I.Dst].insert(B.id());
+        if (I.hasDst() &&
+            (DefBlocks[I.Dst].empty() || DefBlocks[I.Dst].back() != B.id()))
+          DefBlocks[I.Dst].push_back(B.id());
     });
-  }
-
-  void insertPhis() {
-    for (const auto &[V, Defs] : DefBlocks) {
-      // Iterated dominance frontier of the def sites.
-      std::set<BlockId> HasPhi;
-      std::vector<BlockId> Work(Defs.begin(), Defs.end());
-      while (!Work.empty()) {
-        BlockId B = Work.back();
-        Work.pop_back();
+    // Walking the variables from the highest down lists each block's phi
+    // variables in phi order.
+    PhiVars.assign(F.numBlocks(), {});
+    // Per block, the variable (plus one) whose walk last gave it a phi or
+    // found it among the def sites.
+    std::vector<Reg> HasPhi(F.numBlocks(), 0), IsDef(F.numBlocks(), 0);
+    std::vector<BlockId> Pending;
+    unsigned NumPhis = 0;
+    for (Reg V = Reg(DefBlocks.size()); V-- > 0;) {
+      const std::vector<BlockId> &Defs = DefBlocks[V];
+      for (BlockId B : Defs)
+        IsDef[B] = V + 1;
+      Pending.assign(Defs.begin(), Defs.end());
+      while (!Pending.empty()) {
+        BlockId B = Pending.back();
+        Pending.pop_back();
         for (BlockId D : DF.frontier(B)) {
-          if (HasPhi.count(D))
+          ++Work;
+          if (HasPhi[D] == V + 1 || !Live.isLiveIn(V, D))
             continue;
-          if (!Live.isLiveIn(V, D))
-            continue;
-          HasPhi.insert(D);
-          BasicBlock *DB = F.block(D);
-          Instruction Phi = Instruction::makePhi(F.regType(V), V);
-          DB->Insts.insert(DB->Insts.begin(), std::move(Phi));
-          PhiVar[{D, 0}] = V; // re-keyed below; placeholder
-          ++Info.NumPhis;
-          if (!Defs.count(D))
-            Work.push_back(D);
+          HasPhi[D] = V + 1;
+          PhiVars[D].push_back(V);
+          ++NumPhis;
+          if (IsDef[D] != V + 1)
+            Pending.push_back(D);
         }
       }
     }
-    // Phi instructions may have shifted within blocks as more were inserted;
-    // rebuild the (block, index) -> variable map from phi destinations,
-    // which still carry the original variable name.
-    PhiVar.clear();
-    F.forEachBlock([&](const BasicBlock &B) {
-      for (unsigned I = 0; I < B.Insts.size() && B.Insts[I].isPhi(); ++I)
-        PhiVar[{B.id(), I}] = B.Insts[I].Dst;
-    });
+    for (BlockId B = 0; B < F.numBlocks(); ++B) {
+      const std::vector<Reg> &Vars = PhiVars[B];
+      if (Vars.empty())
+        continue;
+      std::vector<Instruction> &Insts = F.block(B)->Insts;
+      Work += Insts.size();
+      Insts.insert(Insts.begin(), Vars.size(), Instruction());
+      for (unsigned I = 0; I < Vars.size(); ++I)
+        Insts[I] = Instruction::makePhi(F.regType(Vars[I]), Vars[I]);
+    }
+    return NumPhis;
   }
 
   Reg currentName(Reg V) {
-    auto It = Stacks.find(V);
-    assert(It != Stacks.end() && !It->second.empty() &&
-           "use of register with no reaching definition");
-    return It->second.back();
+    assert(!Stacks[V].empty() && "use of register with no reaching definition");
+    return Stacks[V].back();
   }
 
   void pushName(Reg V, Reg Name, std::vector<Reg> &PopLog) {
@@ -126,8 +130,10 @@ private:
   }
 
   void rename() {
+    // Indexed by the registers before renaming; the new names are only
+    // ever pushed.
+    Stacks.assign(F.numRegs(), {});
     // Parameters name themselves.
-    std::vector<Reg> DummyLog;
     for (Reg P : F.params())
       Stacks[P].push_back(P);
 
@@ -164,7 +170,7 @@ private:
     unsigned PhiIdx = 0;
     for (Instruction &I : BB->Insts) {
       if (I.isPhi()) {
-        Reg V = PhiVar.at({B, PhiIdx++});
+        Reg V = PhiVars[B][PhiIdx++];
         Reg NewName = F.makeReg(F.regType(V));
         I.Dst = NewName;
         pushName(V, NewName, PopLog);
@@ -174,10 +180,11 @@ private:
       // Rewrite uses to the current version.
       for (Reg &U : I.Operands)
         U = currentName(U);
+      Work += I.Operands.size();
       // Copy folding: x <- y makes y's current name the name of x.
       if (Opts.FoldCopies && I.isCopy()) {
         pushName(I.Dst, I.Operands[0], PopLog);
-        ++Info.NumCopiesFolded;
+        ++NumCopiesFolded;
         continue; // the copy disappears
       }
       if (I.hasDst()) {
@@ -193,11 +200,10 @@ private:
     // Fill phi operands of successors with the names current at the end
     // of this block.
     for (BlockId S : G.succs(B)) {
-      const BasicBlock *SB = F.block(S);
-      for (unsigned I = 0; I < SB->Insts.size() && SB->Insts[I].isPhi(); ++I) {
-        Reg V = PhiVar.at({S, I});
-        F.block(S)->Insts[I].addPhiIncoming(currentName(V), B);
-      }
+      const std::vector<Reg> &Vars = PhiVars[S];
+      for (unsigned I = 0; I < Vars.size(); ++I)
+        F.block(S)->Insts[I].addPhiIncoming(currentName(Vars[I]), B);
+      Work += Vars.size();
     }
   }
 
@@ -207,20 +213,19 @@ private:
   DominatorTree DT;
   DominanceFrontier DF;
   Liveness Live;
-  SSAInfo Info;
-  std::map<Reg, std::set<BlockId>> DefBlocks;
-  std::map<std::pair<BlockId, unsigned>, Reg> PhiVar;
-  std::map<Reg, std::vector<Reg>> Stacks;
+  unsigned NumCopiesFolded = 0;
+  uint64_t Work = 0;
+  /// Per block: the variable of each phi, in phi order.
+  std::vector<std::vector<Reg>> PhiVars;
+  /// Per register before renaming: the stack of its current names.
+  std::vector<std::vector<Reg>> Stacks;
 };
 
 } // namespace
 
 void epre::SSABuildPass::run(Function &F, PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
-  SSABuilder B(F, Opts);
-  Last = B.run();
-  Ctx.addStat("phis", Last.NumPhis);
-  Ctx.addStat("copies_folded", Last.NumCopiesFolded);
+  LastWork = SSABuilder(F, Opts).run(Ctx);
   F.bumpVersion();
 }
 
@@ -286,7 +291,6 @@ PhiCopyPlacement::PhiCopyPlacement(Function &F, ExpandFn Expand) : F(F) {
     unsigned Phis = B.firstNonPhi();
     if (Phis == 0)
       return;
-    NumPhis += Phis;
     // This block's phi inputs grouped by predecessor, ascending, each group
     // in phi order.
     Inputs.clear();

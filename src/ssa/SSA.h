@@ -24,14 +24,6 @@
 
 namespace epre {
 
-/// Side table produced by SSA construction.
-struct SSAInfo {
-  /// Number of phi nodes inserted.
-  unsigned NumPhis = 0;
-  /// Number of copies folded away during renaming.
-  unsigned NumCopiesFolded = 0;
-};
-
 /// Options for SSA construction.
 struct SSAOptions {
   /// Fold copies into phis during renaming (remove all Copy instructions).
@@ -43,6 +35,8 @@ struct SSAOptions {
 /// are rewired, phis are inserted at (pruned) iterated dominance
 /// frontiers. Variables that may be used before definition are
 /// zero-initialized in the entry block so the result is well defined.
+/// Each block's phis enter it in one insertion, ordered by the variable
+/// they stand for, highest first.
 /// Counters: ssa.build.phis, ssa.build.copies_folded.
 class SSABuildPass {
 public:
@@ -50,12 +44,14 @@ public:
   explicit SSABuildPass(const SSAOptions &Opts = {}) : Opts(Opts) {}
   void run(Function &F, PassContext &Ctx);
 
-  /// Side table of the most recent run.
-  const SSAInfo &lastInfo() const { return Last; }
+  /// Deterministic cost of the most recent run: dominance-frontier edges
+  /// visited, instructions moved when phis enter a block, and operands
+  /// renamed.
+  uint64_t lastWork() const { return LastWork; }
 
 private:
   SSAOptions Opts;
-  SSAInfo Last;
+  uint64_t LastWork = 0;
 };
 
 /// The copies a predecessor owes one phi block when SSA form is left.
@@ -88,9 +84,6 @@ public:
   /// or with \p Expand, one of the registers a live-in register expands to.
   explicit PhiCopyPlacement(Function &F, ExpandFn Expand = nullptr);
 
-  /// Phi nodes erased.
-  unsigned numPhis() const { return NumPhis; }
-
   /// The groups predecessor \p P owes, in phi-block order; empty for a
   /// block with no phi successor and for the forwarding blocks.
   std::span<const EdgeCopies> edgesOf(BlockId P) const;
@@ -117,7 +110,6 @@ public:
 
 private:
   Function &F;
-  unsigned NumPhis = 0;
   /// Per register at construction: defined by an expression.
   std::vector<uint8_t> IsExprName;
   /// Per predecessor block: the groups it owes.

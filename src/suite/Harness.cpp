@@ -4,6 +4,7 @@
 
 #include "analysis/CFG.h"
 #include "frontend/Lower.h"
+#include "reassoc/ForwardProp.h"
 #include "reassoc/Ranks.h"
 #include "ssa/SSA.h"
 
@@ -141,18 +142,15 @@ SuiteDynamicProfile epre::profileSuite(const std::vector<Routine> &Suite,
   return S;
 }
 
-ForwardPropStats epre::measureForwardPropExpansion(const Routine &R) {
-  ForwardPropStats S;
+PipelineStats epre::measureForwardPropExpansion(const Routine &R) {
+  PipelineStats S;
   LowerResult LR = compileMiniFortran(R.Source, NamingMode::Naive);
-  if (!LR.ok())
-    return S;
-  Function *F = LR.M->find(R.Name);
+  Function *F = LR.ok() ? LR.M->find(R.Name) : nullptr;
   if (!F)
     return S;
-  PassContext Ctx;
+  PassContext Ctx(&S.Registry);
   SSABuildPass().run(*F, Ctx);
   RankMap Ranks = RankMap::compute(*F, CFG::compute(*F));
-  ForwardPropPass FP(Ranks);
-  FP.run(*F, Ctx);
-  return FP.lastStats();
+  ForwardPropPass(Ranks).run(*F, Ctx);
+  return S;
 }

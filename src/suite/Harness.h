@@ -14,7 +14,6 @@
 #include "frontend/Lower.h"
 #include "instrument/Profile.h"
 #include "pipeline/Pipeline.h"
-#include "reassoc/ForwardProp.h"
 #include "suite/Suite.h"
 
 namespace epre {
@@ -88,8 +87,8 @@ SuiteDynamicProfile profileSuite(const std::vector<Routine> &Suite,
                                  const PipelineOptions *Overrides = nullptr);
 
 /// Measures only the forward-propagation static code expansion (Table 2):
-/// static op counts immediately before and after forward propagation.
-ForwardPropStats measureForwardPropExpansion(const Routine &R);
+/// the counters of SSA construction and forward propagation alone on \p R.
+PipelineStats measureForwardPropExpansion(const Routine &R);
 
 } // namespace epre
 

@@ -100,6 +100,48 @@ inline std::string loopChain(unsigned Loops) {
   return S + "  return s + v(n)\nend\n";
 }
 
+/// An ILOC loop `@carried(%r1)` that runs %r1 trips carrying \p K integer
+/// variables %r4 .. %r(K+3), initially 1 .. K, and returns the first. The
+/// body is \p Body, then the counter %r2 steps by %r3 = 1; \p NextReg is the
+/// first register the body leaves free.
+inline std::string carriedLoop(unsigned K, const std::string &Body,
+                               unsigned NextReg) {
+  std::string S = "func @carried(%r1:i64) -> i64 {\n^entry:\n"
+                  "  %r2:i64 = loadi 0\n  %r3:i64 = loadi 1\n";
+  for (unsigned I = 0; I < K; ++I)
+    S += strprintf("  %%r%u:i64 = loadi %u\n", 4 + I, 1 + I);
+  S += strprintf("  br ^head\n^head:\n  %%r%u:i64 = cmplt %%r2, %%r1\n"
+                 "  cbr %%r%u, ^body, ^exit\n^body:\n",
+                 NextReg, NextReg);
+  S += Body;
+  S += strprintf("  %%r%u:i64 = add %%r2, %%r3\n  %%r2:i64 = copy %%r%u\n"
+                 "  br ^head\n^exit:\n  ret %%r4\n}\n",
+                 NextReg + 1, NextReg + 1);
+  return S;
+}
+
+/// The ring: each trip sets v_i = v_i + v_(i+1 mod K) for i = 0 .. K-1 in
+/// turn, so every variable is carried and every export tree reads two
+/// loop variables.
+inline std::string carriedRing(unsigned K) {
+  std::string Body;
+  for (unsigned I = 0; I < K; ++I)
+    Body += strprintf("  %%r%u:i64 = add %%r%u, %%r%u\n"
+                      "  %%r%u:i64 = copy %%r%u\n",
+                      4 + K + I, 4 + I, 4 + (I + 1) % K, 4 + I, 4 + K + I);
+  return carriedLoop(K, Body, 4 + 2 * K);
+}
+
+/// The rotation: each trip sets v_i = v_(i-1) for every i at once (v_0
+/// takes v_(K-1)), so the phis form one K-cycle of copies.
+inline std::string carriedRotation(unsigned K) {
+  std::string Body = strprintf("  %%r%u:i64 = copy %%r%u\n", 4 + K, 3 + K);
+  for (unsigned I = K - 1; I > 0; --I)
+    Body += strprintf("  %%r%u:i64 = copy %%r%u\n", 4 + I, 3 + I);
+  Body += strprintf("  %%r4:i64 = copy %%r%u\n", 4 + K);
+  return carriedLoop(K, Body, 5 + K);
+}
+
 /// A chain of two forwarding blocks into a phi: threading ^b1 retargets the
 /// entry to ^b2, so ^b2's predecessors change in mid-sweep. Returns 1 when
 /// %r1 is nonzero, else 2.
@@ -136,6 +178,15 @@ template <typename PassT> PassT runPass(Function &F, PassT P = PassT()) {
   PassContext Ctx(&SR);
   P.run(F, Ctx);
   return P;
+}
+
+/// Runs a pass class on \p F and returns the counters it published.
+template <typename PassT>
+StatsRegistry runPassCounters(Function &F, PassT P = PassT()) {
+  StatsRegistry SR;
+  PassContext Ctx(&SR);
+  P.run(F, Ctx);
+  return SR;
 }
 
 /// Runs a pass class on \p F and returns one of its counters — the

@@ -1,6 +1,6 @@
 //===- tests/output_identity.cpp - Output fingerprints of a compile matrix -===//
 ///
-/// Compiles a fixed matrix of 14,998 inputs and prints one line per compile:
+/// Compiles a fixed matrix of 15,142 inputs and prints one line per compile:
 /// its label, then the FNV-1a hash and length of the printed module, of the
 /// counter registries (the one optimizeFunction returns and the
 /// instrumentation sink's) and of the remark lines. A refactoring that must
@@ -14,6 +14,8 @@
 ///  - the tests/corpus files (144);
 ///  - loopChain of 8–256 loops in both naming disciplines, plus one
 ///    self-trained speculative compile per size (294);
+///  - loops carrying 8, 64 and 512 variables, as a ring and as a rotation
+///    (144);
 ///  - 540 FuzzGen programs, 6 shapes × 90 seeds (12,960).
 ///
 /// Takes no options: `./build/tests/output_identity > out.txt`.
@@ -212,6 +214,11 @@ int main() {
                    ChainArgs, {});
     compileRoutine(Label + "/naive", "chain", Src, NamingMode::Naive,
                    ChainArgs, {{OptLevel::Distribution, GVNEngine::AWZ}});
+  }
+
+  for (unsigned K : {8u, 64u, 512u}) {
+    compileText(strprintf("ring%u", K), carriedRing(K));
+    compileText(strprintf("rotation%u", K), carriedRotation(K));
   }
 
   for (const std::string &Shape : fuzz::generatorShapeNames()) {

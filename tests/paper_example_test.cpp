@@ -32,6 +32,7 @@
 
 using namespace epre;
 using epre::test::runPass;
+using epre::test::runPassCounters;
 using epre::test::runPassStat;
 
 namespace {
@@ -120,11 +121,12 @@ TEST(PaperExample, PhaseByPhase) {
 
   // Figures 5-6: forward propagation. No phis remain; every expression
   // use has a local definition (§5.1); behaviour unchanged.
-  ForwardPropStats FP = runPass(F, ForwardPropPass(Ranks)).lastStats();
+  StatsRegistry FP = runPassCounters(F, ForwardPropPass(Ranks));
   ASSERT_TRUE(verifyFunction(F, SSAMode::NoSSA).empty())
       << printFunction(F);
-  EXPECT_EQ(FP.PhisRemoved, 3u);
-  EXPECT_GT(FP.OpsAfter, FP.OpsBefore); // Table 2: code grows
+  EXPECT_EQ(FP.get("fwdprop.phis_removed"), 3u);
+  EXPECT_GT(FP.get("fwdprop.ops_after"),
+            FP.get("fwdprop.ops_before")); // Table 2: code grows
   EXPECT_EQ(runFoo(F), Expected);
 
   // Figure 7: reassociation sorts low-ranked operands together.

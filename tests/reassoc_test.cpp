@@ -18,6 +18,7 @@
 
 using namespace epre;
 using epre::test::runPass;
+using epre::test::runPassCounters;
 using epre::test::runPassStat;
 
 namespace {
@@ -90,11 +91,12 @@ func @f(%a:i64, %n:i64) -> i64 {
   Function &F = *M->Functions[0]; // hand-written SSA
   CFG G = CFG::compute(F);
   RankMap Ranks = RankMap::compute(F, G);
-  ForwardPropStats S = runPass(F, ForwardPropPass(Ranks)).lastStats();
+  StatsRegistry S = runPassCounters(F, ForwardPropPass(Ranks));
   EXPECT_TRUE(verifyFunction(F, SSAMode::NoSSA).empty())
       << printFunction(F);
-  EXPECT_GT(S.PhisRemoved, 0u);
-  EXPECT_GE(S.OpsAfter, S.OpsBefore); // duplication, not shrinkage
+  EXPECT_GT(S.get("fwdprop.phis_removed"), 0u);
+  EXPECT_GE(S.get("fwdprop.ops_after"),
+            S.get("fwdprop.ops_before")); // duplication, not shrinkage
 
   // The §5.1 property: every use of an expression result is preceded by a
   // definition in the same block.
@@ -175,7 +177,7 @@ TEST(ForwardProp, DeepDependenceChainFitsASmallThreadStack) {
     runPass(F, SSABuildPass());
     CFG G = CFG::compute(F);
     RankMap Ranks = RankMap::compute(F, G);
-    Cloned = runPass(F, ForwardPropPass(Ranks)).lastStats().TreesCloned;
+    Cloned = runPassStat(F, "trees_cloned", ForwardPropPass(Ranks));
   });
   EXPECT_EQ(Cloned, N);
   EXPECT_TRUE(verifyFunction(F, SSAMode::NoSSA).empty());

@@ -490,7 +490,7 @@ TEST(Service, PingStatsShutdown) {
   EXPECT_TRUE(Cache->get("hits") && Cache->get("misses"));
 
   // The -stats-out document uses the flat observability names.
-  JSONValue Doc = parsed(Svc.statsJSON());
+  JSONValue Doc = parsed(Svc.metricsJSON());
   const JSONValue *Counters = Doc.get("counters");
   ASSERT_TRUE(Counters && Counters->isObject());
   EXPECT_TRUE(Counters->get("cache.hits"));
@@ -796,6 +796,40 @@ TEST(Daemon, PhiInputAtReassociationKeepsTheDaemonUp) {
   ASSERT_TRUE(Out.ok()) << Out.Error;
   EXPECT_EQ(epre::test::runOn(*Out.M->Functions[0], 0), 2);
   EXPECT_EQ(epre::test::runOn(*Out.M->Functions[0], 7), 1);
+
+  JSONValue Pong = parsed(roundTrip(Fd, "{\"v\":1,\"cmd\":\"ping\"}"));
+  EXPECT_TRUE(Pong.get("pong") && Pong.get("pong")->B);
+  roundTrip(Fd, "{\"cmd\":\"shutdown\"}");
+  ::close(Fd);
+  Server.join();
+}
+
+TEST(Daemon, CarriedRingAtReassociationKeepsTheDaemonUp) {
+  // A loop carrying 500 variables compiles through SSA construction and
+  // forward propagation in a worker, and the daemon answers the next ping.
+  std::string Path =
+      "/tmp/epre_serve_ring_" + std::to_string(::getpid()) + ".sock";
+  ServerConfig SC;
+  SC.SocketPath = Path;
+  SC.Service.Workers = 1;
+  ServeDaemon D(SC);
+  std::string Err;
+  ASSERT_TRUE(D.start(&Err)) << Err;
+  std::thread Server([&] { D.run(); });
+
+  int Fd = connectTo(Path);
+  ASSERT_GE(Fd, 0);
+  std::string Ring = epre::test::carriedRing(500);
+  ParseResult In = parseModule(Ring);
+  ASSERT_TRUE(In.ok()) << In.Error;
+  JSONValue R = parsed(
+      roundTrip(Fd, compileDoc({Ring}, "{\"level\":\"reassociation\"}")));
+  const JSONValue *F = firstFunction(R);
+  ASSERT_TRUE(F);
+  ParseResult Out = parseModule(F->getString("iloc"));
+  ASSERT_TRUE(Out.ok()) << Out.Error;
+  EXPECT_EQ(epre::test::runOn(*Out.M->Functions[0], 3),
+            epre::test::runOn(*In.M->Functions[0], 3));
 
   JSONValue Pong = parsed(roundTrip(Fd, "{\"v\":1,\"cmd\":\"ping\"}"));
   EXPECT_TRUE(Pong.get("pong") && Pong.get("pong")->B);

@@ -69,11 +69,11 @@ ExecResult run(const Function &F, int64_t N) {
 TEST(SSA, BuildsValidSSA) {
   auto M = parse(LoopSrc);
   Function &F = *M->Functions[0];
-  SSAInfo Info = runPass(F, SSABuildPass()).lastInfo();
+  uint64_t Phis = runPassStat(F, "phis", SSABuildPass());
   EXPECT_TRUE(verifyFunction(F, SSAMode::SSA).empty())
       << printFunction(F);
   // s and i each need a phi at the loop header.
-  EXPECT_EQ(Info.NumPhis, 2u);
+  EXPECT_EQ(Phis, 2u);
   EXPECT_EQ(countPhis(F), 2u);
 }
 
@@ -89,8 +89,7 @@ func @f(%x:i64) -> i64 {
 )";
   auto M = parse(Src);
   Function &F = *M->Functions[0];
-  SSAInfo Info = runPass(F, SSABuildPass()).lastInfo();
-  EXPECT_EQ(Info.NumCopiesFolded, 2u);
+  EXPECT_EQ(runPassStat(F, "copies_folded", SSABuildPass()), 2u);
   EXPECT_EQ(countCopies(F), 0u);
   // The add must now reference the parameter directly.
   bool Found = false;
@@ -102,6 +101,57 @@ func @f(%x:i64) -> i64 {
       }
   });
   EXPECT_TRUE(Found);
+}
+
+/// A join of three variables: its phis stand for the highest variable
+/// first, and renaming numbers the arms in dominator-tree order (^b before
+/// ^a), then the phis in order.
+TEST(SSA, JoinPhisComeHighestVariableFirst) {
+  const char *Src = R"(
+func @join(%r1:i64) -> i64 {
+^entry:
+  cbr %r1, ^a, ^b
+^a:
+  %r2:i64 = loadi 1
+  %r3:i64 = loadi 2
+  %r4:i64 = loadi 3
+  br ^j
+^b:
+  %r4:i64 = loadi 6
+  %r3:i64 = loadi 5
+  %r2:i64 = loadi 4
+  br ^j
+^j:
+  %r5:i64 = sub %r2, %r3
+  %r6:i64 = mul %r5, %r4
+  ret %r6
+}
+)";
+  auto M = parse(Src);
+  Function &F = *M->Functions[0];
+  EXPECT_EQ(runPassStat(F, "phis", SSABuildPass()), 3u);
+  EXPECT_EQ(printFunction(F), R"(func @join(%r1:i64) -> i64 {
+^entry:
+  cbr %r1, ^a, ^b
+^a:
+  %r10:i64 = loadi 1
+  %r11:i64 = loadi 2
+  %r12:i64 = loadi 3
+  br ^j
+^b:
+  %r7:i64 = loadi 6
+  %r8:i64 = loadi 5
+  %r9:i64 = loadi 4
+  br ^j
+^j:
+  %r13:i64 = phi [%r7, ^b], [%r12, ^a]
+  %r14:i64 = phi [%r8, ^b], [%r11, ^a]
+  %r15:i64 = phi [%r9, ^b], [%r10, ^a]
+  %r16:i64 = sub %r15, %r14
+  %r17:i64 = mul %r16, %r13
+  ret %r17
+}
+)");
 }
 
 TEST(SSA, PruningSuppressesDeadPhis) {

@@ -26,11 +26,11 @@ std::string routineName(const testing::TestParamInfo<unsigned> &Info) {
 // (the paper's worst case was 2.49x; ours stays below 3x everywhere).
 TEST_P(PerRoutine, ForwardPropExpansionBounded) {
   const Routine &R = benchmarkSuite()[GetParam()];
-  ForwardPropStats S = measureForwardPropExpansion(R);
-  ASSERT_GT(S.OpsBefore, 0u);
-  EXPECT_GT(S.OpsAfter, 0u);
-  EXPECT_LT(S.expansion(), 3.0) << R.Name;
-  EXPECT_GE(S.expansion(), 1.0) << R.Name;
+  PipelineStats S = measureForwardPropExpansion(R);
+  ASSERT_GT(S.get("fwdprop", "ops_before"), 0u);
+  EXPECT_GT(S.get("fwdprop", "ops_after"), 0u);
+  EXPECT_LT(S.fwdExpansion(), 3.0) << R.Name;
+  EXPECT_GE(S.fwdExpansion(), 1.0) << R.Name;
 }
 
 // The extension configurations must preserve behaviour too.

@@ -337,7 +337,7 @@ TEST(Telemetry, MetricsVerbCountsRequestsAndConditionsHistograms) {
   EXPECT_EQ(histogramFrom(M, "compile_ns").count(), 2u);
 
   // The -stats-out document is the same schema.
-  JSONValue Stats = parsed(Svc.statsJSON());
+  JSONValue Stats = parsed(Svc.metricsJSON());
   EXPECT_EQ(counterFrom(Stats, "cache.hits"), 1u);
   EXPECT_GE(counterFrom(Stats, "serve.requests"),
             counterFrom(M, "serve.compile_requests"));
