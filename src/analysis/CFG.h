@@ -26,8 +26,7 @@ class CFG {
 public:
   static CFG compute(const Function &F);
 
-  /// Reachable predecessors of \p B, in block-id order (a block branching
-  /// to \p B along both arms of a cbr appears twice).
+  /// Reachable predecessors of \p B, in block-id order.
   std::span<const BlockId> preds(BlockId B) const {
     return edges(PredEdges, PredBegin, B);
   }

@@ -16,28 +16,17 @@ BasicBlock *epre::splitEdge(Function &F, BlockId From, BlockId To) {
   BasicBlock *Mid = F.addBlock(FromB->label() + "_" + ToB->label());
   Mid->Insts.push_back(Instruction::makeBr(To));
 
-  // Retarget exactly one matching successor slot (parallel edges are split
-  // one at a time).
-  bool Rewired = false;
-  for (BlockId &S : FromB->terminator().Succs) {
-    if (S == To && !Rewired) {
+  for (BlockId &S : FromB->terminator().Succs)
+    if (S == To)
       S = Mid->id();
-      Rewired = true;
-    }
-  }
-  assert(Rewired && "no edge From->To to split");
 
   // Phis in To now receive the value via Mid.
   for (Instruction &I : ToB->Insts) {
     if (!I.isPhi())
       break;
-    bool Patched = false;
-    for (BlockId &P : I.PhiBlocks) {
-      if (P == From && !Patched) {
+    for (BlockId &P : I.PhiBlocks)
+      if (P == From)
         P = Mid->id();
-        Patched = true;
-      }
-    }
   }
   return Mid;
 }

@@ -4,8 +4,10 @@
 
 #include "ir/ExprKey.h"
 #include "ir/IRBuilder.h"
+#include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
 #include "ir/Verifier.h"
+#include "support/StringUtil.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -371,6 +373,192 @@ private:
   unsigned StmtBudget = 0;
 };
 
+/// Shape "cfg": a random graph of blocks over integer variables, written
+/// as text so the program keeps what the parser folds. The one exit, ^x,
+/// stores every variable to the dump area and returns %v1.
+class CFGGenerator {
+public:
+  CFGGenerator(uint64_t Seed, const GeneratorOptions &Opts)
+      : Rng(Seed), NumVars(std::max(1u, Opts.NumIntVars)),
+        NumBlocks(3 + range(std::max(3u, Opts.MaxCFGBlocks) - 2)) {}
+
+  std::string build() {
+    Nodes.resize(NumBlocks);
+    for (unsigned B = 0; B < NumBlocks; ++B)
+      genNode(B, Nodes[B]);
+    markRetreatingEdges();
+
+    std::string S = "func @fuzz(%p:i64, %fuel:i64";
+    for (unsigned V = 1; V <= NumVars; ++V)
+      S += strprintf(", %%v%u:i64", V);
+    S += ") -> i64 {\n";
+    for (unsigned B = 0; B < NumBlocks; ++B)
+      S += strprintf("^b%u:\n", B) + Nodes[B].Body + terminator(B, Nodes[B]);
+    S += FuelBlocks;
+    if (range(100) < 25)
+      S += deadPhiBlocks();
+    S += "^x:\n";
+    for (unsigned V = 0; V < NumVars; ++V)
+      S += strprintf("  %%t_c%u:i64 = loadi %u\n  store %%v%u -> %%t_c%u\n",
+                     8 * V, 8 * V, V + 1, 8 * V);
+    return S + "  ret %v1\n}\n";
+  }
+
+  size_t memBytes() const { return 8 * size_t(NumVars); }
+
+  /// %p, then %fuel (a loop may re-enter the entry, so the fuel comes in
+  /// as an argument), then the variables.
+  std::vector<RtValue> makeArgs() {
+    std::vector<RtValue> Args{RtValue::ofI(int64_t(Rng() % 201) - 100),
+                              RtValue::ofI(int64_t(8 + range(25)))};
+    for (unsigned I = 0; I < NumVars; ++I)
+      Args.push_back(RtValue::ofI(int64_t(Rng() % 201) - 100));
+    return Args;
+  }
+
+private:
+  /// One block before the fuel checks: its body, and a terminator that is
+  /// `br ^x` (Op Ret), `br` or `cbr` to Succ; Back marks the retreating
+  /// slots.
+  struct Node {
+    std::string Body;
+    std::string Cond;
+    Opcode Op = Opcode::Ret;
+    unsigned Succ[2] = {0, 0};
+    bool Back[2] = {false, false};
+  };
+
+  unsigned range(unsigned N) { return unsigned(Rng() % N); }
+
+  /// Expressions over the variables, named by their lexical form (§2.2),
+  /// and copies of them into variables. Nothing here traps.
+  void genNode(unsigned B, Node &N) {
+    static const char *Ops[] = {"add", "sub", "mul"};
+    std::vector<std::string> Defined;
+    for (unsigned I = 0, Len = range(6); I < Len; ++I) {
+      if (range(10) < 6) {
+        const char *Op = Ops[range(3)];
+        unsigned A = 1 + range(NumVars), C = 1 + range(NumVars);
+        Defined.push_back(strprintf("%%t_%s_%u_%u", Op, A, C));
+        N.Body += strprintf("  %s:i64 = %s %%v%u, %%v%u\n",
+                            Defined.back().c_str(), Op, A, C);
+      } else if (!Defined.empty()) {
+        unsigned V = 1 + range(NumVars);
+        const std::string &E = Defined[range(unsigned(Defined.size()))];
+        N.Body += strprintf("  %%v%u:i64 = copy %s\n", V, E.c_str());
+      }
+    }
+    unsigned T = range(100);
+    if (B == NumBlocks - 1 || T < 15)
+      return; // br ^x
+    N.Succ[0] = range(NumBlocks);
+    if (T < 50) {
+      N.Op = Opcode::Br;
+      return;
+    }
+    N.Op = Opcode::Cbr;
+    // A quarter of the branches name one block twice; the parser folds
+    // them.
+    N.Succ[1] = range(4) == 0 ? N.Succ[0] : range(NumBlocks);
+    if (range(10) < 3) {
+      N.Cond = "%p";
+      return;
+    }
+    unsigned A = 1 + range(NumVars), C = 1 + range(NumVars);
+    N.Cond = strprintf("%%t_cmplt_%u_%u", A, C);
+    N.Body += "  " + N.Cond + strprintf(":i64 = cmplt %%v%u, %%v%u\n", A, C);
+  }
+
+  /// Marks the edges a depth-first walk from the entry finds retreating.
+  /// The other reachable edges form a DAG, so a fuel check on each
+  /// retreating edge ends every cycle.
+  void markRetreatingEdges() {
+    enum : uint8_t { New, OnStack, Done };
+    std::vector<uint8_t> State(NumBlocks, New);
+    std::vector<std::pair<unsigned, unsigned>> Stack{{0, 0}};
+    State[0] = OnStack;
+    while (!Stack.empty()) {
+      auto [B, Slot] = Stack.back();
+      Node &N = Nodes[B];
+      unsigned NumSuccs = N.Op == Opcode::Cbr ? 2 : N.Op == Opcode::Br;
+      if (Slot == NumSuccs) {
+        State[B] = Done;
+        Stack.pop_back();
+        continue;
+      }
+      ++Stack.back().second;
+      unsigned S = N.Succ[Slot];
+      if (State[S] == OnStack) {
+        N.Back[Slot] = true;
+      } else if (State[S] == New) {
+        State[S] = OnStack;
+        Stack.push_back({S, 0});
+      }
+    }
+  }
+
+  /// Spends one unit of fuel, then goes on to ^b<To> while some is left
+  /// and leaves for ^x when none is.
+  static std::string fuelCheck(unsigned To) {
+    return "  %t_c1:i64 = loadi 1\n"
+           "  %t_sub_fuel_c1:i64 = sub %fuel, %t_c1\n"
+           "  %fuel:i64 = copy %t_sub_fuel_c1\n"
+           "  %t_c0:i64 = loadi 0\n"
+           "  %t_cmpgt_fuel_c0:i64 = cmpgt %fuel, %t_c0\n" +
+           strprintf("  cbr %%t_cmpgt_fuel_c0, ^b%u, ^x\n", To);
+  }
+
+  /// Block \p B's terminator. A `br` along a retreating edge checks the
+  /// fuel in \p B itself, which keeps a self-loop a self-loop; a `cbr`
+  /// sends each retreating slot through a fuel block of its own, one per
+  /// target, so a cbr naming one block twice still does after the split.
+  std::string terminator(unsigned B, const Node &N) {
+    if (N.Op == Opcode::Ret)
+      return "  br ^x\n";
+    if (N.Op == Opcode::Br)
+      return N.Back[0] ? fuelCheck(N.Succ[0])
+                       : strprintf("  br ^b%u\n", N.Succ[0]);
+    std::string Target[2];
+    for (unsigned I = 0; I < 2; ++I) {
+      Target[I] = strprintf("b%u", N.Succ[I]);
+      if (!N.Back[I])
+        continue;
+      Target[I] = strprintf("f%u_%u", B, N.Succ[I]);
+      if (I == 0 || Target[0] != Target[1])
+        FuelBlocks += "^" + Target[I] + ":\n" + fuelCheck(N.Succ[I]);
+    }
+    return "  cbr " + N.Cond + ", ^" + Target[0] + ", ^" + Target[1] + "\n";
+  }
+
+  /// Two blocks no path from the entry reaches: ^d1 starts with phis over
+  /// ^d0's edge (listed twice when ^d0's cbr names ^d1 twice) and, when
+  /// ^d1 loops on itself, its own edge; ^d1 then branches into the live
+  /// blocks.
+  std::string deadPhiBlocks() {
+    bool Twice = range(2) == 0, SelfLoop = range(2) == 0;
+    std::string S = Twice ? "^d0:\n  cbr %p, ^d1, ^d1\n^d1:\n"
+                          : "^d0:\n  br ^d1\n^d1:\n";
+    for (unsigned I = 0, N = 1 + range(2); I < N; ++I) {
+      unsigned Src = 1 + range(NumVars), Dst = 1 + range(NumVars);
+      S += strprintf("  %%v%u:i64 = phi [%%v%u, ^d0]", Dst, Src);
+      if (Twice)
+        S += strprintf(", [%%v%u, ^d0]", Src);
+      if (SelfLoop)
+        S += strprintf(", [%%v%u, ^d1]", 1 + range(NumVars));
+      S += "\n";
+    }
+    unsigned Live = range(NumBlocks);
+    return S + (SelfLoop ? strprintf("  cbr %%p, ^d1, ^b%u\n", Live)
+                         : strprintf("  br ^b%u\n", Live));
+  }
+
+  std::mt19937_64 Rng;
+  const unsigned NumVars;
+  const unsigned NumBlocks;
+  std::vector<Node> Nodes;
+  std::string FuelBlocks;
+};
+
 } // namespace
 
 std::vector<std::string> fuzz::generatorShapeNames() {
@@ -411,6 +599,9 @@ bool fuzz::shapeOptions(const std::string &Shape, GeneratorOptions &Opts) {
     O.IntrinsicPercent = 0;
   } else if (Shape == "arrays") {
     O.ArrayPercent = 65;
+  } else if (Shape == "cfg") {
+    O.MaxCFGBlocks = 9;
+    O.NumIntVars = 3;
   } else {
     return false;
   }
@@ -420,28 +611,36 @@ bool fuzz::shapeOptions(const std::string &Shape, GeneratorOptions &Opts) {
 
 FuzzProgram fuzz::generateProgram(uint64_t Seed, const GeneratorOptions &Opts,
                                   const std::string &ShapeName) {
-  Module M;
-  Function *F = M.addFunction("fuzz");
-  Generator G(Seed, Opts);
-  G.build(*F);
-
-  std::vector<std::string> Errors = verifyModule(M, SSAMode::NoSSA);
+  FuzzProgram P;
+  P.Seed = Seed;
+  P.Shape = ShapeName;
+  std::vector<std::string> Errors;
+  if (Opts.MaxCFGBlocks) {
+    CFGGenerator G(Seed, Opts);
+    P.Text = G.build();
+    P.MemBytes = G.memBytes();
+    P.Args = G.makeArgs();
+    ParseResult R = parseModule(P.Text);
+    Errors = R.ok() ? verifyModule(*R.M, SSAMode::Relaxed)
+                    : std::vector<std::string>{R.Error};
+  } else {
+    Module M;
+    Generator G(Seed, Opts);
+    G.build(*M.addFunction("fuzz"));
+    Errors = verifyModule(M, SSAMode::NoSSA);
+    P.Text = printModule(M);
+    P.MemBytes = G.memBytes();
+    P.MemWords = G.memWords();
+    P.Args = G.makeArgs();
+  }
   if (!Errors.empty()) {
     std::fprintf(stderr,
                  "fuzz generator produced invalid IR (seed %llu, shape %s):\n",
                  (unsigned long long)Seed, ShapeName.c_str());
     for (const std::string &E : Errors)
       std::fprintf(stderr, "  %s\n", E.c_str());
-    std::fprintf(stderr, "%s", printModule(M).c_str());
+    std::fprintf(stderr, "%s", P.Text.c_str());
     std::abort();
   }
-
-  FuzzProgram P;
-  P.Text = printModule(M);
-  P.Seed = Seed;
-  P.Shape = ShapeName;
-  P.MemBytes = G.memBytes();
-  P.MemWords = G.memWords();
-  P.Args = G.makeArgs();
   return P;
 }

@@ -18,6 +18,15 @@
 /// the oracle's memory and return-value comparisons see all of the
 /// program's state.
 ///
+/// Shape "cfg" leaves structure behind: a random graph of 3–9 blocks over
+/// integer variables, written as text so that it keeps what the parser
+/// folds. It has `cbr`s naming one block twice, self-loops, irreducible
+/// loops, critical edges and, in a quarter of the programs, unreachable
+/// blocks that carry phis. Its bodies add, subtract and multiply, which
+/// cannot trap, and every cycle passes a block that spends one unit of a
+/// fuel counter and leaves for the exit when none is left, so every run
+/// ends.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EPRE_FUZZ_FUZZGEN_H
@@ -50,6 +59,9 @@ struct GeneratorOptions {
   unsigned NumFloatVars = 3;     ///< mutable F64 variables
   unsigned NumIntParams = 2;     ///< I64 parameters
   unsigned NumFloatParams = 1;   ///< F64 parameters
+  /// Nonzero: shape "cfg", a random graph of 3 to this many blocks over
+  /// NumIntVars variables; the knobs above except NumIntVars are unused.
+  unsigned MaxCFGBlocks = 0;
 };
 
 /// One generated (or corpus-loaded) test program: the canonical artifact is
@@ -67,17 +79,20 @@ struct FuzzProgram {
   std::vector<RtValue> Args;   ///< argument vector for the entry function
 };
 
-/// Named shape presets: "small", "branchy", "loopy", "phiweb", "intonly",
-/// "arrays". "phiweb" maximizes joins and live variables so SSA construction
-/// builds dense phi webs; "intonly" emits no F64 at all, making every
-/// config — including FP reassociation — bit-exact.
+/// The structured shape presets: "small", "branchy", "loopy", "phiweb",
+/// "intonly", "arrays". "phiweb" maximizes joins and live variables so SSA
+/// construction builds dense phi webs; "intonly" emits no F64 at all,
+/// making every config — including FP reassociation — bit-exact.
 std::vector<std::string> generatorShapeNames();
 
-/// Returns the preset for \p Shape; false if the name is unknown.
+/// Returns the preset for \p Shape, one of generatorShapeNames() or
+/// "cfg"; false if the name is unknown.
 bool shapeOptions(const std::string &Shape, GeneratorOptions &Opts);
 
 /// Generates one program from \p Seed. The result is deterministic in
-/// (Seed, Opts) and is always accepted by verifyModule(NoSSA).
+/// (Seed, Opts). A structured program is always accepted by
+/// verifyModule(NoSSA); a "cfg" program parses and passes
+/// verifyModule(Relaxed).
 FuzzProgram generateProgram(uint64_t Seed, const GeneratorOptions &Opts,
                             const std::string &ShapeName = "custom");
 

@@ -237,6 +237,18 @@ public:
   std::vector<std::unique_ptr<Function>> Functions;
 };
 
+/// Rewrites a `cbr c, ^X, ^X` terminating \p B to `br ^X` and keeps one of
+/// ^X's phi entries from \p B. A cbr names two distinct blocks
+/// (docs/IR.md), so a block's predecessors are distinct and each phi entry
+/// names one edge. Any other terminator is left alone. Returns false, and
+/// changes nothing, when ^X's phi entries from \p B disagree: no single
+/// edge can carry both values.
+bool foldEqualTargetBranch(Function &F, BasicBlock &B);
+
+/// Drops the entry from \p Pred in each of \p S's phis, the edge Pred -> S
+/// being gone.
+void removePhiEntries(BasicBlock &S, BlockId Pred);
+
 } // namespace epre
 
 #endif // EPRE_IR_FUNCTION_H

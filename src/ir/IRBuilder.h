@@ -107,8 +107,11 @@ public:
 
   void br(BasicBlock *Target) { emit(Instruction::makeBr(Target->id())); }
 
+  /// Emits `br` when both targets are one block (foldEqualTargetBranch).
   void cbr(Reg Cond, BasicBlock *Taken, BasicBlock *NotTaken) {
     emit(Instruction::makeCbr(Cond, Taken->id(), NotTaken->id()));
+    [[maybe_unused]] bool Folded = foldEqualTargetBranch(F, *BB);
+    assert(Folded && "phi entries from the branch disagree");
   }
 
   void ret() { emit(Instruction::makeRet()); }

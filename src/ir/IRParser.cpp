@@ -253,6 +253,7 @@ private:
     RegMap.clear();
     TypeKnown.clear();
     BlockMap.clear();
+    EqualTargetCbrs.clear();
 
     if (Tok.Kind != TokKind::Ident || Tok.Text != "func")
       return fail("expected 'func'");
@@ -325,6 +326,14 @@ private:
     BodyPos = 0;
     if (!parseBody(*F))
       return false;
+    // Equal-target branches fold once every phi is known.
+    for (auto [Id, Line] : EqualTargetCbrs)
+      if (!foldEqualTargetBranch(*F, *F->block(Id))) {
+        Err = strprintf("line %u: cbr names one block twice, whose phis "
+                        "disagree on the value from ^%s",
+                        Line, F->block(Id)->label().c_str());
+        return false;
+      }
 
     for (const auto &[Name, R] : RegMap)
       if (!TypeKnown[R])
@@ -492,6 +501,7 @@ private:
       return true;
     }
     if (Name == "cbr") {
+      unsigned Line = btok().Line;
       Reg C;
       BlockId T1, T2;
       if (!bparseReg(F, C))
@@ -505,6 +515,8 @@ private:
       if (!bparseBlockRef(T2))
         return false;
       B.Insts.push_back(Instruction::makeCbr(C, T1, T2));
+      if (T1 == T2)
+        EqualTargetCbrs.push_back({B.id(), Line});
       return true;
     }
     if (Name == "ret") {
@@ -640,6 +652,8 @@ private:
   std::map<std::string, Reg> RegMap;
   std::map<Reg, bool> TypeKnown;
   std::map<std::string, BlockId> BlockMap;
+  /// (block, line) of each `cbr c, ^X, ^X`, folded after the body parses.
+  std::vector<std::pair<BlockId, unsigned>> EqualTargetCbrs;
   std::vector<Token> BodyToks;
   size_t BodyPos = 0;
 };

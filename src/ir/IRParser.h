@@ -25,7 +25,9 @@ struct ParseResult {
 };
 
 /// Parses \p Text into a module. On failure, Error holds a message of the
-/// form "line N: ...".
+/// form "line N: ...". A `cbr` naming one block twice becomes `br`
+/// (foldEqualTargetBranch); it is an error when that block's phis take two
+/// values from the branching block.
 ParseResult parseModule(const std::string &Text);
 
 } // namespace epre

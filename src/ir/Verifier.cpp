@@ -179,6 +179,10 @@ private:
       if (S >= F.numBlocks() || !F.block(S))
         error(strprintf("block ^%s: branch to dead block %u",
                         B.label().c_str(), S));
+    if (I.Op == Opcode::Cbr && I.Succs.size() == 2 &&
+        I.Succs[0] == I.Succs[1])
+      error(strprintf("block ^%s: cbr names one block twice",
+                      B.label().c_str()));
 
     // Phi shape.
     if (I.isPhi()) {
@@ -186,11 +190,10 @@ private:
         error(strprintf("block ^%s: phi operand/block count mismatch",
                         B.label().c_str()));
       if (Mode != SSAMode::NoSSA) {
-        std::multiset<BlockId> Incoming(I.PhiBlocks.begin(),
-                                        I.PhiBlocks.end());
-        std::multiset<BlockId> Expected(Preds[B.id()].begin(),
-                                        Preds[B.id()].end());
-        if (Incoming != Expected)
+        // A cbr names two distinct blocks: one entry per predecessor.
+        std::set<BlockId> Incoming(I.PhiBlocks.begin(), I.PhiBlocks.end());
+        if (Incoming.size() != I.PhiBlocks.size() ||
+            Incoming != Preds[B.id()])
           error(strprintf(
               "block ^%s: phi incoming blocks do not match predecessors",
               B.label().c_str()));

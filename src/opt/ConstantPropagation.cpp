@@ -234,22 +234,6 @@ private:
     }
   }
 
-  /// Removes one phi input arriving from \p Pred in each phi of \p B
-  /// (called when the edge Pred -> B is deleted by branch folding).
-  static void removePhiEntriesFrom(BasicBlock &B, BlockId Pred) {
-    for (Instruction &I : B.Insts) {
-      if (!I.isPhi())
-        break;
-      for (unsigned J = 0; J < I.Operands.size(); ++J) {
-        if (I.PhiBlocks[J] == Pred) {
-          I.Operands.erase(I.Operands.begin() + J);
-          I.PhiBlocks.erase(I.PhiBlocks.begin() + J);
-          break;
-        }
-      }
-    }
-  }
-
   bool rewrite() {
     bool Changed = false;
     F.forEachBlock([&](BasicBlock &B) {
@@ -293,8 +277,7 @@ private:
           if (C.K == LatVal::Const) {
             BlockId Taken = C.V.I != 0 ? I.Succs[0] : I.Succs[1];
             BlockId NotTaken = C.V.I != 0 ? I.Succs[1] : I.Succs[0];
-            if (Taken != NotTaken)
-              removePhiEntriesFrom(*F.block(NotTaken), B.id());
+            removePhiEntries(*F.block(NotTaken), B.id());
             if (Ctx && Ctx->remarksEnabled())
               Ctx->remark(RemarkKind::Fold, F, B.label(), opcodeName(I.Op),
                           strprintf("conditional branch folded to ^%s",

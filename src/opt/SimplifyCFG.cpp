@@ -13,59 +13,14 @@ using namespace epre;
 
 namespace {
 
-/// Rewrites `cbr` with equal targets or a locally-constant condition to
-/// `br`. Returns true on change.
+/// Rewrites `cbr` with a locally-constant condition to `br`. Returns true
+/// on change.
 bool foldBranches(Function &F) {
   bool Changed = false;
   F.forEachBlock([&](BasicBlock &B) {
     if (!B.hasTerminator() || B.terminator().Op != Opcode::Cbr)
       return;
     Instruction &T = B.terminator();
-
-    // Identical targets: safe only if every phi in the target sees equal
-    // values along both parallel edges.
-    if (T.Succs[0] == T.Succs[1]) {
-      BasicBlock *S = F.block(T.Succs[0]);
-      if (!S)
-        return; // dangling branch in a not-yet-erased unreachable block
-      bool PhisAgree = true;
-      for (const Instruction &I : S->Insts) {
-        if (!I.isPhi())
-          break;
-        Reg Seen = NoReg;
-        unsigned Count = 0;
-        for (unsigned J = 0; J < I.Operands.size(); ++J) {
-          if (I.PhiBlocks[J] != B.id())
-            continue;
-          if (Count++ && I.Operands[J] != Seen)
-            PhisAgree = false;
-          Seen = I.Operands[J];
-        }
-      }
-      if (PhisAgree) {
-        BlockId Target = T.Succs[0];
-        // Collapse duplicate phi entries from this block down to one.
-        for (Instruction &I : S->Insts) {
-          if (!I.isPhi())
-            break;
-          bool Kept = false;
-          for (int J = int(I.Operands.size()) - 1; J >= 0; --J) {
-            if (I.PhiBlocks[J] != B.id())
-              continue;
-            if (!Kept) {
-              Kept = true;
-              continue;
-            }
-            I.Operands.erase(I.Operands.begin() + J);
-            I.PhiBlocks.erase(I.PhiBlocks.begin() + J);
-          }
-        }
-        T = Instruction::makeBr(Target);
-        F.bumpVersion(); // terminator rewrite: CFG edge removed
-        Changed = true;
-        return;
-      }
-    }
 
     // Constant condition defined by a loadi in the same block.
     Reg Cond = T.Operands[0];
@@ -75,21 +30,7 @@ bool foldBranches(Function &F) {
       if (It->Op == Opcode::LoadI) {
         BlockId Taken = It->IImm != 0 ? T.Succs[0] : T.Succs[1];
         BlockId NotTaken = It->IImm != 0 ? T.Succs[1] : T.Succs[0];
-        // Remove the dead phi inputs along the discarded edge.
-        if (Taken != NotTaken) {
-          BasicBlock *Dead = F.block(NotTaken);
-          for (Instruction &I : Dead->Insts) {
-            if (!I.isPhi())
-              break;
-            for (int J = int(I.Operands.size()) - 1; J >= 0; --J) {
-              if (I.PhiBlocks[J] == B.id()) {
-                I.Operands.erase(I.Operands.begin() + J);
-                I.PhiBlocks.erase(I.PhiBlocks.begin() + J);
-                break;
-              }
-            }
-          }
-        }
+        removePhiEntries(*F.block(NotTaken), B.id());
         T = Instruction::makeBr(Taken);
         F.bumpVersion(); // terminator rewrite: CFG edge removed
         Changed = true;
@@ -157,18 +98,21 @@ bool threadForwardingBlocks(Function &F, const CFG &G) {
       for (BlockId P : Preds) {
         if (Moved[P])
           return;
-        // Avoid creating parallel edges whose phi entries we cannot
-        // attribute.
+        // Two edges into T would need their phi entries merged.
         for (BlockId S : G.succs(P))
           if (S == T)
             return;
       }
     }
-    // Retarget each predecessor.
+    // Retarget each predecessor. One that also branched straight to T
+    // now names it twice; the check above allows that only when T has no
+    // phis.
     for (BlockId P : Preds) {
       for (BlockId &S : F.block(P)->terminator().Succs)
         if (S == B.id())
           S = T;
+      [[maybe_unused]] bool Folded = foldEqualTargetBranch(F, *F.block(P));
+      assert(Folded && "threading merged edges with different phi values");
       Moved[P] = 1;
     }
     Moved[T] = 1;

@@ -18,11 +18,12 @@ namespace epre {
 
 /// CFG simplification behind the unified pass-entry API. Runs the cleanup
 /// rules to a fixpoint:
-///  - cbr with identical targets, or with a constant condition defined by a
-///    loadi in the same block, becomes br;
+///  - cbr with a constant condition defined by a loadi in the same block
+///    becomes br;
 ///  - blocks unreachable from entry are erased (phi inputs cleaned up);
 ///  - single-predecessor phis become copies;
 ///  - a block containing only `br ^t` is bypassed when target phis permit;
+///    a cbr this leaves naming ^t twice becomes br;
 ///  - a block whose single successor has it as its single predecessor is
 ///    merged with that successor.
 /// Counters: simplifycfg.changed.

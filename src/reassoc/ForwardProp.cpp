@@ -4,7 +4,6 @@
 
 #include "ssa/SSA.h"
 
-#include <algorithm>
 #include <functional>
 #include <queue>
 #include <vector>
@@ -56,6 +55,7 @@ private:
     });
     Clones.assign(F.numRegs(), {0, NoReg});
     LeafStamp.assign(F.numRegs(), 0);
+    WriterOf.assign(F.numRegs(), NoIndex);
     return Phis;
   }
 
@@ -182,12 +182,12 @@ private:
   /// value exists. The lowest-index ready item goes next; on a read cycle,
   /// the lowest-index unplaced item.
   std::vector<unsigned> exportOrder(std::span<const PendingCopy> Items) {
-    // (destination, item), sorted: a phi listing one predecessor twice
-    // gives a destination two items.
-    std::vector<std::pair<Reg, unsigned>> Writers;
-    for (unsigned I = 0; I < Items.size(); ++I)
-      Writers.push_back({Items[I].Dst, I});
-    std::sort(Writers.begin(), Writers.end());
+    // Each destination is one phi's, and a phi has one entry per
+    // predecessor, so it has one item.
+    for (unsigned I = 0; I < Items.size(); ++I) {
+      assert(WriterOf[Items[I].Dst] == NoIndex && "two items write one phi");
+      WriterOf[Items[I].Dst] = I;
+    }
     // Per item, the other items whose destinations its tree reads, and how
     // many reads of its own destination unplaced items still make.
     std::vector<std::vector<unsigned>> Reads(Items.size());
@@ -197,15 +197,14 @@ private:
       Leaves.clear();
       treeLeaves(Items[J].Src, Leaves);
       for (Reg L : Leaves)
-        for (auto W = std::lower_bound(Writers.begin(), Writers.end(),
-                                       std::pair(L, 0u));
-             W != Writers.end() && W->first == L; ++W)
-          if (W->second != J) {
-            Reads[J].push_back(W->second);
-            ++Readers[W->second];
-          }
+        if (unsigned W = WriterOf[L]; W != NoIndex && W != J) {
+          Reads[J].push_back(W);
+          ++Readers[W];
+        }
       Work += Reads[J].size();
     }
+    for (const PendingCopy &C : Items)
+      WriterOf[C.Dst] = NoIndex;
 
     std::priority_queue<unsigned, std::vector<unsigned>, std::greater<>> Ready;
     for (unsigned I = 0; I < Items.size(); ++I)
@@ -274,6 +273,9 @@ private:
   /// Per register: the treeLeaves walk that last expanded it.
   std::vector<unsigned> LeafStamp;
   unsigned LeafWalk = 0;
+  /// Per register: the export item writing it during exportOrder, else
+  /// NoIndex.
+  std::vector<unsigned> WriterOf;
   unsigned TreesCloned = 0;
   uint64_t Work = 0;
   PhiCopyPlacement *Placement = nullptr;

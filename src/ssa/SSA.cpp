@@ -31,6 +31,10 @@ public:
     G = CFG::compute(F);
     if (removeUnreachableBlocks(F, G))
       G = CFG::compute(F);
+    if (!G.preds(0).empty()) {
+      splitEntry();
+      G = CFG::compute(F);
+    }
     DT = DominatorTree::compute(F, G);
     DF = DominanceFrontier::compute(F, G, DT);
 
@@ -42,6 +46,21 @@ public:
   }
 
 private:
+  /// Moves the entry block's code into a new block that the entry and
+  /// every loop back to it branch to. A phi in the entry block itself would
+  /// have no edge to take a value from on the function's first pass.
+  void splitEntry() {
+    BasicBlock *Entry = F.entry();
+    BasicBlock *Header = F.addBlock(Entry->label() + "_loop");
+    std::swap(Header->Insts, Entry->Insts);
+    Entry->Insts.push_back(Instruction::makeBr(Header->id()));
+    F.forEachBlock([&](BasicBlock &B) {
+      for (BlockId &S : B.terminator().Succs)
+        if (S == 0)
+          S = Header->id();
+    });
+  }
+
   /// Zero-initializes any register that may be used before being defined,
   /// so renaming always finds a reaching definition, and leaves \c Live
   /// describing the function with the inits in place wherever a phi may go.
@@ -56,14 +75,11 @@ private:
       else
         Inits.push_back(Instruction::makeLoadI(R, 0));
     }
+    // The inits kill their registers at the top of the entry block, which
+    // has no predecessors and so is in no dominance frontier: phi
+    // placement never reads its live-in set.
     BasicBlock *Entry = F.entry();
     Entry->Insts.insert(Entry->Insts.begin(), Inits.begin(), Inits.end());
-    // The inits kill their registers at the top of the entry block. Phi
-    // placement reads the entry's own set only when the entry has
-    // predecessors (else it is in no dominance frontier), and then a loop
-    // back to the entry carries the change around the loop: solve again.
-    if (!G.preds(0).empty() && !Inits.empty())
-      Live = Liveness::compute(F, G);
   }
 
   /// Places a phi for every variable at the live blocks of the iterated
@@ -287,16 +303,28 @@ PhiCopyPlacement::PhiCopyPlacement(Function &F, ExpandFn Expand) : F(F) {
   ByPred.resize(F.numBlocks());
   std::vector<std::pair<BlockId, unsigned>> Splits; // (pred, group index)
   std::vector<std::pair<BlockId, PendingCopy>> Inputs;
+  // Per register, the block (plus one) whose later phi defines it; per
+  // phi of the current block, whether a later phi defines its register.
+  std::vector<BlockId> DefinedLater(F.numRegs(), 0);
+  std::vector<uint8_t> Overwritten;
   F.forEachBlock([&](BasicBlock &B) {
     unsigned Phis = B.firstNonPhi();
     if (Phis == 0)
       return;
+    // Of two phis defining one register, the later wins, as in the
+    // interpreter: the earlier one's inputs are dropped.
+    Overwritten.assign(Phis, 0);
+    for (unsigned I = Phis; I-- > 0;) {
+      Reg D = B.Insts[I].Dst;
+      Overwritten[I] = DefinedLater[D] == B.id() + 1;
+      DefinedLater[D] = B.id() + 1;
+    }
     // This block's phi inputs grouped by predecessor, ascending, each group
     // in phi order.
     Inputs.clear();
     for (unsigned I = 0; I < Phis; ++I) {
       const Instruction &Phi = B.Insts[I];
-      for (unsigned J = 0; J < Phi.Operands.size(); ++J)
+      for (unsigned J = 0; J < Phi.Operands.size() && !Overwritten[I]; ++J)
         Inputs.push_back({Phi.PhiBlocks[J], {Phi.Dst, Phi.Operands[J]}});
     }
     std::stable_sort(Inputs.begin(), Inputs.end(),

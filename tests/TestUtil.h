@@ -163,6 +163,53 @@ func @f(%r1:i64) -> i64 {
 }
 )";
 
+/// A loop whose header is both targets of the entry's cbr and of the
+/// latch's. Returns 7 whatever %r1 is. Unfolded, each branch would give
+/// every header phi two entries, one per edge, which the reassociation
+/// levels turned into a loop that never ends; the parser folds them.
+inline const char *DuplicateTargetLoop = R"(
+func @dup(%r1:i64) -> i64 {
+^e:
+  %r2:i64 = loadi 0
+  %r3:i64 = loadi 1
+  %r4:i64 = loadi 5
+  cbr %r1, ^l, ^l
+^l:
+  %r2:i64 = add %r2, %r3
+  %r6:i64 = cmplt %r2, %r4
+  cbr %r6, ^m, ^x
+^m:
+  %r3:i64 = add %r3, %r3
+  cbr %r6, ^l, ^l
+^x:
+  ret %r2
+}
+)";
+
+/// DuplicateTargetLoop with a second variable carried through the header.
+/// Returns 10 whatever %r1 is.
+inline const char *DuplicateTargetLoopTwoVars = R"(
+func @dup2(%r1:i64) -> i64 {
+^e:
+  %r2:i64 = loadi 0
+  %r3:i64 = loadi 1
+  %r4:i64 = loadi 5
+  %r7:i64 = loadi 10
+  cbr %r1, ^l, ^l
+^l:
+  %r2:i64 = add %r2, %r3
+  %r7:i64 = sub %r7, %r3
+  %r6:i64 = cmplt %r2, %r4
+  cbr %r6, ^m, ^x
+^m:
+  %r3:i64 = add %r3, %r3
+  cbr %r6, ^l, ^l
+^x:
+  %r8:i64 = add %r2, %r7
+  ret %r8
+}
+)";
+
 /// Interprets the integer function \p F on the single argument \p Arg.
 inline int64_t runOn(const Function &F, int64_t Arg) {
   MemoryImage Mem(0);

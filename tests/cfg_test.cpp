@@ -129,9 +129,10 @@ TEST(FlatCFG, MatchesReferenceOnGeneratedPrograms) {
   EXPECT_EQ(Programs, 540u);
 }
 
-TEST(FlatCFG, KeepsDuplicateAndUnreachableEdges) {
-  // A cbr with both arms on one block lists its source twice; a dead block
-  // keeps its successors but never appears as a predecessor.
+TEST(FlatCFG, ParserFoldsDuplicateEdgeAndKeepsUnreachable) {
+  // The parser folds a cbr with both arms on one block, so ^j lists its
+  // source once; a dead block keeps its successors but never appears as a
+  // predecessor.
   ParseResult R = parseModule(R"(
 func @f(%p:i64) {
 ^e:
@@ -144,11 +145,12 @@ func @f(%p:i64) {
 )");
   ASSERT_TRUE(R.ok()) << R.Error;
   const Function &F = *R.M->Functions[0];
-  ASSERT_TRUE(expectSameCFG(F, "duplicate edge"));
+  EXPECT_EQ(F.entry()->terminator().Op, Opcode::Br);
+  ASSERT_TRUE(expectSameCFG(F, "folded duplicate edge"));
   CFG G = CFG::compute(F);
-  ASSERT_EQ(G.preds(2).size(), 2u);
+  ASSERT_EQ(G.preds(2).size(), 1u);
   EXPECT_EQ(G.preds(2)[0], 0u);
-  EXPECT_EQ(G.preds(2)[1], 0u);
+  EXPECT_EQ(G.succs(0).size(), 1u);
   EXPECT_EQ(G.succs(1).size(), 1u);
   EXPECT_FALSE(G.isReachable(1));
 }

@@ -10,6 +10,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "analysis/CFG.h"
+#include "analysis/Dominators.h"
 #include "fuzz/Bisect.h"
 #include "fuzz/FuzzGen.h"
 #include "fuzz/ModuleOps.h"
@@ -51,6 +53,57 @@ TEST(FuzzTooling, CleanMiniCampaign) {
                       << "] " << F.Detail;
     }
   }
+}
+
+TEST(FuzzTooling, CFGShapeCoversItsEdgesAndRunsClean) {
+  // The CFG features the "cfg" shape promises, counted over 200 programs
+  // (equal-target branches in the text, the rest after parsing folds
+  // them), and a clean full-matrix campaign in which every reference run
+  // ends.
+  GeneratorOptions GO;
+  ASSERT_TRUE(shapeOptions("cfg", GO));
+  OracleOptions OO;
+  std::vector<OracleConfig> Configs = oracleConfigs();
+  unsigned EqualTargets = 0, DeadPhis = 0, SelfLoops = 0, EntryLoops = 0,
+           Irreducible = 0, Critical = 0;
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
+    FuzzProgram P = generateProgram(Seed, GO, "cfg");
+    std::istringstream Lines(P.Text);
+    for (std::string L; std::getline(Lines, L);) {
+      size_t First = L.find(", ^"), Second = L.rfind(", ^");
+      EqualTargets += L.find("cbr ") != std::string::npos && First != Second &&
+                      L.substr(First, Second - First) == L.substr(Second);
+    }
+    std::unique_ptr<Module> M = parseModuleText(P.Text);
+    ASSERT_NE(M, nullptr) << P.Text;
+    const Function &F = *M->Functions[0];
+    CFG G = CFG::compute(F);
+    DominatorTree DT = DominatorTree::compute(F, G);
+    F.forEachBlock([&](const BasicBlock &B) {
+      if (!G.isReachable(B.id())) {
+        DeadPhis += B.firstNonPhi() != 0;
+        return;
+      }
+      for (BlockId S : G.succs(B.id())) {
+        SelfLoops += S == B.id();
+        EntryLoops += S == 0;
+        Irreducible += G.rpoNumber(S) <= G.rpoNumber(B.id()) &&
+                       !DT.dominates(S, B.id());
+        Critical += G.succs(B.id()).size() > 1 && G.preds(S).size() > 1;
+      }
+    });
+    OracleResult OR = runDifferentialOracle(P, OO, Configs);
+    EXPECT_FALSE(OR.Inconclusive) << "seed " << Seed;
+    for (const OracleFinding &Fi : OR.Findings)
+      ADD_FAILURE() << "seed " << Seed << " [" << Fi.Config << "] "
+                    << Fi.Detail;
+  }
+  EXPECT_GT(EqualTargets, 0u);
+  EXPECT_GT(DeadPhis, 0u);
+  EXPECT_GT(SelfLoops, 0u);
+  EXPECT_GT(EntryLoops, 0u);
+  EXPECT_GT(Irreducible, 0u);
+  EXPECT_GT(Critical, 0u);
 }
 
 TEST(FuzzTooling, ReferenceRejectsUnverifiedText) {

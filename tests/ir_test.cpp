@@ -134,8 +134,12 @@ TEST(Verifier, RejectsTypeErrors) {
   // cbr on a float register is ill-typed.
   BasicBlock *T = F.addBlock("t");
   T->Insts.push_back(Instruction::makeRet());
-  BB->Insts.push_back(Instruction::makeCbr(FP, T->id(), T->id()));
-  EXPECT_FALSE(verifyFunction(F).empty());
+  BasicBlock *E = F.addBlock("e");
+  E->Insts.push_back(Instruction::makeRet());
+  BB->Insts.push_back(Instruction::makeCbr(FP, T->id(), E->id()));
+  std::vector<std::string> Errors = verifyFunction(F);
+  ASSERT_EQ(Errors.size(), 1u);
+  EXPECT_EQ(Errors[0], "cbr condition must be i64");
 }
 
 TEST(Verifier, RejectsIntegerOnlyOpTypedF64) {
@@ -166,13 +170,36 @@ TEST(Verifier, RejectsWrongSuccessorCount) {
   BasicBlock *BB = F.addBlock("entry");
   BasicBlock *T = F.addBlock("t");
   T->Insts.push_back(Instruction::makeRet());
-  BB->Insts.push_back(Instruction::makeCbr(P, T->id(), T->id()));
+  BasicBlock *E = F.addBlock("e");
+  E->Insts.push_back(Instruction::makeRet());
+  BB->Insts.push_back(Instruction::makeCbr(P, T->id(), E->id()));
   EXPECT_TRUE(verifyFunction(F).empty());
   BB->Insts[0].Succs = {T->id()}; // cbr with one target
   EXPECT_FALSE(verifyFunction(F).empty());
   BB->Insts[0] = Instruction::makeBr(T->id());
   BB->Insts[0].Succs.push_back(T->id()); // br with two targets
   EXPECT_FALSE(verifyFunction(F).empty());
+}
+
+TEST(Verifier, RejectsEqualTargetCbr) {
+  // A cbr names two distinct blocks in every mode, so phi entries and CFG
+  // edges stay one-to-one.
+  for (SSAMode Mode : {SSAMode::NoSSA, SSAMode::Relaxed, SSAMode::SSA}) {
+    Function F("f");
+    Reg P = F.addParam(Type::I64);
+    BasicBlock *BB = F.addBlock("entry");
+    BasicBlock *T = F.addBlock("t");
+    T->Insts.push_back(Instruction::makeRet());
+    BB->Insts.push_back(Instruction::makeCbr(P, T->id(), T->id()));
+    std::vector<std::string> Errors = verifyFunction(F, Mode);
+    ASSERT_EQ(Errors.size(), 1u);
+    EXPECT_EQ(Errors[0], "block ^entry: cbr names one block twice");
+    // IRBuilder folds the same branch on emission.
+    BB->Insts.clear();
+    IRBuilder(F, BB).cbr(P, T, T);
+    EXPECT_EQ(BB->terminator().Op, Opcode::Br);
+    EXPECT_TRUE(verifyFunction(F, Mode).empty());
+  }
 }
 
 TEST(Verifier, RejectsBranchToErasedBlock) {

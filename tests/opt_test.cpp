@@ -487,10 +487,14 @@ func @f(%c:i64) -> i64 {
 }
 
 TEST(SimplifyCFG, CbrSameTargetsBecomesBr) {
+  // Threading ^a retargets the cbr's first arm onto ^t, its other target;
+  // the branch that would name ^t twice becomes br.
   auto M = parse(R"(
 func @f(%p:i64) -> i64 {
 ^e:
-  cbr %p, ^t, ^t
+  cbr %p, ^a, ^t
+^a:
+  br ^t
 ^t:
   %r:i64 = loadi 5
   ret %r
@@ -499,6 +503,9 @@ func @f(%p:i64) -> i64 {
   Function &F = *M->Functions[0];
   EXPECT_TRUE(runPassStat<SimplifyCFGPass>(F, "changed"));
   EXPECT_EQ(countOp(F, Opcode::Cbr), 0u);
+  EXPECT_TRUE(verifyFunction(F).empty()) << printFunction(F);
+  EXPECT_EQ(runOn(F, 0), 5);
+  EXPECT_EQ(runOn(F, 1), 5);
 }
 
 } // namespace

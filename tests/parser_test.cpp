@@ -161,4 +161,50 @@ func @f(%x:f64, %y:f64) -> i64 {
   EXPECT_TRUE(verifyFunction(*R.M->Functions[0]).empty());
 }
 
+TEST(Parser, FoldsEqualTargetBranchWithAgreeingPhis) {
+  // Both edges from ^e carry %a into ^j's phi: the branch becomes br and
+  // the phi keeps one entry from ^e.
+  const char *Src = R"(
+func @f(%p:i64) -> i64 {
+^e:
+  %a:i64 = loadi 3
+  cbr %p, ^j, ^j
+^m:
+  %b:i64 = loadi 4
+  br ^j
+^j:
+  %c:i64 = phi [%a, ^e], [%b, ^m], [%a, ^e]
+  ret %c
+}
+)";
+  ParseResult R = parseModule(Src);
+  ASSERT_TRUE(R.ok()) << R.Error;
+  const Function &F = *R.M->Functions[0];
+  EXPECT_EQ(F.entry()->terminator().Op, Opcode::Br);
+  EXPECT_EQ(F.entry()->terminator().Succs[0], 2u);
+  const Instruction &Phi = F.block(2)->Insts[0];
+  ASSERT_EQ(Phi.PhiBlocks.size(), 2u);
+  EXPECT_EQ(Phi.PhiBlocks[0], 0u);
+  EXPECT_EQ(Phi.PhiBlocks[1], 1u);
+  EXPECT_TRUE(verifyFunction(F, SSAMode::Relaxed).empty());
+  EXPECT_EQ(printFunction(F).find("cbr"), std::string::npos);
+}
+
+TEST(Parser, ErrorEqualTargetBranchWithDisagreeingPhis) {
+  // No single edge from ^e can carry both %a and %b.
+  const char *Src = "func @f(%p:i64) -> i64 {\n"
+                    "^e:\n"
+                    "  %a:i64 = loadi 3\n"
+                    "  %b:i64 = loadi 4\n"
+                    "  cbr %p, ^j, ^j\n"
+                    "^j:\n"
+                    "  %c:i64 = phi [%a, ^e], [%b, ^e]\n"
+                    "  ret %c\n"
+                    "}\n";
+  ParseResult R = parseModule(Src);
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.Error, "line 5: cbr names one block twice, whose phis "
+                     "disagree on the value from ^e");
+}
+
 } // namespace

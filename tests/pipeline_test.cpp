@@ -28,9 +28,13 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdio>
+#include <unistd.h>
 
 using namespace epre;
 using epre::test::carriedRing;
+using epre::test::DuplicateTargetLoop;
+using epre::test::DuplicateTargetLoopTwoVars;
 using epre::test::ForwardingChainIntoPhi;
 using epre::test::loopChain;
 using epre::test::runOn;
@@ -192,6 +196,66 @@ TEST(Pipeline, PhiInputLeavesSSAFirstAtEveryLevel) {
     EXPECT_EQ(runOn(F, 0), 2) << optLevelName(L) << "\n" << printFunction(F);
     EXPECT_EQ(runOn(F, 7), 1) << optLevelName(L) << "\n" << printFunction(F);
   }
+}
+
+TEST(Pipeline, DuplicateTargetLoopsKeepTheirValueAtEveryLevel) {
+  // The parser folds each cbr naming the loop header twice, so SSA
+  // construction sees one edge per phi entry, verified or not.
+  for (const char *Src : {DuplicateTargetLoop, DuplicateTargetLoopTwoVars})
+    for (OptLevel L : {OptLevel::Baseline, OptLevel::Partial,
+                       OptLevel::Reassociation, OptLevel::Distribution})
+      for (bool Verify : {true, false}) {
+        ParseResult R = parseModule(Src);
+        ASSERT_TRUE(R.ok()) << R.Error;
+        Function &F = *R.M->Functions[0];
+        const int64_t Want = runOn(F, 0);
+        ASSERT_EQ(runOn(F, 1), Want);
+        ASSERT_EQ(Want, F.name() == "dup" ? 7 : 10);
+        PipelineOptions PO;
+        PO.Level = L;
+        PO.Verify = Verify;
+        optimizeFunction(F, PO);
+        EXPECT_EQ(runOn(F, 0), Want) << optLevelName(L) << "\n"
+                                     << printFunction(F);
+        EXPECT_EQ(runOn(F, 1), Want) << optLevelName(L) << "\n"
+                                     << printFunction(F);
+      }
+}
+
+/// Runs `epre-opt FILE ARGS` and returns what it prints on stdout, or ""
+/// when it exits nonzero.
+std::string runEpreOpt(const std::string &File, const std::string &Args) {
+  std::string Cmd = std::string(EPRE_OPT_PATH) + " " + File + " " + Args;
+  std::FILE *P = ::popen(Cmd.c_str(), "r");
+  if (!P)
+    return "";
+  std::string Out;
+  char Buf[4096];
+  while (size_t N = std::fread(Buf, 1, sizeof(Buf), P))
+    Out.append(Buf, N);
+  return ::pclose(P) == 0 ? Out : "";
+}
+
+TEST(EpreOpt, DuplicateTargetLoopsKeepTheirValueAtTheReassociationLevels) {
+  const std::string Path = ::testing::TempDir() + "epre_opt_dup_" +
+                           std::to_string(::getpid()) + ".iloc";
+  for (const char *Src : {DuplicateTargetLoop, DuplicateTargetLoopTwoVars}) {
+    std::FILE *Out = std::fopen(Path.c_str(), "w");
+    ASSERT_NE(Out, nullptr);
+    std::fputs(Src, Out);
+    std::fclose(Out);
+    ParseResult In = parseModule(Src);
+    ASSERT_TRUE(In.ok()) << In.Error;
+    const int64_t Want = runOn(*In.M->Functions[0], 0);
+    for (const char *Level : {"reassociation", "distribution"}) {
+      ParseResult R = parseModule(runEpreOpt(Path, std::string("-O=") + Level));
+      ASSERT_TRUE(R.ok()) << Level << ": " << R.Error;
+      ASSERT_EQ(R.M->Functions.size(), 1u) << Level;
+      EXPECT_EQ(runOn(*R.M->Functions[0], 0), Want) << Level;
+      EXPECT_EQ(runOn(*R.M->Functions[0], 1), Want) << Level;
+    }
+  }
+  std::remove(Path.c_str());
 }
 
 TEST(Pipeline, StatsArePopulated) {

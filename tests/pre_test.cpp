@@ -870,51 +870,18 @@ TEST(PRESession, GeneratedProgramRoundsMatchFreshRuns) {
   EXPECT_GT(Rounds, Programs);
 }
 
-/// A small random function: 3–9 blocks with random branches (infinite
-/// loops and unreachable blocks included) computing §2.2-named
-/// expressions over three variables, which copies redefine.
-std::string randomCFG(std::mt19937_64 &Rng) {
-  auto pick = [&](unsigned N) { return unsigned(Rng() % N); };
-  const char *Ops[] = {"add", "mul", "sub"};
-  const unsigned NB = 3 + pick(7);
-  std::string S =
-      "func @f(%p:i64, %v1:i64, %v2:i64, %v3:i64) -> i64 {\n";
-  for (unsigned B = 0; B < NB; ++B) {
-    S += strprintf("^b%u:\n", B);
-    std::vector<std::string> Defined;
-    for (unsigned I = 0, N = pick(6); I < N; ++I) {
-      if (pick(10) < 6) {
-        const char *Op = Ops[pick(3)];
-        unsigned A = 1 + pick(3), C = 1 + pick(3);
-        Defined.push_back(strprintf("%%t_%s_%u_%u", Op, A, C));
-        S += strprintf("  %s:i64 = %s %%v%u, %%v%u\n", Defined.back().c_str(),
-                       Op, A, C);
-      } else if (!Defined.empty()) {
-        S += strprintf("  %%v%u:i64 = copy %s\n", 1 + pick(3),
-                       Defined[pick(unsigned(Defined.size()))].c_str());
-      }
-    }
-    unsigned T = pick(100);
-    if (B == NB - 1 || T < 15)
-      S += strprintf("  ret %%v%u\n", 1 + pick(3));
-    else if (T < 50)
-      S += strprintf("  br ^b%u\n", pick(NB));
-    else
-      S += strprintf("  cbr %%p, ^b%u, ^b%u\n", pick(NB), pick(NB));
-  }
-  return S + "}\n";
-}
-
-/// Session rounds against fresh PREPass runs on random functions under
-/// every strategy, speculative with random block and edge counts as its
-/// profile. These functions split edges into infinite loops and onto the
-/// LCM edges of expressions left alone for a tie, which the generated
-/// programs above rarely do.
+/// Session rounds against fresh PREPass runs on random functions (the
+/// fuzz shape "cfg") under every strategy, speculative with random block
+/// and edge counts as its profile. These functions split edges into
+/// irreducible loops and onto the LCM edges of expressions left alone for
+/// a tie, which the structured programs above rarely do.
 TEST(PRESession, RandomCFGRoundsMatchFreshRuns) {
+  fuzz::GeneratorOptions GO;
+  ASSERT_TRUE(fuzz::shapeOptions("cfg", GO));
   std::mt19937_64 Rng(2024);
   unsigned Functions = 0, Split = 0;
-  for (unsigned Case = 0; Case < 3000; ++Case) {
-    const std::string Text = randomCFG(Rng);
+  for (unsigned Case = 0; Case < 4000; ++Case) {
+    const std::string Text = fuzz::generateProgram(Case + 1, GO, "cfg").Text;
     auto Probe = parse(Text.c_str());
     ASSERT_TRUE(Probe) << Text;
     const Function &F0 = *Probe->Functions[0];

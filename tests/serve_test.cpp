@@ -804,6 +804,45 @@ TEST(Daemon, PhiInputAtReassociationKeepsTheDaemonUp) {
   Server.join();
 }
 
+TEST(Daemon, DuplicateTargetLoopsCompileToTheirValue) {
+  // The daemon compiles without the verifier. Each reproducer's cbr names
+  // its loop header twice; the returned IR must compute the input's value.
+  std::string Path =
+      "/tmp/epre_serve_dup_" + std::to_string(::getpid()) + ".sock";
+  ServerConfig SC;
+  SC.SocketPath = Path;
+  SC.Service.Workers = 1;
+  ServeDaemon D(SC);
+  std::string Err;
+  ASSERT_TRUE(D.start(&Err)) << Err;
+  std::thread Server([&] { D.run(); });
+
+  int Fd = connectTo(Path);
+  ASSERT_GE(Fd, 0);
+  for (const char *Src : {epre::test::DuplicateTargetLoop,
+                          epre::test::DuplicateTargetLoopTwoVars}) {
+    ParseResult In = parseModule(Src);
+    ASSERT_TRUE(In.ok()) << In.Error;
+    const int64_t Want = epre::test::runOn(*In.M->Functions[0], 0);
+    for (const char *Level : {"reassociation", "distribution"}) {
+      std::string Options = std::string("{\"level\":\"") + Level + "\"}";
+      JSONValue R = parsed(roundTrip(Fd, compileDoc({Src}, Options)));
+      const JSONValue *F = firstFunction(R);
+      ASSERT_TRUE(F) << Level;
+      ParseResult Out = parseModule(F->getString("iloc"));
+      ASSERT_TRUE(Out.ok()) << Out.Error;
+      EXPECT_EQ(epre::test::runOn(*Out.M->Functions[0], 0), Want) << Level;
+      EXPECT_EQ(epre::test::runOn(*Out.M->Functions[0], 1), Want) << Level;
+    }
+  }
+
+  JSONValue Pong = parsed(roundTrip(Fd, "{\"v\":1,\"cmd\":\"ping\"}"));
+  EXPECT_TRUE(Pong.get("pong") && Pong.get("pong")->B);
+  roundTrip(Fd, "{\"cmd\":\"shutdown\"}");
+  ::close(Fd);
+  Server.join();
+}
+
 TEST(Daemon, CarriedRingAtReassociationKeepsTheDaemonUp) {
   // A loop carrying 500 variables compiles through SSA construction and
   // forward propagation in a worker, and the daemon answers the next ping.

@@ -221,11 +221,12 @@ func @f(%p:i64) -> i64 {
   EXPECT_EQ(R1.ReturnValue.I, S1.ReturnValue.I);
 }
 
-TEST(SSA, EntryInitEndsLiveRangeAroundLoopThroughEntry) {
-  // The back edge ^j -> ^e makes the entry a loop header. Before the
-  // zero-init, %v is live around the loop (read at ^e before any
-  // definition); the init at the top of ^e kills it there, so %v is dead
-  // at the join ^j and pruned SSA must place no phi for it.
+TEST(SSA, LoopThroughEntryGetsItsOwnHeader) {
+  // The back edge ^j -> ^e makes the entry a loop header. Registers start
+  // at zero once, before the first trip, so the %v that ^e reads carries
+  // ^a's 5 into every later trip. Construction moves the entry's code into
+  // a block of its own: the zero-init stays in the entry, outside the
+  // loop, and phis carry %v and %k around it.
   const char *Src = R"(
 func @f(%n:i64, %c:i64) -> i64 {
 ^e:
@@ -247,9 +248,21 @@ func @f(%n:i64, %c:i64) -> i64 {
 )";
   auto M = parse(Src);
   Function &F = *M->Functions[0];
+  auto runOn = [&](int64_t N, int64_t C) {
+    MemoryImage Mem(0);
+    ExecResult R = interpret(F, {RtValue::ofI(N), RtValue::ofI(C)}, Mem);
+    EXPECT_TRUE(R.ok()) << R.TrapReason;
+    return R.ReturnValue.I;
+  };
+  ASSERT_EQ(runOn(3, 1), 6);
+  ASSERT_EQ(runOn(3, 0), 1);
+  ASSERT_EQ(runOn(1, 1), 1);
   runPass(F, SSABuildPass());
   EXPECT_TRUE(verifyFunction(F, SSAMode::SSA).empty()) << printFunction(F);
-  EXPECT_EQ(countPhis(F), 0u) << printFunction(F);
+  EXPECT_TRUE(CFG::compute(F).preds(0).empty()) << printFunction(F);
+  EXPECT_EQ(runOn(3, 1), 6) << printFunction(F);
+  EXPECT_EQ(runOn(3, 0), 1) << printFunction(F);
+  EXPECT_EQ(runOn(1, 1), 1) << printFunction(F);
 }
 
 /// A straight line of \p N + 1 blocks, each after the first redefining one
@@ -526,6 +539,35 @@ TEST(PhiCopyPlacement, ForwardPropPlacesPhisOfUnreachableBlocks) {
   ExecResult R = run(F, 1);
   ASSERT_FALSE(R.Trapped) << R.TrapReason;
   EXPECT_EQ(R.ReturnValue.I, 7);
+}
+
+TEST(PhiCopyPlacement, LaterOfTwoPhisDefiningOneRegisterWins) {
+  // Relaxed input may define %x with two phis; as in the interpreter the
+  // later one wins, so destruction copies only its inputs.
+  const char *Src = R"(
+func @f(%n:i64) -> i64 {
+^e:
+  %a:i64 = loadi 3
+  %b:i64 = loadi 5
+  cbr %n, ^l, ^r
+^l:
+  br ^j
+^r:
+  br ^j
+^j:
+  %x:i64 = phi [%a, ^l], [%b, ^r]
+  %x:i64 = phi [%b, ^l], [%a, ^r]
+  ret %x
+}
+)";
+  auto M = parse(Src);
+  Function &F = *M->Functions[0];
+  ASSERT_EQ(run(F, 1).ReturnValue.I, 5);
+  ASSERT_EQ(run(F, 0).ReturnValue.I, 3);
+  runPass(F, SSADestroyPass());
+  EXPECT_TRUE(verifyFunction(F, SSAMode::NoSSA).empty()) << printFunction(F);
+  EXPECT_EQ(run(F, 1).ReturnValue.I, 5) << printFunction(F);
+  EXPECT_EQ(run(F, 0).ReturnValue.I, 3) << printFunction(F);
 }
 
 } // namespace
