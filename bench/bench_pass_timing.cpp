@@ -12,6 +12,9 @@
 #include "gvn/ValueNumbering.h"
 #include "instrument/Profile.h"
 #include "interp/Interpreter.h"
+#include "ir/IRParser.h"
+#include "ir/IRPrinter.h"
+#include "opt/Peephole.h"
 #include "pipeline/Pipeline.h"
 #include "pre/PRE.h"
 #include "reassoc/ForwardProp.h"
@@ -22,6 +25,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 
 using namespace epre;
@@ -184,6 +188,47 @@ void BM_Liveness(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_Liveness)->Arg(64)->Arg(128)->Arg(256);
+
+// --- ILOC in, peephole out ---------------------------------------------------
+
+/// parseModule on the printed, unoptimized function of Arg loop nests: the
+/// text perfbench's bigfn workload parses.
+void BM_ParseModule(benchmark::State &State) {
+  auto M = compileGen(unsigned(State.range(0)), NamingMode::Naive);
+  std::string Text = printModule(*M);
+  for (auto _ : State) {
+    ParseResult R = parseModule(Text);
+    benchmark::DoNotOptimize(R.M);
+  }
+  State.SetBytesProcessed(int64_t(State.iterations()) * int64_t(Text.size()));
+}
+BENCHMARK(BM_ParseModule)->Arg(64)->Arg(256);
+
+/// The first peephole of the distribution pipeline, on the pipeline's own
+/// state before it (printed, and parsed again outside the timing). The
+/// "work" counter is PeepholePass::lastWork().
+void BM_Peephole(benchmark::State &State) {
+  auto M = compileGen(unsigned(State.range(0)), NamingMode::Naive);
+  PipelineOptions PO;
+  PO.Level = OptLevel::Distribution;
+  auto Traced = compileGen(unsigned(State.range(0)), NamingMode::Naive);
+  PassPrefixResult Full =
+      optimizeFunctionPrefix(*Traced->Functions[0], PO, ~0u);
+  auto First = std::find(Full.Trace.begin(), Full.Trace.end(), "peephole");
+  assert(First != Full.Trace.end());
+  optimizeFunctionPrefix(*M->Functions[0], PO,
+                         unsigned(First - Full.Trace.begin()));
+  std::string Text = printModule(*M);
+  uint64_t Work = 0;
+  for (auto _ : State) {
+    State.PauseTiming();
+    ParseResult R = parseModule(Text);
+    State.ResumeTiming();
+    Work = runPass(*R.M->Functions[0], PeepholePass()).lastWork();
+  }
+  State.counters["work"] = double(Work);
+}
+BENCHMARK(BM_Peephole)->Arg(64)->Arg(256);
 
 // --- Parallel per-function pipeline driver ---------------------------------
 

@@ -4,22 +4,31 @@
 
 #include "support/StringUtil.h"
 
-#include <cctype>
-#include <cstdlib>
-#include <map>
+#include <charconv>
 #include <optional>
+#include <string_view>
+#include <unordered_map>
+#include <unordered_set>
 
 using namespace epre;
 
 namespace {
 
+// ASCII character classes: the syntax is ASCII, and the <cctype> forms
+// consult the locale.
+bool isDigit(char C) { return C >= '0' && C <= '9'; }
+bool isAlpha(char C) {
+  return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z');
+}
+bool isIdentChar(char C) { return isAlpha(C) || isDigit(C) || C == '_'; }
+
 enum class TokKind {
   Eof,
-  Ident,   // bare identifier (opcodes, labels, func names)
-  Reg,     // %ident
+  Ident,    // bare identifier (opcodes, labels, func names)
+  Reg,      // %ident
   BlockRef, // ^ident
-  At,      // @
-  Number,  // integer or float literal text
+  At,       // @
+  Number,   // integer or float literal text
   LParen,
   RParen,
   LBrace,
@@ -30,18 +39,19 @@ enum class TokKind {
   Colon,
   Equal,
   Arrow,   // ->
-  StoreArrow, // also '->' context; reuse Arrow
+  Invalid, // a character no token starts with
 };
 
+/// A token; Text views the source, which outlives the parse.
 struct Token {
   TokKind Kind = TokKind::Eof;
-  std::string Text;
+  std::string_view Text;
   unsigned Line = 0;
 };
 
 class Lexer {
 public:
-  explicit Lexer(const std::string &Src) : Src(Src) {}
+  explicit Lexer(std::string_view Src) : Src(Src) {}
 
   Token next() {
     skip();
@@ -56,6 +66,10 @@ public:
       ++Pos;
       T.Kind = C == '%' ? TokKind::Reg : TokKind::BlockRef;
       T.Text = lexIdent();
+      if (T.Text.empty()) { // a sigil names nothing by itself
+        T.Kind = TokKind::Invalid;
+        T.Text = Src.substr(Pos - 1, 1);
+      }
       return T;
     }
     switch (C) {
@@ -107,22 +121,20 @@ public:
       T.Kind = TokKind::Arrow;
       return T;
     }
-    if (std::isdigit(uint8_t(C)) || C == '-' || C == '+') {
+    if (isDigit(C) || C == '-' || C == '+') {
       T.Kind = TokKind::Number;
       T.Text = lexNumber();
       return T;
     }
-    if (std::isalpha(uint8_t(C)) || C == '_') {
+    if (isAlpha(C) || C == '_') {
       T.Kind = TokKind::Ident;
       T.Text = lexIdent();
       return T;
     }
-    T.Kind = TokKind::Eof;
-    T.Text = std::string(1, C);
+    T.Kind = TokKind::Invalid;
+    T.Text = Src.substr(Pos++, 1);
     return T;
   }
-
-  unsigned line() const { return Line; }
 
 private:
   void skip() {
@@ -131,7 +143,7 @@ private:
       if (C == '\n') {
         ++Line;
         ++Pos;
-      } else if (std::isspace(uint8_t(C))) {
+      } else if (C == ' ' || C == '\t' || C == '\r' || C == '\v' || C == '\f') {
         ++Pos;
       } else if (C == ';') {
         while (Pos < Src.size() && Src[Pos] != '\n')
@@ -142,26 +154,25 @@ private:
     }
   }
 
-  std::string lexIdent() {
+  std::string_view lexIdent() {
     size_t Start = Pos;
-    while (Pos < Src.size() &&
-           (std::isalnum(uint8_t(Src[Pos])) || Src[Pos] == '_'))
+    while (Pos < Src.size() && isIdentChar(Src[Pos]))
       ++Pos;
     return Src.substr(Start, Pos - Start);
   }
 
-  std::string lexNumber() {
+  std::string_view lexNumber() {
     size_t Start = Pos;
     if (Src[Pos] == '-' || Src[Pos] == '+')
       ++Pos;
     // Accept "inf"/"nan" after a sign.
-    if (Pos < Src.size() && std::isalpha(uint8_t(Src[Pos]))) {
-      while (Pos < Src.size() && std::isalpha(uint8_t(Src[Pos])))
+    if (Pos < Src.size() && isAlpha(Src[Pos])) {
+      while (Pos < Src.size() && isAlpha(Src[Pos]))
         ++Pos;
       return Src.substr(Start, Pos - Start);
     }
     while (Pos < Src.size() &&
-           (std::isdigit(uint8_t(Src[Pos])) || Src[Pos] == '.' ||
+           (isDigit(Src[Pos]) || Src[Pos] == '.' ||
             Src[Pos] == 'e' || Src[Pos] == 'E' ||
             ((Src[Pos] == '-' || Src[Pos] == '+') &&
              (Src[Pos - 1] == 'e' || Src[Pos - 1] == 'E'))))
@@ -170,18 +181,72 @@ private:
     return Src.substr(Start, Pos - Start);
   }
 
-  const std::string &Src;
+  std::string_view Src;
   size_t Pos = 0;
   unsigned Line = 1;
 };
 
+/// The enumerator among the first \p Count of \p EnumT that \p NameOf
+/// names \p N.
+template <typename EnumT, unsigned Count>
+std::optional<EnumT> byName(std::string_view N, const char *(*NameOf)(EnumT)) {
+  static const auto Names = [NameOf] {
+    std::unordered_map<std::string_view, EnumT> M;
+    for (unsigned E = 0; E < Count; ++E)
+      M.emplace(NameOf(EnumT(E)), EnumT(E));
+    return M;
+  }();
+  auto It = Names.find(N);
+  if (It == Names.end())
+    return std::nullopt;
+  return It->second;
+}
+
+std::optional<Opcode> opcodeByName(std::string_view N) {
+  return byName<Opcode, unsigned(Opcode::Phi) + 1>(N, opcodeName);
+}
+
+std::optional<Intrinsic> intrinsicByName(std::string_view N) {
+  return byName<Intrinsic, unsigned(Intrinsic::Sign) + 1>(N, intrinsicName);
+}
+
+/// Parses the whole of \p Text, after an optional '+', as \p V with
+/// std::from_chars: decimal integers, or the general floating-point form
+/// with "inf", "infinity" and "nan".
+template <typename T>
+std::errc parseNumber(std::string_view Text, T &V) {
+  if (Text.size() > 1 && Text[0] == '+')
+    Text.remove_prefix(1);
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, V);
+  if (Ec == std::errc() && Ptr != End)
+    return std::errc::invalid_argument;
+  return Ec;
+}
+
+std::string quoted(std::string_view S) {
+  std::string Q = "'";
+  Q += S;
+  Q += '\'';
+  return Q;
+}
+
 class Parser {
 public:
-  explicit Parser(const std::string &Src) : Lex(Src) { advance(); }
+  /// Lexes all of \p Src up front, through its end or first invalid
+  /// character: the parse reads the tokens of a function body twice.
+  explicit Parser(std::string_view Src) {
+    Lexer Lex(Src);
+    Toks.reserve(Src.size() / 3 + 2); // printed ILOC: 3.5 bytes a token
+    do
+      Toks.push_back(Lex.next());
+    while (Toks.back().Kind != TokKind::Eof &&
+           Toks.back().Kind != TokKind::Invalid);
+  }
 
   ParseResult run() {
     auto M = std::make_unique<Module>();
-    while (Tok.Kind != TokKind::Eof) {
+    while (tok().Kind != TokKind::Eof) {
       if (!parseFunction(*M))
         return {nullptr, Err};
     }
@@ -189,100 +254,105 @@ public:
   }
 
 private:
-  void advance() { Tok = Lex.next(); }
+  const Token &tok() const { return Toks[Pos]; }
+  void advance() {
+    if (Pos + 1 < Toks.size())
+      ++Pos;
+  }
 
   bool fail(const std::string &Msg) {
     if (Err.empty())
-      Err = strprintf("line %u: %s", Tok.Line, Msg.c_str());
+      Err = strprintf("line %u: %s", tok().Line, Msg.c_str());
     return false;
   }
 
+  /// The diagnostic for a character no token starts with.
+  static std::string unexpected(std::string_view C) {
+    if (C[0] > ' ' && C[0] < 0x7f)
+      return "unexpected character " + quoted(C);
+    return strprintf("unexpected byte 0x%02x", unsigned(uint8_t(C[0])));
+  }
+
+  /// The diagnostic for the current token, an immediate of \p Kind that
+  /// parseNumber rejected with \p Ec.
+  std::string badImmediate(const char *Kind, std::errc Ec) const {
+    std::string What = std::string(Kind) + " immediate";
+    if (Ec == std::errc::result_out_of_range)
+      return What + " out of range " + quoted(tok().Text);
+    return "invalid " + What + " " + quoted(tok().Text);
+  }
+
   bool expect(TokKind K, const char *What) {
-    if (Tok.Kind != K)
+    if (tok().Kind != K)
       return fail(std::string("expected ") + What);
     advance();
     return true;
   }
 
   bool parseType(Type &Ty) {
-    if (Tok.Kind != TokKind::Ident)
+    if (tok().Kind != TokKind::Ident)
       return fail("expected type");
-    if (Tok.Text == "i64")
+    if (tok().Text == "i64")
       Ty = Type::I64;
-    else if (Tok.Text == "f64")
+    else if (tok().Text == "f64")
       Ty = Type::F64;
     else
-      return fail("unknown type '" + Tok.Text + "'");
+      return fail("unknown type " + quoted(tok().Text));
     advance();
     return true;
   }
 
   /// Returns the register for source name \p Name, creating it (with a
-  /// provisional type) on first sight.
-  Reg getReg(Function &F, const std::string &Name) {
-    auto It = RegMap.find(Name);
-    if (It != RegMap.end())
-      return It->second;
-    Reg R = F.makeReg(Type::I64);
-    RegMap.emplace(Name, R);
-    TypeKnown[R] = false;
+  /// provisional type) on first sight. Registers are numbered in order of
+  /// first appearance.
+  Reg getReg(Function &F, std::string_view Name) {
+    Reg R = RegMap.try_emplace(Name, F.numRegs()).first->second;
+    if (R == F.numRegs()) {
+      F.makeReg(Type::I64);
+      TypeKnown.push_back(false);
+    }
     return R;
-  }
-
-  bool parseRegUse(Function &F, Reg &R) {
-    if (Tok.Kind != TokKind::Reg)
-      return fail("expected register");
-    R = getReg(F, Tok.Text);
-    advance();
-    return true;
-  }
-
-  bool parseBlockRef(Function &F, BlockId &Id) {
-    (void)F;
-    if (Tok.Kind != TokKind::BlockRef)
-      return fail("expected block reference");
-    auto It = BlockMap.find(Tok.Text);
-    if (It == BlockMap.end())
-      return fail("unknown block '^" + Tok.Text + "'");
-    Id = It->second;
-    advance();
-    return true;
   }
 
   bool parseFunction(Module &M) {
     RegMap.clear();
-    TypeKnown.clear();
+    TypeKnown.assign(1, false); // NoReg
     BlockMap.clear();
     EqualTargetCbrs.clear();
 
-    if (Tok.Kind != TokKind::Ident || Tok.Text != "func")
+    if (tok().Kind == TokKind::Invalid)
+      return fail(unexpected(tok().Text));
+    if (tok().Kind != TokKind::Ident || tok().Text != "func")
       return fail("expected 'func'");
     advance();
     if (!expect(TokKind::At, "'@'"))
       return false;
-    if (Tok.Kind != TokKind::Ident)
+    if (tok().Kind != TokKind::Ident)
       return fail("expected function name");
-    Function *F = M.addFunction(Tok.Text);
+    if (!FunctionNames.insert(tok().Text).second)
+      return fail("duplicate function '@" + std::string(tok().Text) + "'");
+    Function *F = M.addFunction(std::string(tok().Text));
     advance();
     if (!expect(TokKind::LParen, "'('"))
       return false;
-    while (Tok.Kind == TokKind::Reg) {
-      std::string Name = Tok.Text;
+    while (tok().Kind == TokKind::Reg) {
+      std::string_view Name = tok().Text;
+      if (!RegMap.try_emplace(Name, F->numRegs()).second)
+        return fail("duplicate parameter '%" + std::string(Name) + "'");
       advance();
       if (!expect(TokKind::Colon, "':'"))
         return false;
       Type Ty;
       if (!parseType(Ty))
         return false;
-      Reg R = F->addParam(Ty);
-      RegMap.emplace(Name, R);
-      TypeKnown[R] = true;
-      if (Tok.Kind == TokKind::Comma)
+      F->addParam(Ty);
+      TypeKnown.push_back(true);
+      if (tok().Kind == TokKind::Comma)
         advance();
     }
     if (!expect(TokKind::RParen, "')'"))
       return false;
-    if (Tok.Kind == TokKind::Arrow) {
+    if (tok().Kind == TokKind::Arrow) {
       advance();
       Type Ty;
       if (!parseType(Ty))
@@ -292,40 +362,29 @@ private:
     if (!expect(TokKind::LBrace, "'{'"))
       return false;
 
-    // The body is parsed in two passes over token triples: first collect the
-    // labels (so forward branch references resolve), then the instructions.
-    // Rather than re-lexing, we buffer the body's tokens.
-    std::vector<Token> Body;
-    unsigned Depth = 1;
-    while (Tok.Kind != TokKind::Eof) {
-      if (Tok.Kind == TokKind::LBrace)
-        ++Depth;
-      if (Tok.Kind == TokKind::RBrace && --Depth == 0)
-        break;
-      Body.push_back(Tok);
-      advance();
-    }
-    if (!expect(TokKind::RBrace, "'}'"))
-      return false;
-
-    // Pass 1: create blocks in definition order.
-    for (size_t I = 0; I + 1 < Body.size(); ++I) {
-      if (Body[I].Kind == TokKind::BlockRef &&
-          Body[I + 1].Kind == TokKind::Colon) {
-        if (BlockMap.count(Body[I].Text))
-          return fail("duplicate block label '^" + Body[I].Text + "'");
-        BasicBlock *B = F->addBlock(Body[I].Text);
-        BlockMap.emplace(Body[I].Text, B->id());
+    // The body is parsed in two passes: the first creates the blocks in
+    // definition order (so forward branch references resolve), the second
+    // parses the instructions.
+    const size_t BodyPos = Pos;
+    for (; tok().Kind != TokKind::RBrace; advance()) {
+      if (tok().Kind == TokKind::Eof)
+        return fail("expected '}'");
+      if (tok().Kind == TokKind::Invalid)
+        return fail(unexpected(tok().Text));
+      if (tok().Kind == TokKind::Colon && Pos > BodyPos &&
+          Toks[Pos - 1].Kind == TokKind::BlockRef) {
+        std::string_view Label = Toks[Pos - 1].Text;
+        if (!BlockMap.try_emplace(Label, F->numBlocks()).second)
+          return fail("duplicate block label '^" + std::string(Label) + "'");
+        F->addBlock(std::string(Label));
       }
     }
     if (BlockMap.empty())
       return fail("function body has no blocks");
-
-    // Pass 2: parse instructions from the buffered tokens.
-    BodyToks = std::move(Body);
-    BodyPos = 0;
+    Pos = BodyPos;
     if (!parseBody(*F))
       return false;
+    advance(); // the closing '}'
     // Equal-target branches fold once every phi is known.
     for (auto [Id, Line] : EqualTargetCbrs)
       if (!foldEqualTargetBranch(*F, *F->block(Id))) {
@@ -335,9 +394,14 @@ private:
         return false;
       }
 
-    for (const auto &[Name, R] : RegMap)
-      if (!TypeKnown[R])
-        return fail("register '%" + Name + "' is used but never defined");
+    // Of the registers used but never defined, name the first by name.
+    std::optional<std::string_view> Undefined;
+    for (auto [Name, R] : RegMap)
+      if (!TypeKnown[R] && (!Undefined || Name < *Undefined))
+        Undefined = Name;
+    if (Undefined)
+      return fail("register '%" + std::string(*Undefined) +
+                  "' is used but never defined");
 
     // Fixup: a comparison's instruction type is its operand type, which may
     // not have been known when the comparison was parsed (forward refs).
@@ -349,110 +413,42 @@ private:
     return true;
   }
 
-  // --- Body token cursor ---------------------------------------------------
-
-  const Token &btok() const {
-    static Token EofTok;
-    return BodyPos < BodyToks.size() ? BodyToks[BodyPos] : EofTok;
-  }
-  void badvance() { ++BodyPos; }
-  bool bfail(const std::string &Msg) {
-    if (Err.empty())
-      Err = strprintf("line %u: %s", btok().Line ? btok().Line : Lex.line(),
-                      Msg.c_str());
-    return false;
-  }
-  bool bexpect(TokKind K, const char *What) {
-    if (btok().Kind != K)
-      return bfail(std::string("expected ") + What);
-    badvance();
+  bool parseReg(Function &F, Reg &R) {
+    if (tok().Kind != TokKind::Reg)
+      return fail("expected register");
+    R = getReg(F, tok().Text);
+    advance();
     return true;
   }
 
-  bool bparseReg(Function &F, Reg &R) {
-    if (btok().Kind != TokKind::Reg)
-      return bfail("expected register");
-    R = getReg(F, btok().Text);
-    badvance();
-    return true;
-  }
-
-  bool bparseBlockRef(BlockId &Id) {
-    if (btok().Kind != TokKind::BlockRef)
-      return bfail("expected block reference");
-    auto It = BlockMap.find(btok().Text);
+  bool parseBlockRef(BlockId &Id) {
+    if (tok().Kind != TokKind::BlockRef)
+      return fail("expected block reference");
+    auto It = BlockMap.find(tok().Text);
     if (It == BlockMap.end())
-      return bfail("unknown block '^" + btok().Text + "'");
+      return fail("unknown block '^" + std::string(tok().Text) + "'");
     Id = It->second;
-    badvance();
+    advance();
     return true;
   }
 
-  bool bparseType(Type &Ty) {
-    if (btok().Kind != TokKind::Ident)
-      return bfail("expected type");
-    if (btok().Text == "i64")
-      Ty = Type::I64;
-    else if (btok().Text == "f64")
-      Ty = Type::F64;
-    else
-      return bfail("unknown type '" + btok().Text + "'");
-    badvance();
-    return true;
-  }
-
-  static std::optional<Opcode> opcodeByName(const std::string &N) {
-    static const std::map<std::string, Opcode> Map = {
-        {"loadi", Opcode::LoadI}, {"loadf", Opcode::LoadF},
-        {"add", Opcode::Add},     {"sub", Opcode::Sub},
-        {"mul", Opcode::Mul},     {"div", Opcode::Div},
-        {"min", Opcode::Min},     {"max", Opcode::Max},
-        {"neg", Opcode::Neg},     {"mod", Opcode::Mod},
-        {"and", Opcode::And},     {"or", Opcode::Or},
-        {"xor", Opcode::Xor},     {"not", Opcode::Not},
-        {"shl", Opcode::Shl},     {"shr", Opcode::Shr},
-        {"cmpeq", Opcode::CmpEq}, {"cmpne", Opcode::CmpNe},
-        {"cmplt", Opcode::CmpLt}, {"cmple", Opcode::CmpLe},
-        {"cmpgt", Opcode::CmpGt}, {"cmpge", Opcode::CmpGe},
-        {"i2f", Opcode::I2F},     {"f2i", Opcode::F2I},
-        {"copy", Opcode::Copy},   {"load", Opcode::Load},
-        {"store", Opcode::Store}, {"call", Opcode::Call},
-        {"br", Opcode::Br},       {"cbr", Opcode::Cbr},
-        {"ret", Opcode::Ret},     {"phi", Opcode::Phi},
-    };
-    auto It = Map.find(N);
-    if (It == Map.end())
-      return std::nullopt;
-    return It->second;
-  }
-
-  static std::optional<Intrinsic> intrinsicByName(const std::string &N) {
-    static const std::map<std::string, Intrinsic> Map = {
-        {"sqrt", Intrinsic::Sqrt},   {"abs", Intrinsic::Abs},
-        {"sin", Intrinsic::Sin},     {"cos", Intrinsic::Cos},
-        {"exp", Intrinsic::Exp},     {"log", Intrinsic::Log},
-        {"pow", Intrinsic::Pow},     {"floor", Intrinsic::Floor},
-        {"sign", Intrinsic::Sign},
-    };
-    auto It = Map.find(N);
-    if (It == Map.end())
-      return std::nullopt;
-    return It->second;
-  }
-
+  /// Parses labels and instructions up to the body's closing brace.
   bool parseBody(Function &F) {
     BasicBlock *Cur = nullptr;
-    while (btok().Kind != TokKind::Eof) {
-      if (btok().Kind == TokKind::BlockRef &&
-          BodyPos + 1 < BodyToks.size() &&
-          BodyToks[BodyPos + 1].Kind == TokKind::Colon) {
-        Cur = F.block(BlockMap[btok().Text]);
-        badvance();
-        badvance();
+    while (tok().Kind != TokKind::RBrace) {
+      if (tok().Kind == TokKind::BlockRef) {
+        // Every label is known from the first pass.
+        auto It = BlockMap.find(tok().Text);
+        if (It == BlockMap.end())
+          return fail("expected instruction");
+        Cur = F.block(It->second);
+        advance();
+        if (!expect(TokKind::Colon, "':'"))
+          return false;
         continue;
       }
       if (!Cur)
-        return bfail("instruction before first block label");
+        return fail("instruction before first block label");
       if (!parseInstruction(F, *Cur))
         return false;
     }
@@ -461,33 +457,33 @@ private:
 
   bool parseInstruction(Function &F, BasicBlock &B) {
     // Register-defining form: %reg : type = rhs
-    if (btok().Kind == TokKind::Reg) {
-      std::string DstName = btok().Text;
-      badvance();
-      if (!bexpect(TokKind::Colon, "':'"))
+    if (tok().Kind == TokKind::Reg) {
+      std::string_view DstName = tok().Text;
+      advance();
+      if (!expect(TokKind::Colon, "':'"))
         return false;
       Type DstTy;
-      if (!bparseType(DstTy))
+      if (!parseType(DstTy))
         return false;
       Reg Dst = getReg(F, DstName);
       F.setRegType(Dst, DstTy);
       TypeKnown[Dst] = true;
-      if (!bexpect(TokKind::Equal, "'='"))
+      if (!expect(TokKind::Equal, "'='"))
         return false;
       return parseRhs(F, B, Dst, DstTy);
     }
     // Non-defining forms: store / br / cbr / ret.
-    if (btok().Kind != TokKind::Ident)
-      return bfail("expected instruction");
-    std::string Name = btok().Text;
-    badvance();
+    if (tok().Kind != TokKind::Ident)
+      return fail("expected instruction");
+    std::string_view Name = tok().Text;
+    advance();
     if (Name == "store") {
       Reg Val, Addr;
-      if (!bparseReg(F, Val))
+      if (!parseReg(F, Val))
         return false;
-      if (!bexpect(TokKind::Arrow, "'->'"))
+      if (!expect(TokKind::Arrow, "'->'"))
         return false;
-      if (!bparseReg(F, Addr))
+      if (!parseReg(F, Addr))
         return false;
       Instruction I = Instruction::makeStore(F.regType(Val), Addr, Val);
       B.Insts.push_back(std::move(I));
@@ -495,24 +491,24 @@ private:
     }
     if (Name == "br") {
       BlockId T;
-      if (!bparseBlockRef(T))
+      if (!parseBlockRef(T))
         return false;
       B.Insts.push_back(Instruction::makeBr(T));
       return true;
     }
     if (Name == "cbr") {
-      unsigned Line = btok().Line;
+      unsigned Line = tok().Line;
       Reg C;
       BlockId T1, T2;
-      if (!bparseReg(F, C))
+      if (!parseReg(F, C))
         return false;
-      if (!bexpect(TokKind::Comma, "','"))
+      if (!expect(TokKind::Comma, "','"))
         return false;
-      if (!bparseBlockRef(T1))
+      if (!parseBlockRef(T1))
         return false;
-      if (!bexpect(TokKind::Comma, "','"))
+      if (!expect(TokKind::Comma, "','"))
         return false;
-      if (!bparseBlockRef(T2))
+      if (!parseBlockRef(T2))
         return false;
       B.Insts.push_back(Instruction::makeCbr(C, T1, T2));
       if (T1 == T2)
@@ -520,9 +516,9 @@ private:
       return true;
     }
     if (Name == "ret") {
-      if (btok().Kind == TokKind::Reg) {
+      if (tok().Kind == TokKind::Reg) {
         Reg V;
-        if (!bparseReg(F, V))
+        if (!parseReg(F, V))
           return false;
         B.Insts.push_back(Instruction::makeRet(F.regType(V), V));
       } else {
@@ -530,62 +526,65 @@ private:
       }
       return true;
     }
-    return bfail("unknown instruction '" + Name + "'");
+    return fail("unknown instruction " + quoted(Name));
   }
 
   bool parseRhs(Function &F, BasicBlock &B, Reg Dst, Type DstTy) {
-    if (btok().Kind != TokKind::Ident)
-      return bfail("expected opcode");
-    std::string Name = btok().Text;
-    badvance();
+    if (tok().Kind != TokKind::Ident)
+      return fail("expected opcode");
+    std::string_view Name = tok().Text;
+    advance();
     auto OpOpt = opcodeByName(Name);
     if (!OpOpt)
-      return bfail("unknown opcode '" + Name + "'");
+      return fail("unknown opcode " + quoted(Name));
     Opcode Op = *OpOpt;
 
     switch (Op) {
     case Opcode::LoadI: {
-      if (btok().Kind != TokKind::Number)
-        return bfail("expected integer immediate");
-      Instruction I = Instruction::makeLoadI(Dst, strtoll(btok().Text.c_str(),
-                                                          nullptr, 10));
-      badvance();
-      B.Insts.push_back(std::move(I));
+      if (tok().Kind != TokKind::Number)
+        return fail("expected integer immediate");
+      int64_t V;
+      if (std::errc Ec = parseNumber(tok().Text, V); Ec != std::errc())
+        return fail(badImmediate("integer", Ec));
+      advance();
+      B.Insts.push_back(Instruction::makeLoadI(Dst, V));
       return true;
     }
     case Opcode::LoadF: {
+      bool Word = tok().Kind == TokKind::Ident &&
+                  (tok().Text == "nan" || tok().Text == "inf");
+      if (tok().Kind != TokKind::Number && !Word)
+        return fail("expected float immediate");
       double V;
-      if (btok().Kind == TokKind::Number) {
-        V = strtod(btok().Text.c_str(), nullptr);
-      } else if (btok().Kind == TokKind::Ident &&
-                 (btok().Text == "nan" || btok().Text == "inf")) {
-        V = strtod(btok().Text.c_str(), nullptr);
-      } else {
-        return bfail("expected float immediate");
-      }
-      badvance();
+      if (std::errc Ec = parseNumber(tok().Text, V); Ec != std::errc())
+        return fail(badImmediate("float", Ec));
+      advance();
       B.Insts.push_back(Instruction::makeLoadF(Dst, V));
       return true;
     }
     case Opcode::Call: {
-      if (btok().Kind != TokKind::Ident)
-        return bfail("expected intrinsic name");
-      auto Intr = intrinsicByName(btok().Text);
+      if (tok().Kind != TokKind::Ident)
+        return fail("expected intrinsic name");
+      auto Intr = intrinsicByName(tok().Text);
       if (!Intr)
-        return bfail("unknown intrinsic '" + btok().Text + "'");
-      badvance();
-      if (!bexpect(TokKind::LParen, "'('"))
+        return fail("unknown intrinsic " + quoted(tok().Text));
+      advance();
+      if (!expect(TokKind::LParen, "'('"))
         return false;
       SmallVector<Reg, 2> Args;
-      while (btok().Kind == TokKind::Reg) {
+      while (tok().Kind == TokKind::Reg) {
         Reg A;
-        if (!bparseReg(F, A))
+        if (!parseReg(F, A))
           return false;
         Args.push_back(A);
-        if (btok().Kind == TokKind::Comma)
-          badvance();
+        if (tok().Kind == TokKind::Comma)
+          advance();
       }
-      if (!bexpect(TokKind::RParen, "')'"))
+      if (Args.size() != intrinsicArity(*Intr))
+        return fail(strprintf("intrinsic %s expects %u arguments, has %zu",
+                               intrinsicName(*Intr), intrinsicArity(*Intr),
+                               Args.size()));
+      if (!expect(TokKind::RParen, "')'"))
         return false;
       B.Insts.push_back(
           Instruction::makeCall(*Intr, DstTy, Dst, std::move(Args)));
@@ -593,21 +592,21 @@ private:
     }
     case Opcode::Phi: {
       Instruction I = Instruction::makePhi(DstTy, Dst);
-      while (btok().Kind == TokKind::LBracket) {
-        badvance();
+      while (tok().Kind == TokKind::LBracket) {
+        advance();
         Reg V;
         BlockId Pred;
-        if (!bparseReg(F, V))
+        if (!parseReg(F, V))
           return false;
-        if (!bexpect(TokKind::Comma, "','"))
+        if (!expect(TokKind::Comma, "','"))
           return false;
-        if (!bparseBlockRef(Pred))
+        if (!parseBlockRef(Pred))
           return false;
-        if (!bexpect(TokKind::RBracket, "']'"))
+        if (!expect(TokKind::RBracket, "']'"))
           return false;
         I.addPhiIncoming(V, Pred);
-        if (btok().Kind == TokKind::Comma)
-          badvance();
+        if (tok().Kind == TokKind::Comma)
+          advance();
       }
       B.Insts.push_back(std::move(I));
       return true;
@@ -618,13 +617,13 @@ private:
 
     int N = fixedOperandCount(Op);
     if (N < 0 || Op == Opcode::Store || isTerminator(Op))
-      return bfail("opcode '" + Name + "' cannot define a register here");
+      return fail("opcode " + quoted(Name) + " cannot define a register here");
     SmallVector<Reg, 2> Ops;
     for (int I = 0; I < N; ++I) {
-      if (I && !bexpect(TokKind::Comma, "','"))
+      if (I && !expect(TokKind::Comma, "','"))
         return false;
       Reg R;
-      if (!bparseReg(F, R))
+      if (!parseReg(F, R))
         return false;
       Ops.push_back(R);
     }
@@ -646,16 +645,17 @@ private:
     return true;
   }
 
-  Lexer Lex;
-  Token Tok;
+  std::vector<Token> Toks; // ends in Eof or Invalid
+  size_t Pos = 0;
   std::string Err;
-  std::map<std::string, Reg> RegMap;
-  std::map<Reg, bool> TypeKnown;
-  std::map<std::string, BlockId> BlockMap;
+  std::unordered_set<std::string_view> FunctionNames;
+  /// Per function: source names to registers and blocks, and by Reg
+  /// whether a definition or parameter gave it a type.
+  std::unordered_map<std::string_view, Reg> RegMap;
+  std::vector<bool> TypeKnown;
+  std::unordered_map<std::string_view, BlockId> BlockMap;
   /// (block, line) of each `cbr c, ^X, ^X`, folded after the body parses.
   std::vector<std::pair<BlockId, unsigned>> EqualTargetCbrs;
-  std::vector<Token> BodyToks;
-  size_t BodyPos = 0;
 };
 
 } // namespace

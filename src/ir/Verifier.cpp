@@ -7,8 +7,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <map>
-#include <set>
 
 using namespace epre;
 
@@ -24,13 +22,13 @@ public:
       return Errors;
     }
     computePreds();
-    std::map<Reg, unsigned> DefCount;
-    F.forEachBlock([&](const BasicBlock &B) { checkBlock(B, DefCount); });
+    DefCount.assign(F.numRegs(), 0);
+    F.forEachBlock([&](const BasicBlock &B) { checkBlock(B); });
     if (Mode == SSAMode::SSA) {
-      for (const auto &[R, N] : DefCount)
-        if (N > 1)
+      for (Reg R = 0; R < DefCount.size(); ++R)
+        if (DefCount[R] > 1)
           error(strprintf("register %%r%u has %u definitions in SSA mode",
-                          R, N));
+                          R, DefCount[R]));
     }
     return Errors;
   }
@@ -38,14 +36,35 @@ public:
 private:
   void error(const std::string &Msg) { Errors.push_back(Msg); }
 
+  /// Each block's distinct predecessors, in id order.
   void computePreds() {
+    Preds.assign(F.numBlocks(), {});
+    Seen.assign(F.numBlocks(), 0);
     F.forEachBlock([&](const BasicBlock &B) {
       if (!B.hasTerminator())
         return;
       for (BlockId S : B.terminator().Succs)
-        if (S < F.numBlocks() && F.block(S))
-          Preds[S].insert(B.id());
+        if (S < F.numBlocks() && F.block(S) &&
+            (Preds[S].empty() || Preds[S].back() != B.id()))
+          Preds[S].push_back(B.id());
     });
+  }
+
+  /// True when \p PhiBlocks names each predecessor of \p B exactly once.
+  bool matchesPreds(const BasicBlock &B,
+                    const SmallVector<BlockId, 2> &PhiBlocks) {
+    const std::vector<BlockId> &P = Preds[B.id()];
+    if (PhiBlocks.size() != P.size())
+      return false;
+    ++Stamp;
+    for (BlockId Pred : P)
+      Seen[Pred] = Stamp;
+    for (BlockId In : PhiBlocks) {
+      if (In >= Seen.size() || Seen[In] != Stamp)
+        return false; // not a predecessor, or named twice
+      Seen[In] = 0;
+    }
+    return true;
   }
 
   void checkReg(const BasicBlock &B, Reg R, const char *What) {
@@ -54,7 +73,7 @@ private:
                       B.label().c_str(), What, R));
   }
 
-  void checkBlock(const BasicBlock &B, std::map<Reg, unsigned> &DefCount) {
+  void checkBlock(const BasicBlock &B) {
     if (B.Insts.empty()) {
       error(strprintf("block ^%s is empty", B.label().c_str()));
       return;
@@ -77,12 +96,11 @@ private:
       } else {
         SeenNonPhi = true;
       }
-      checkInstruction(B, I, DefCount);
+      checkInstruction(B, I);
     }
   }
 
-  void checkInstruction(const BasicBlock &B, const Instruction &I,
-                        std::map<Reg, unsigned> &DefCount) {
+  void checkInstruction(const BasicBlock &B, const Instruction &I) {
     // Destination. Value-free opcodes must carry NoReg: a stale Dst (left
     // by a rewrite that recycled an instruction) would corrupt liveness and
     // def counting.
@@ -191,9 +209,7 @@ private:
                         B.label().c_str()));
       if (Mode != SSAMode::NoSSA) {
         // A cbr names two distinct blocks: one entry per predecessor.
-        std::set<BlockId> Incoming(I.PhiBlocks.begin(), I.PhiBlocks.end());
-        if (Incoming.size() != I.PhiBlocks.size() ||
-            Incoming != Preds[B.id()])
+        if (!matchesPreds(B, I.PhiBlocks))
           error(strprintf(
               "block ^%s: phi incoming blocks do not match predecessors",
               B.label().c_str()));
@@ -204,7 +220,13 @@ private:
   const Function &F;
   SSAMode Mode;
   std::vector<std::string> Errors;
-  std::map<BlockId, std::set<BlockId>> Preds;
+  /// Indexed by Reg.
+  std::vector<unsigned> DefCount;
+  /// Indexed by BlockId; Seen[P] == Stamp marks P as a predecessor not yet
+  /// named by the phi being checked.
+  std::vector<std::vector<BlockId>> Preds;
+  std::vector<uint32_t> Seen;
+  uint32_t Stamp = 0;
 };
 
 } // namespace

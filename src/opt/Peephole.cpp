@@ -12,13 +12,19 @@
 #include "analysis/Dominators.h"
 #include "ir/Eval.h"
 
-#include <cassert>
-#include <map>
+#include <algorithm>
 #include <optional>
 
 using namespace epre;
 
 namespace {
+
+/// The opcodes some rule matches a defining instruction against; defOf()
+/// finds no other definition.
+bool isInspectedDef(Opcode Op) {
+  return Op == Opcode::LoadI || Op == Opcode::LoadF || Op == Opcode::Neg ||
+         Op == Opcode::Not || isComparison(Op);
+}
 
 class Peephole {
 public:
@@ -27,40 +33,76 @@ public:
   bool run() {
     DT = DominatorTree::compute(F, CFG::compute(F));
     collectUniqueDefs();
+    HoistedShift.assign(F.numRegs(), NoReg);
     bool Changed = false;
     F.forEachBlock([&](BasicBlock &B) { Changed |= runOnBlock(B); });
+    placeHoistedShifts();
     return Changed;
   }
 
+  /// Instructions visited: the two definition sweeps, every instruction of
+  /// every round, and the blocks that receive hoisted shift amounts.
+  uint64_t work() const { return Work; }
+
 private:
-  /// Caches a copy of the unique defining instruction of single-definition,
-  /// non-parameter registers, for cross-block operand inspection.
+  static constexpr uint32_t NoDef = ~0u;
+
+  struct SnapshotDef {
+    Instruction I;
+    BlockId Block;
+  };
+
+  /// Counts every register's definitions, and snapshots the unique
+  /// definition of single-definition, non-parameter registers for
+  /// cross-block operand inspection. Rewrites never touch the snapshot: a
+  /// cross-block definition is seen as it was when the pass started.
   void collectUniqueDefs() {
+    AllDefs.assign(F.numRegs(), 0);
+    UniqueDef.assign(F.numRegs(), NoDef);
     F.forEachBlock([&](const BasicBlock &B) {
+      Work += B.Insts.size();
       for (const Instruction &I : B.Insts)
         if (I.hasDst())
           ++AllDefs[I.Dst];
     });
     F.forEachBlock([&](const BasicBlock &B) {
+      Work += B.Insts.size();
       for (const Instruction &I : B.Insts)
-        if (I.hasDst() && AllDefs[I.Dst] == 1 && !F.isParam(I.Dst))
-          UniqueDef[I.Dst] = {I, B.id()};
+        if (I.hasDst() && AllDefs[I.Dst] == 1 && isInspectedDef(I.Op) &&
+            !F.isParam(I.Dst)) {
+          UniqueDef[I.Dst] = uint32_t(Snapshot.size());
+          Snapshot.push_back({I, B.id()});
+        }
     });
+  }
+
+  /// Definitions of \p R when the pass started; 0 for registers it made.
+  unsigned defCount(Reg R) const { return R < AllDefs.size() ? AllDefs[R] : 0; }
+
+  /// The snapshot of \p R's unique definition, or nullptr.
+  const SnapshotDef *uniqueDef(Reg R) const {
+    if (R >= UniqueDef.size() || UniqueDef[R] == NoDef)
+      return nullptr;
+    return &Snapshot[UniqueDef[R]];
+  }
+
+  /// Index in CurOut of \p R's latest definition in this round, or NoDef.
+  uint32_t localDef(Reg R) const {
+    if (R < LocalStamp.size() && LocalStamp[R] == Round)
+      return LocalDef[R];
+    return NoDef;
   }
 
   /// Returns the instruction defining \p R visible at the current point:
   /// the latest local definition, or a unique definition in a strictly
   /// dominating block. Returns nullptr when unknown.
   const Instruction *defOf(Reg R) {
-    auto Local = LocalDef.find(R);
-    if (Local != LocalDef.end())
-      return &CurOut[Local->second];
-    auto It = UniqueDef.find(R);
-    if (It == UniqueDef.end())
+    if (uint32_t Local = localDef(R); Local != NoDef)
+      return &CurOut[Local];
+    const SnapshotDef *D = uniqueDef(R);
+    if (!D || !DT.strictlyDominates(D->Block, CurBlock))
       return nullptr;
-    if (!DT.strictlyDominates(It->second.second, CurBlock))
-      return nullptr;
-    return &It->second.first;
+    return &D->I;
   }
 
   /// True if \p Src still holds, at the current point, the value it held
@@ -68,19 +110,17 @@ private:
   /// \p D's operand list into a rewritten instruction. In non-SSA code this
   /// requires proving the absence of intervening redefinitions.
   bool canForwardOperand(const Instruction *D, Reg Src) {
-    if (F.isParam(Src) && !AllDefs.count(Src))
+    if (F.isParam(Src) && defCount(Src) == 0)
       return true; // parameters without redefinition never change
     bool DIsLocal =
         D >= CurOut.data() && D < CurOut.data() + CurOut.size();
     if (DIsLocal) {
-      size_t DIdx = size_t(D - CurOut.data());
-      auto It = LocalDef.find(Src);
-      return It == LocalDef.end() || It->second < DIdx;
+      uint32_t Local = localDef(Src);
+      return Local == NoDef || Local < uint32_t(D - CurOut.data());
     }
     // Cross-block: safe only when Src has a single definition anywhere
     // (its value can never change after that definition runs).
-    auto It = AllDefs.find(Src);
-    return It != AllDefs.end() && It->second == 1 && !F.isParam(Src);
+    return defCount(Src) == 1 && !F.isParam(Src);
   }
 
   std::optional<int64_t> constI(Reg R) {
@@ -112,31 +152,45 @@ private:
   /// loop (e.g. by PRE), the shift amount must not re-grow the loop body
   /// by a per-iteration constant load. A multiplier defined in the current
   /// block keeps the old behaviour (the load lands just before the shl);
-  /// a cross-block multiplier gets the load inserted right after its
-  /// unique definition, which strictly dominates every rewritten use, and
-  /// the register is cached so further rewrites of the same multiplier
-  /// reuse it.
+  /// a cross-block multiplier gets one register per multiplier, whose load
+  /// placeHoistedShifts() puts right after the multiplier's unique
+  /// definition, which strictly dominates every rewritten use.
   Reg materializeShiftAmount(Reg MulConst, int Shift,
                              std::vector<Instruction> &Out) {
-    if (LocalDef.count(MulConst)) {
+    if (localDef(MulConst) != NoDef) {
       Reg ShiftReg = F.makeReg(Type::I64);
       Out.push_back(Instruction::makeLoadI(ShiftReg, Shift));
       return ShiftReg;
     }
-    auto Cached = HoistedShift.find(MulConst);
-    if (Cached != HoistedShift.end())
-      return Cached->second;
-    auto It = UniqueDef.find(MulConst); // present: defOf already resolved it
-    BasicBlock *DefB = F.block(It->second.second);
-    Reg ShiftReg = F.makeReg(Type::I64);
-    for (size_t P = 0; P < DefB->Insts.size(); ++P)
-      if (DefB->Insts[P].hasDst() && DefB->Insts[P].Dst == MulConst) {
-        DefB->Insts.insert(DefB->Insts.begin() + P + 1,
-                           Instruction::makeLoadI(ShiftReg, Shift));
-        break;
-      }
-    HoistedShift.emplace(MulConst, ShiftReg);
+    Reg &ShiftReg = HoistedShift[MulConst];
+    if (ShiftReg == NoReg) {
+      ShiftReg = F.makeReg(Type::I64);
+      HoistBlocks.push_back(uniqueDef(MulConst)->Block);
+    }
     return ShiftReg;
+  }
+
+  /// Inserts each hoisted shift amount, `loadi log2(C)`, right after the
+  /// `loadi C` of its multiplier: one sweep per block that received any.
+  void placeHoistedShifts() {
+    std::sort(HoistBlocks.begin(), HoistBlocks.end());
+    HoistBlocks.erase(std::unique(HoistBlocks.begin(), HoistBlocks.end()),
+                      HoistBlocks.end());
+    for (BlockId Id : HoistBlocks) {
+      std::vector<Instruction> &Insts = F.block(Id)->Insts;
+      Work += Insts.size();
+      std::vector<Instruction> Out;
+      Out.reserve(Insts.size() + 1);
+      for (Instruction &I : Insts) {
+        Out.push_back(std::move(I));
+        Reg D = Out.back().Dst;
+        if (D == NoReg || D >= HoistedShift.size() || HoistedShift[D] == NoReg)
+          continue;
+        int Shift = __builtin_ctzll(uint64_t(Out.back().IImm));
+        Out.push_back(Instruction::makeLoadI(HoistedShift[D], Shift));
+      }
+      Insts = std::move(Out);
+    }
   }
 
   bool runOnBlock(BasicBlock &B) {
@@ -147,15 +201,23 @@ private:
     bool RoundChanged = true;
     while (RoundChanged) {
       RoundChanged = false;
-      LocalDef.clear();
+      // A new round forgets the last one's local definitions; registers
+      // made since then (shift amounts) get slots.
+      ++Round;
+      LocalDef.resize(F.numRegs());
+      LocalStamp.resize(F.numRegs(), 0);
+      Work += B.Insts.size();
       CurOut.clear();
+      CurOut.reserve(B.Insts.size());
       for (Instruction &I : B.Insts) {
-        Instruction New = I;
+        Instruction New = std::move(I);
         if (simplify(New, CurOut))
           RoundChanged = true;
         CurOut.push_back(std::move(New));
-        if (CurOut.back().hasDst())
-          LocalDef[CurOut.back().Dst] = CurOut.size() - 1;
+        if (Reg D = CurOut.back().Dst; D != NoReg) {
+          LocalDef[D] = uint32_t(CurOut.size() - 1);
+          LocalStamp[D] = Round;
+        }
       }
       B.Insts = std::move(CurOut);
       Changed |= RoundChanged;
@@ -173,7 +235,7 @@ private:
 
     // Full constant folding first.
     if (I.isExpression() || I.isCopy()) {
-      std::vector<RtValue> Ops;
+      Ops.clear();
       bool AllConst = true;
       for (Reg R : I.Operands) {
         auto C = constVal(R);
@@ -382,22 +444,32 @@ private:
   Function &F;
   DominatorTree DT;
   BlockId CurBlock = 0;
-  std::map<Reg, std::pair<Instruction, BlockId>> UniqueDef;
-  std::map<Reg, unsigned> AllDefs;
-  std::map<Reg, size_t> LocalDef;
+  uint64_t Work = 0;
+  /// Indexed by Reg, for the registers that existed when the pass started.
+  std::vector<unsigned> AllDefs;
+  std::vector<uint32_t> UniqueDef; // index into Snapshot, or NoDef
+  std::vector<SnapshotDef> Snapshot;
+  /// Shift-amount register hoisted next to a cross-block multiplier
+  /// constant, keyed by the multiplier register; NoReg if none.
+  std::vector<Reg> HoistedShift;
+  std::vector<BlockId> HoistBlocks;
+  /// Indexed by Reg and grown each round: LocalDef[R] is valid when
+  /// LocalStamp[R] == Round.
+  std::vector<uint32_t> LocalDef;
+  std::vector<uint32_t> LocalStamp;
+  uint32_t Round = 0;
   std::vector<Instruction> CurOut;
-  /// Shift-amount registers already materialized next to a cross-block
-  /// multiplier constant, keyed by the multiplier register.
-  std::map<Reg, Reg> HoistedShift;
+  std::vector<RtValue> Ops; // operand values for constant folding
 };
 
 } // namespace
 
 void epre::PeepholePass::run(Function &F, PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
-  bool Changed = Peephole(F).run();
+  Peephole P(F);
+  bool Changed = P.run();
+  LastWork = P.work();
   Ctx.addStat("changed", Changed);
   if (Changed)
     F.bumpVersion();
 }
-

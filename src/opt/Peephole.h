@@ -26,6 +26,14 @@ class PeepholePass {
 public:
   static constexpr const char *name() { return "peephole"; }
   void run(Function &F, PassContext &Ctx);
+
+  /// Deterministic cost of the most recent run: instructions visited by
+  /// the definition sweeps, by every simplification round, and by the
+  /// placement of hoisted shift amounts.
+  uint64_t lastWork() const { return LastWork; }
+
+private:
+  uint64_t LastWork = 0;
 };
 
 } // namespace epre

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 using namespace epre;
@@ -236,6 +237,147 @@ func @f(%x:f64) -> f64 {
   ExecResult R = interpret(F, {RtValue::ofF(-0.0)}, Mem);
   EXPECT_EQ(R.ReturnValue.F, 0.0);
   EXPECT_FALSE(std::signbit(R.ReturnValue.F)); // -0.0 + 0.0 == +0.0
+}
+
+TEST(Peephole, HoistsOneShiftAmountNextToADominatingMultiplier) {
+  // %c is defined in the entry and multiplies in two arms: both shl's share
+  // one `loadi 3`, placed right after %c's definition.
+  auto M = parse(R"(
+func @f(%x:i64, %p:i64) -> i64 {
+^e:
+  %c:i64 = loadi 8
+  %z:i64 = loadi 0
+  cbr %p, ^a, ^b
+^a:
+  %r:i64 = mul %x, %c
+  br ^j
+^b:
+  %r:i64 = mul %c, %x
+  br ^j
+^j:
+  %s:i64 = add %r, %z
+  ret %s
+}
+)");
+  Function &F = *M->Functions[0];
+  runPass(F, PeepholePass());
+  EXPECT_EQ(countOp(F, Opcode::Mul), 0u);
+  ASSERT_EQ(countOp(F, Opcode::Shl), 2u);
+  unsigned ShiftLoads = 0;
+  F.forEachBlock([&](const BasicBlock &B) {
+    for (const Instruction &I : B.Insts)
+      ShiftLoads += I.Op == Opcode::LoadI && I.IImm == 3;
+  });
+  EXPECT_EQ(ShiftLoads, 1u) << printFunction(F);
+  const BasicBlock &E = *F.entry();
+  ASSERT_GE(E.Insts.size(), 2u);
+  EXPECT_EQ(E.Insts[0].Op, Opcode::LoadI);
+  EXPECT_EQ(E.Insts[0].IImm, 8);
+  const Instruction &Shift = E.Insts[1];
+  EXPECT_EQ(Shift.Op, Opcode::LoadI);
+  EXPECT_EQ(Shift.IImm, 3);
+  for (BlockId Arm : {1u, 2u}) {
+    const Instruction &Shl = F.block(Arm)->Insts[0];
+    ASSERT_EQ(Shl.Op, Opcode::Shl) << printFunction(F);
+    EXPECT_EQ(Shl.Operands[0], F.params()[0]);
+    EXPECT_EQ(Shl.Operands[1], Shift.Dst);
+  }
+  for (int64_t P : {0, 1}) {
+    MemoryImage Mem(0);
+    EXPECT_EQ(interpret(F, {RtValue::ofI(5), RtValue::ofI(P)}, Mem)
+                  .ReturnValue.I,
+              40);
+  }
+}
+
+TEST(Peephole, CrossBlockDefinitionIsSeenAsItWasWhenThePassStarted) {
+  // The entry's `%n = neg %m` becomes `copy %y` (neg of neg). The use in
+  // ^a still sees the original neg: `add %x, %n` becomes `sub %x, %m` and,
+  // a round later, `add %x, %y`. Seen as the copy, it would stay unchanged.
+  auto M = parse(R"(
+func @f(%x:i64, %y:i64) -> i64 {
+^e:
+  %m:i64 = neg %y
+  %n:i64 = neg %m
+  br ^a
+^a:
+  %r:i64 = add %x, %n
+  ret %r
+}
+)");
+  Function &F = *M->Functions[0];
+  runPass(F, PeepholePass());
+  const Instruction &N = F.entry()->Insts[1];
+  EXPECT_EQ(N.Op, Opcode::Copy) << printFunction(F);
+  const Instruction &R = F.block(1)->Insts[0];
+  ASSERT_EQ(R.Op, Opcode::Add) << printFunction(F);
+  EXPECT_EQ(R.Operands[0], F.params()[0]);
+  EXPECT_EQ(R.Operands[1], F.params()[1]);
+  MemoryImage Mem(0);
+  EXPECT_EQ(interpret(F, {RtValue::ofI(10), RtValue::ofI(3)}, Mem)
+                .ReturnValue.I,
+            13);
+}
+
+TEST(Peephole, XorOfIntegerComparisonWithOneInvertsIt) {
+  auto M = parse(R"(
+func @i(%a:i64, %b:i64) -> i64 {
+^e:
+  %c:i64 = cmplt %a, %b
+  %one:i64 = loadi 1
+  %r:i64 = xor %c, %one
+  ret %r
+}
+func @f(%a:f64, %b:f64) -> i64 {
+^e:
+  %c:i64 = cmplt %a, %b
+  %one:i64 = loadi 1
+  %r:i64 = xor %c, %one
+  ret %r
+}
+)");
+  Function &I = *M->find("i");
+  runPass(I, PeepholePass());
+  const Instruction &R = I.entry()->Insts[2];
+  ASSERT_EQ(R.Op, Opcode::CmpGe) << printFunction(I);
+  EXPECT_EQ(R.Ty, Type::I64);
+  EXPECT_EQ(R.Operands[0], I.params()[0]);
+  EXPECT_EQ(R.Operands[1], I.params()[1]);
+  // !(a < b) is not a >= b when either is NaN.
+  Function &Fl = *M->find("f");
+  runPass(Fl, PeepholePass());
+  EXPECT_EQ(countOp(Fl, Opcode::Xor), 1u) << printFunction(Fl);
+  EXPECT_EQ(countOp(Fl, Opcode::CmpGe), 0u);
+}
+
+TEST(Peephole, ShiftAmountRegisterItCreatedFoldsInALaterRound) {
+  // Round 1 turns %s into `sub %x, %x` and the multiply into `shl %s, %k`
+  // with a new `%k = loadi 3`; round 2 folds %s to 0, and the shl folds
+  // only if %k, a register the pass made, is known as a local definition.
+  auto M = parse(R"(
+func @f(%x:i64) -> i64 {
+^e:
+  %n:i64 = neg %x
+  %s:i64 = add %x, %n
+  %c:i64 = loadi 8
+  %m:i64 = mul %s, %c
+  ret %m
+}
+)");
+  Function &F = *M->Functions[0];
+  runPass(F, PeepholePass());
+  EXPECT_EQ(countOp(F, Opcode::Mul), 0u);
+  EXPECT_EQ(countOp(F, Opcode::Shl), 0u) << printFunction(F);
+  const std::vector<Instruction> &Insts = F.entry()->Insts;
+  const Instruction &Ret = Insts.back();
+  auto Def =
+      std::find_if(Insts.begin(), Insts.end(), [&](const Instruction &I) {
+        return I.hasDst() && I.Dst == Ret.Operands[0];
+      });
+  ASSERT_NE(Def, Insts.end());
+  EXPECT_EQ(Def->Op, Opcode::LoadI);
+  EXPECT_EQ(Def->IImm, 0);
+  EXPECT_EQ(runOn(F, 7), 0);
 }
 
 // --- DCE ---------------------------------------------------------------------

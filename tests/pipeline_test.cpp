@@ -18,6 +18,7 @@
 #include "opt/ConstantPropagation.h"
 #include "opt/CopyCoalescing.h"
 #include "opt/DeadCodeElim.h"
+#include "opt/Peephole.h"
 #include "pipeline/Pipeline.h"
 #include "pre/PRE.h"
 #include "reassoc/ForwardProp.h"
@@ -328,13 +329,14 @@ TEST(Complexity, BaselineTailWorkGrowsNearLinearly) {
     auto M = lower();
     Function &F = *M->find("chain");
     optimizeFunctionPrefix(F, PO, unsigned(FirstTail - Full.Trace.begin()));
-    return std::array<uint64_t, 3>{runPass(F, SCCPPass()).lastWork(),
+    return std::array<uint64_t, 4>{runPass(F, SCCPPass()).lastWork(),
+                                   runPass(F, PeepholePass()).lastWork(),
                                    runPass(F, DCEPass()).lastWork(),
                                    runPass(F, CopyCoalescingPass()).lastWork()};
   };
-  std::array<uint64_t, 3> Small = tailWork(32), Large = tailWork(128);
-  const char *Names[] = {"sccp", "dce", "coalesce"};
-  for (unsigned P = 0; P < 3; ++P) {
+  std::array<uint64_t, 4> Small = tailWork(32), Large = tailWork(128);
+  const char *Names[] = {"sccp", "peephole", "dce", "coalesce"};
+  for (unsigned P = 0; P < 4; ++P) {
     ASSERT_GT(Small[P], 0u) << Names[P];
     EXPECT_LE(double(Large[P]) / double(Small[P]), 4.5)
         << Names[P] << " work: " << Small[P] << " at 32 loops, " << Large[P]
